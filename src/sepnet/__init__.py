@@ -3,10 +3,11 @@ source-network coding from channel coding over wireline networks.
 
 Layers, bottom to top: probkit (distributions, seeded RNG streams),
 infosolvers (capacity and rate-distortion solvers with certified gaps),
-netmodel (time-stepped network execution), stacking (layered network
-transforms and their exact-equivalence checks), linkcodes (random channel
-codes and channel synthesis for link replacement), experiments + cli
-(the reproducible experiment harness).
+netmodel (the one time-stepped engine for single-layer, stacked and
+de-stacked runs), stacking (layered network transforms and their
+exact-equivalence checks), linkcodes (random channel codes and channel
+synthesis for link replacement), experiments + cli (the reproducible
+experiment harness).
 """
 
 from .infosolvers import (CapacityResult, InfeasibleTarget, RdResult,
@@ -22,8 +23,7 @@ from .stacking import (InterleaveSchedule, StackedConfig, destack_code,
                        even_odd_split, lift_code, run_destacked_block,
                        run_stacked_block, stack_network, traces_match)
 from .linkcodes import (ChannelCode, LinkCodeReport, SynthesisCode,
-                        build_channel_code, build_synthesis_code,
-                        emulate_dmc_over_pipe, emulate_pipe_over_dmc)
+                        build_channel_code, build_synthesis_code)
 from .scenario import Scenario, load_scenario, write_json_atomic
 from .experiments import (capacity_report, chancode_sweep, emit_plotdata,
                           mixing_demo, rd_report, separation_experiment,
@@ -40,8 +40,7 @@ __all__ = [
     "RdResult", "RngStream", "Scenario", "StackedConfig", "SynthesisCode",
     "TraceRecord", "blahut_capacity", "blahut_rate_distortion",
     "build_channel_code", "build_synthesis_code", "capacity_report",
-    "chancode_sweep", "destack_code", "emit_plotdata",
-    "emulate_dmc_over_pipe", "emulate_pipe_over_dmc", "entropy",
+    "chancode_sweep", "destack_code", "emit_plotdata", "entropy",
     "estimate_distortion", "even_odd_split", "invert_rate_distortion",
     "lift_code", "load_scenario", "mixing_demo", "mutual_information",
     "rd_report", "run_block", "run_destacked_block", "run_stacked_block",

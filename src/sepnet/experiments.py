@@ -14,18 +14,18 @@ import numpy as np
 
 from .infosolvers import (blahut_capacity, blahut_rate_distortion,
                           invert_rate_distortion)
-from .linkcodes import (AggregatePipeBehavior, CodedLinkBehavior,
-                        LinkCodeReport, build_channel_code,
+from .linkcodes import (CHUNK_ELEMENTS, AggregatePipeBehavior,
+                        CodedLinkBehavior, LinkCodeReport, build_channel_code,
                         build_synthesis_code, estimate_error_prob,
                         likelihood_weights, log_posterior, output_marginal,
-                        select_index, synthesis_code_bits,
-                        synthesized_type_tv)
+                        synthesis_code_bits, synthesized_type_tv)
 from .netmodel import (BitPipe, CodeParameters, DmcChannel, Edge, IidJoint,
                        MarkovJoint, NetworkSpec, estimate_distortion)
-from .probkit import Kernel, ProbVector, RngStream, sample_many
+from .probkit import (Kernel, ProbVector, RngStream, mean_stderr,
+                      sample_many, sample_rows)
 from .recipes import build_recipe
-from .stacking import (InterleaveSchedule, StackedConfig, destack_code,
-                       estimate_stacked_distortion, lift_code,
+from .stacking import (InterleaveSchedule, StackedCode, StackedConfig,
+                       destack_code, estimate_stacked_distortion, lift_code,
                        parity_class_dependence_tv, run_destacked_block,
                        run_stacked_block, traces_match)
 
@@ -175,7 +175,6 @@ def _line_network(channel_for_link):
 
 def _bit_forward_code(N, per_use, n):
     total = N  # one source bit per layer (L = 1)
-    from .stacking import StackedCode
     return StackedCode(
         encoders={0: BitChunkEncoder(0, total, per_use),
                   1: BitRelayEncoder(0, 1, per_use)},
@@ -191,7 +190,10 @@ def link_replacement_experiment(p=0.11, N=24, R=0.4, trials=10000, seed=0,
     the |E| * P_e,max * d_max excess bound."""
     rng = RngStream(seed)
     per_use = int(np.floor(N * R + 1e-12))
-    n = 4  # enough uses for the relay to flush all N bits
+    if per_use < 1:
+        raise ValueError("N * R must carry at least one whole bit per use")
+    uses = -(-N // per_use)  # stacked uses that carry bits on each link
+    n = uses + 1  # the relay forwards one use behind, so one more to flush
     code_tx = build_channel_code(Kernel.bsc(p), N, R, rng.child("code", 0))
     code_rx = build_channel_code(Kernel.bsc(p), N, R, rng.child("code", 1))
 
@@ -211,10 +213,9 @@ def link_replacement_experiment(p=0.11, N=24, R=0.4, trials=10000, seed=0,
     d_pipe = estimate_stacked_distortion(cfg_pipe, scheme, trials,
                                          rng.child("pipe"))[(0, 2)]
 
-    # per-link block error probability: any of the n codeword uses failing
+    # per-link block error probability: any of its codeword uses failing
     pe0, se0 = estimate_error_prob(code_tx, pe_trials, rng.child("pe", 0))
     pe1, se1 = estimate_error_prob(code_rx, pe_trials, rng.child("pe", 1))
-    uses = 3  # each link actually carries bits in 3 of the n uses
     link_pe = {0: 1.0 - (1.0 - pe0) ** uses, 1: 1.0 - (1.0 - pe1) ** uses}
     link_se = {0: uses * se0, 1: uses * se1}
     report = LinkCodeReport(link_pe, link_se, n_edges=2,
@@ -258,9 +259,8 @@ def _synth_batch(args):
         mean, _ = synthesized_type_tv(code, rng.child("tv", c),
                                       samples=samples)
         tvs.append(mean)
-    arr = np.asarray(tvs)
-    se = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    return {"N": N, "R": R, "tv_mean": float(arr.mean()), "tv_stderr": se,
+    tv_mean, se = mean_stderr(tvs)
+    return {"N": N, "R": R, "tv_mean": tv_mean, "tv_stderr": se,
             "seed_batch": b}
 
 
@@ -309,9 +309,6 @@ class Lemma1Report:
                 "inconclusive": bool(self.inconclusive)}
 
 
-LEMMA1_CHUNK_ELEMENTS = 2 ** 21   # codebook symbols held per trial chunk
-
-
 def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
     """Layer-1 records (x_{t-1}, y_{t-1}, x_t, y_t) from a stacked
     point-to-point link whose outputs are produced by per-time synthesis
@@ -323,7 +320,9 @@ def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
     "codebook") with its encoder uniform from ("trial", j, "w", k): the
     streams build_synthesis_code and SynthesisCode.synthesize would use.
     Codebooks are sampled and encoded as (trials, keys, 2^bits, N) arrays in
-    trial chunks of at most LEMMA1_CHUNK_ELEMENTS codebook symbols."""
+    trial chunks of at most CHUNK_ELEMENTS codebook symbols."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     p = ProbVector.uniform(channel.input_size)
     bits = synthesis_code_bits(p, channel, N, R)
     m = 2 ** bits
@@ -331,7 +330,7 @@ def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
     log_post = log_posterior(p, channel)
     keys = [0] if reuse else list(range(n_times))
     key_of_time = [0 if reuse else t for t in range(n_times)]
-    chunk = max(1, LEMMA1_CHUNK_ELEMENTS // (len(keys) * m * N))
+    chunk = max(1, CHUNK_ELEMENTS // (len(keys) * m * N))
     x0 = np.empty(trials, dtype=np.int64)
     y0 = np.empty((trials, len(keys)), dtype=np.int64)
     for lo in range(0, trials, chunk):
@@ -347,8 +346,8 @@ def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
                 u_w[i, k] = RngStream(seed, ("trial", j, "w", key)).uniform()
         x = sample_many(p.probs, u_x)
         codebooks = sample_many(q_y, u_cb)
-        w = select_index(likelihood_weights(log_post, codebooks,
-                                            x[:, None, :]), u_w)
+        weights = likelihood_weights(log_post, codebooks, x[:, None, :])
+        w = sample_rows(np.cumsum(weights, axis=-1), u_w)
         x0[js.start:js.stop] = x[:, 0]
         y0[js.start:js.stop] = np.take_along_axis(
             codebooks[..., 0], w[..., None], axis=-1)[..., 0]
@@ -446,13 +445,9 @@ def two_step_induction(channel=None, N=24, R=0.6, trials=256, replicates=8,
             tally(synth_counts, x1, y1, x2, y2)
             # true network at matched sample count
             u = rj.child("true").uniform((2, N))
-            rows1 = cums[x1]
-            ty1 = np.minimum((u[0][:, None] * rows1[:, -1:] >= rows1)
-                             .sum(axis=1), channel.output_size - 1)
+            ty1 = sample_rows(cums[x1], u[0])
             tx2 = (x1 + ty1) % k
-            rows2 = cums[tx2]
-            ty2 = np.minimum((u[1][:, None] * rows2[:, -1:] >= rows2)
-                             .sum(axis=1), channel.output_size - 1)
+            ty2 = sample_rows(cums[tx2], u[1])
             tally(true_counts, x1, ty1, tx2, ty2)
 
     synth_law = synth_counts / synth_counts.sum()
@@ -502,14 +497,9 @@ def separation_experiment(p=0.11, kappa=1.0, quantizer_bits=(6, 8, 10),
         y = x ^ noise
         dec = cc.decode_batch(y)
         d_noisy_t = (u != qcb[dec % qcb.shape[0]]).mean(axis=1)
-        pe_t = (dec != w).astype(float)
-
-        def mean_se(a):
-            return float(a.mean()), float(a.std(ddof=1) / np.sqrt(len(a)))
-
-        d_pipe, se_pipe = mean_se(d_pipe_t)
-        d_noisy, se_noisy = mean_se(d_noisy_t)
-        pe, se_pe = mean_se(pe_t)
+        d_pipe, se_pipe = mean_stderr(d_pipe_t)
+        d_noisy, se_noisy = mean_stderr(d_noisy_t)
+        pe, se_pe = mean_stderr(dec != w)
         rows.append({"quantizer_bits": k_bits, "block_length": L,
                      "D_pipe": d_pipe, "stderr_pipe": se_pipe,
                      "D_noisy": d_noisy, "stderr_noisy": se_noisy,

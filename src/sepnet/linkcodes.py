@@ -12,10 +12,15 @@ import numpy as np
 from .infosolvers import blahut_capacity
 from .netmodel import BitPipe, DmcChannel
 from .probkit import (JointPmf, Kernel, ProbVector, empirical_type,
-                      mutual_information, sample_many)
+                      mean_stderr, mutual_information, sample_many,
+                      sample_rows)
 
 CODEBOOK_CAP_BITS = 22
 DEFAULT_MARGIN = 0.05
+# elements per array in the batched kernels: codeword symbols gathered per
+# decode_batch chunk, codebook symbols per lemma-1 trial chunk (16 MiB of
+# float64)
+CHUNK_ELEMENTS = 2 ** 21
 
 
 class RateOutOfRange(ValueError):
@@ -73,7 +78,7 @@ class ChannelCode:
     def decode_batch(self, ys):
         logw = _log_kernel(self.channel.matrix)
         out = np.empty(ys.shape[0], dtype=np.int64)
-        step = max(1, int(2 ** 24 // max(self.codebook.size, 1)))
+        step = max(1, CHUNK_ELEMENTS // max(self.codebook.size, 1))
         for i in range(0, ys.shape[0], step):
             chunk = ys[i:i + step]
             ll = logw[self.codebook[None, :, :], chunk[:, None, :]].sum(axis=2)
@@ -106,15 +111,9 @@ def estimate_error_prob(code, trials, rng):
     msgs = g.integers(0, m, size=trials)
     x = code.codebook[msgs]
     cums = np.cumsum(code.channel.matrix, axis=1)
-    u = g.random(x.shape)
-    rows = cums[x]
-    y = np.minimum((u[..., None] * rows[..., -1:] >= rows).sum(axis=-1),
-                   code.channel.output_size - 1)
+    y = sample_rows(cums[x], g.random(x.shape))
     dec = code.decode_batch(y)
-    errs = (dec != msgs).astype(float)
-    p_e = float(errs.mean())
-    stderr = float(errs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return p_e, stderr
+    return mean_stderr(dec != msgs)
 
 
 @dataclass
@@ -176,13 +175,6 @@ def likelihood_weights(log_post, codebooks, x):
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def select_index(weights, u):
-    """Inverse-cdf index per weight row (..., M), one uniform per row."""
-    cum = np.cumsum(weights, axis=-1)
-    idx = (cum <= (np.asarray(u) * cum[..., -1])[..., None]).sum(axis=-1)
-    return np.minimum(idx, weights.shape[-1] - 1)
-
-
 @dataclass
 class SynthesisCode:
     """Soft-covering codebook with a likelihood (posterior-weighting) encoder.
@@ -214,7 +206,8 @@ class SynthesisCode:
 
     def encode(self, x, rng):
         """Stochastic index selection; one uniform draw per call."""
-        return int(select_index(self.encoder_weights(x), rng.uniform()))
+        cum = np.cumsum(self.encoder_weights(x))
+        return int(sample_rows(cum, rng.uniform()))
 
     def synthesize(self, x, rng):
         """Map an input sequence to the selected codeword's output sequence."""
@@ -249,8 +242,7 @@ def synthesized_type_tv(code, rng, samples=64):
         et = empirical_type(np.stack([x, y], axis=1),
                             shape=target.table.shape)
         tvs.append(et.tv_to(target))
-    arr = np.asarray(tvs)
-    return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(len(arr)))
+    return mean_stderr(tvs)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +256,6 @@ class _CodedLinkHandler:
         self.e = e_idx
         self.code = code
         self.cums = np.cumsum(code.channel.matrix, axis=1)
-        self.hi = code.channel.output_size - 1
         self.errors = 0
         self.uses = 0
 
@@ -277,9 +268,8 @@ class _CodedLinkHandler:
             return (), (), ()
         msg = bits_to_index(bits)
         x = self.code.encode(msg)
-        u = rng.child("edge", self.e, t).uniform(self.code.N)
-        rows = self.cums[x]
-        y = np.minimum((u[:, None] * rows[:, -1:] >= rows).sum(axis=1), self.hi)
+        y = sample_rows(self.cums[x],
+                        rng.child("edge", self.e, t).uniform(self.code.N))
         dec = self.code.decode(y)
         out = index_to_bits(dec % (1 << len(bits)), len(bits))
         self.uses += 1
@@ -326,7 +316,8 @@ class _SynthLinkHandler:
 
 @dataclass
 class SynthLinkBehavior:
-    """code_for_time maps stacked time t to the SynthesisCode used at t."""
+    """code_for_time maps stacked time t to the SynthesisCode used at t;
+    audit maps id(code) to the first stacked time it served."""
     code_for_time: object
     audit: dict = field(default_factory=dict)
 
@@ -337,31 +328,11 @@ class SynthLinkBehavior:
 
     def _audited(self, t):
         code = self.code_for_time(t)
-        prev = self.audit.setdefault(t, id(code))
-        for other_t, other_id in self.audit.items():
-            if other_t != t and other_id == id(code):
-                raise RuntimeError("synthesis code reused across stacked "
-                                   "times %d and %d" % (other_t, t))
+        first_t = self.audit.setdefault(id(code), t)
+        if first_t != t:
+            raise RuntimeError("synthesis code reused across stacked times "
+                               "%d and %d" % (first_t, t))
         return code
-
-
-def emulate_pipe_over_dmc(config, e_idx, code, pe_trials=10000, rng=None):
-    """Replace the N copies of a DMC edge with an internally channel-coded
-    virtual bit-pipe. Returns the transformed config and a LinkCodeReport."""
-    behaviors = dict(config.behaviors or {})
-    behaviors[e_idx] = CodedLinkBehavior(code)
-    new_cfg = type(config)(config.net, config.N, behaviors, config.pipe_delay)
-    p_e, se = estimate_error_prob(code, pe_trials, rng.child("pe", e_idx))
-    report = LinkCodeReport({e_idx: p_e}, {e_idx: se},
-                            n_edges=1, d_max=config.net.d_max)
-    return new_cfg, report
-
-
-def emulate_dmc_over_pipe(config, e_idx, code_for_time):
-    """Replace a bit-pipe edge with a synthesized DMC interface."""
-    behaviors = dict(config.behaviors or {})
-    behaviors[e_idx] = SynthLinkBehavior(code_for_time)
-    return type(config)(config.net, config.N, behaviors, config.pipe_delay)
 
 
 class _AggregatePipeHandler:

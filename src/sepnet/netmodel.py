@@ -1,6 +1,7 @@
 """Directed network of DMC / bit-pipe edges with jointly distributed sources,
-causal coding policies, a time-stepped execution engine, and Monte Carlo
-distortion estimation.
+causal coding policies, the time-stepped execution engine shared by
+single-layer, stacked and de-stacked runs, and Monte Carlo distortion
+estimation.
 
 Timing model: at each step t (0-based) every node computes its channel inputs
 simultaneously from outputs observed at strictly earlier steps. DMC outputs
@@ -14,7 +15,8 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
-from .probkit import Kernel, ProbVector, sample_many
+from .probkit import (Kernel, ProbVector, mean_stderr, sample_many,
+                      sample_rows)
 
 
 class ArityMismatch(ValueError):
@@ -86,35 +88,18 @@ class MarkovJoint:
         Returns an array of shape (count, length, num_nodes).
         """
         u = rng.uniform((count, length))
-        k = self.initial.size
         cums = np.cumsum(self.transition.matrix, axis=1)
-        cum0 = np.cumsum(self.initial.probs)
         states = np.empty((count, length), dtype=np.int64)
-        s = np.minimum(np.searchsorted(cum0, u[:, 0] * cum0[-1], side="right"),
-                       k - 1)
+        s = sample_many(self.initial.probs, u[:, 0])
         states[:, 0] = s
         for i in range(1, length):
-            rows = cums[s]
-            s = np.minimum((u[:, i, None] * rows[:, -1:] >= rows).sum(axis=1),
-                           k - 1)
+            s = sample_rows(cums[s], u[:, i])
             states[:, i] = s
         coords = np.unravel_index(states.reshape(-1), self.alphabet_sizes)
         return np.stack(coords, axis=1).reshape(count, length, -1)
 
     def draw_block(self, length, rng):
-        u = rng.uniform(length)
-        states = np.empty(length, dtype=np.int64)
-        cum0 = np.cumsum(self.initial.probs)
-        cums = np.cumsum(self.transition.matrix, axis=1)
-        s = min(int(np.searchsorted(cum0, u[0] * cum0[-1], side="right")),
-                self.initial.size - 1)
-        states[0] = s
-        for i in range(1, length):
-            row = cums[s]
-            s = min(int(np.searchsorted(row, u[i] * row[-1], side="right")),
-                    row.size - 1)
-            states[i] = s
-        return np.stack(np.unravel_index(states, self.alphabet_sizes), axis=1)
+        return self.draw_many(length, 1, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -212,17 +197,6 @@ def validate_spec(net):
     return out
 
 
-def _make_kernel_loader(kernel):
-    cums = np.cumsum(kernel.matrix, axis=1)
-    out_hi = kernel.output_size - 1
-
-    def draw(x, u):
-        row = cums[x]
-        return min(int(np.searchsorted(row, u * row[-1], side="right")), out_hi)
-
-    return draw
-
-
 @dataclass
 class TraceRecord:
     u: dict                 # node id -> source block array
@@ -236,29 +210,95 @@ def _block_distortion(d, u_block, recon):
     return float(d[np.asarray(u_block), np.asarray(recon)].mean())
 
 
-def run_block(net, code, params, rng, pipe_delay=0, edge_time_map=None,
-              u_block=None):
-    """Execute one coding block of n network uses and decode.
+# ---------------------------------------------------------------------------
+# raw links: what an edge does when no link code replaces it
+#
+# A link presents transmit(rng, t, x) -> (x_rec, y_rec, delivered). A link
+# built with stacked=True carries N layer uses per call: t is the stacked
+# time and x one input per layer. Otherwise it carries one use per call of an
+# N-fold interleaved run (N = 1 for a plain single-layer run): t is the
+# single-layer time tau, which is layer tau % N at stacked time tau // N.
+#
+# Noise keying: layer l at stacked time t draws entry l of the stream
+# rng.child("edge", e, t), so a stacked run and its de-stacked equivalent see
+# the same channel realizations bit for bit.
 
-    edge_time_map maps engine step t to a (layer, base_time) pair used to key
-    per-use channel noise; the default keys noise by (edge, t) with layer 0.
-    Used by the stacking machinery to couple noise draws between a stacked
-    run and its interleaved single-layer equivalent.
+class DmcLink:
+    def __init__(self, e_idx, kernel, N, stacked):
+        self.e = e_idx
+        self.N = N
+        self.stacked = stacked
+        self.cums = np.cumsum(kernel.matrix, axis=1)
+
+    def transmit(self, rng, t, x):
+        if self.stacked:
+            x = np.asarray(x, dtype=np.int64)
+            if x.shape != (self.N,):
+                raise ArityMismatch("DMC edge %d expects %d layer inputs"
+                                    % (self.e, self.N))
+            y = sample_rows(self.cums[x],
+                            rng.child("edge", self.e, t).uniform(self.N))
+            return x, y, y
+        if x is None:
+            raise ArityMismatch("no input for DMC edge %d at t=%d" % (self.e, t))
+        period, layer = divmod(t, self.N)
+        u = rng.child("edge", self.e, period).uniform(layer + 1)[layer]
+        y = int(sample_rows(self.cums[int(x)], u))
+        return int(x), y, y
+
+
+class PipeLink:
+    def __init__(self, e_idx, pipe, N, stacked):
+        self.e = e_idx
+        self.pipe = pipe
+        self.stacked = stacked
+        self.sent = [0] * (N if stacked else 1)
+
+    def transmit(self, rng, t, payloads):
+        if not self.stacked:
+            payloads = [payloads]
+        elif payloads is None:
+            payloads = [()] * len(self.sent)
+        if len(payloads) != len(self.sent):
+            raise ArityMismatch("pipe edge %d expects %d layer payloads"
+                                % (self.e, len(self.sent)))
+        out = []
+        for l, p in enumerate(payloads):
+            bits = tuple(int(b) for b in (p or ()))
+            self.sent[l] += len(bits)
+            if self.sent[l] > self.pipe.budget(t + 1):
+                raise BudgetOverflow("edge %d exceeded floor(t*rate) bits "
+                                     "by t=%d" % (self.e, t + 1))
+            out.append(bits)
+        if not self.stacked:
+            return out[0], out[0], out[0]
+        return out, list(out), list(out)
+
+
+def raw_link(e_idx, edge, N, stacked):
+    if isinstance(edge.channel, DmcChannel):
+        return DmcLink(e_idx, edge.channel.kernel, N, stacked)
+    return PipeLink(e_idx, edge.channel, N, stacked)
+
+
+# ---------------------------------------------------------------------------
+# the engine
+
+def run_steps(net, code, links, n, length, rng, pipe_delay=0, u_block=None,
+              idle=()):
+    """The one step loop: n network uses of `code` over the per-edge `links`,
+    then decoding of source blocks of `length` symbols.
+
+    Single-layer, stacked and de-stacked blocks all run here; they differ
+    only in the link objects and the block length. With pipe_delay, bit-pipe
+    deliveries surface one step late and `idle` stands in at the first step.
     """
-    L, n = params.L, params.n
-    if edge_time_map is None:
-        edge_time_map = lambda t: (0, t)
     if u_block is None:
-        raw = net.sources.draw_block(L, rng.child("src"))
+        raw = net.sources.draw_block(length, rng.child("src"))
         u_block = {a: raw[:, i].copy() for i, a in enumerate(net.nodes)}
-
-    drawers = {i: _make_kernel_loader(e.channel.kernel)
-               for i, e in enumerate(net.edges)
-               if isinstance(e.channel, DmcChannel)}
     rx = {i: [] for i in range(len(net.edges))}   # receiver-visible outputs
     edge_io = {i: [] for i in range(len(net.edges))}
-    pipe_sent = {i: 0 for i in range(len(net.edges))}
-    pending = {i: None for i in range(len(net.edges))}  # delayed pipe payloads
+    pending = {i: idle for i in range(len(net.edges))}  # delayed payloads
 
     for t in range(n):
         emissions = {}
@@ -275,38 +315,39 @@ def run_block(net, code, params, rng, pipe_delay=0, edge_time_map=None,
             emissions[a] = em
         for i, e in enumerate(net.edges):
             x = emissions.get(e.tail, {}).get(i)
-            if isinstance(e.channel, DmcChannel):
-                if x is None:
-                    raise ArityMismatch("no input for DMC edge %d at t=%d" % (i, t))
-                layer, base_t = edge_time_map(t)
-                u = rng.child("edge", i, base_t).uniform(layer + 1)[layer]
-                y = drawers[i](int(x), u)
-                edge_io[i].append((int(x), y))
-                rx[i].append(y)
+            x_rec, y_rec, delivered = links[i].transmit(rng, t, x)
+            edge_io[i].append((x_rec, y_rec))
+            if pipe_delay and isinstance(e.channel, BitPipe):
+                rx[i].append(pending[i])
+                pending[i] = delivered
             else:
-                bits = tuple(int(b) for b in (x or ()))
-                pipe_sent[i] += len(bits)
-                if pipe_sent[i] > e.channel.budget(t + 1):
-                    raise BudgetOverflow("edge %d exceeded floor(t*rate) bits "
-                                         "by t=%d" % (i, t + 1))
-                edge_io[i].append((bits, bits))
-                if pipe_delay:
-                    rx[i].append(pending[i] if pending[i] is not None else ())
-                    pending[i] = bits
-                else:
-                    rx[i].append(bits)
+                rx[i].append(delivered)
 
     recon, dist = {}, {}
     for (a, b), dec in code.decoders.items():
         full = {i: list(rx[i]) for i in net.in_edges(b)}
         recon[a, b] = np.asarray(dec.decode(u_block[b], full,
                                             rng.child("dec", a, b)))
-        if len(recon[a, b]) != L:
+        if len(recon[a, b]) != length:
             raise ArityMismatch("decoder for %r returned wrong block length"
                                 % ((a, b),))
         dist[a, b] = _block_distortion(net.demands[(a, b)], u_block[a],
                                        recon[a, b])
     return TraceRecord(u_block, edge_io, recon, dist)
+
+
+def run_block(net, code, params, rng, pipe_delay=0, u_block=None):
+    """Execute one single-layer coding block of n network uses and decode.
+
+    A policy carrying an interleave `schedule` (the de-stacked form of an
+    N-layer code) keys its channel noise to the stacked run's; any other
+    policy is the N = 1 case.
+    """
+    schedule = getattr(code, "schedule", None)
+    N = 1 if schedule is None else schedule.N
+    links = [raw_link(i, e, N, False) for i, e in enumerate(net.edges)]
+    return run_steps(net, code, links, params.n, params.L, rng, pipe_delay,
+                     u_block)
 
 
 @dataclass
@@ -327,22 +368,27 @@ class DistortionMatrix:
                 "trials": self.trials}
 
 
+def estimate_trials(run, trials, rng):
+    """Per-demand mean and standard error of the block distortion over
+    independent trials; trial j runs run(rng.child("trial", j))."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    per_trial = {}
+    for j in range(trials):
+        for k, v in run(rng.child("trial", j)).distortion.items():
+            per_trial.setdefault(k, []).append(v)
+    return {k: mean_stderr(v) for k, v in per_trial.items()}
+
+
 def estimate_distortion(net, code, params, trials, rng, pipe_delay=0):
     """Mean per-demand block distortion over independent trials, with
     standard errors. Non-demanded pairs are identically zero."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    est = estimate_trials(
+        lambda r: run_block(net, code, params, r, pipe_delay=pipe_delay),
+        trials, rng)
     m = len(net.nodes)
-    sums = np.zeros((m, m))
-    sqs = np.zeros((m, m))
-    for j in range(trials):
-        tr = run_block(net, code, params, rng.child("trial", j),
-                       pipe_delay=pipe_delay)
-        for (a, b), v in tr.distortion.items():
-            ia, ib = net.node_index(a), net.node_index(b)
-            sums[ia, ib] += v
-            sqs[ia, ib] += v * v
-    mean = sums / trials
-    var = np.maximum(sqs / trials - mean ** 2, 0.0)
-    stderr = np.sqrt(var / max(trials - 1, 1))
+    mean, stderr = np.zeros((m, m)), np.zeros((m, m))
+    for (a, b), (v, se) in est.items():
+        ia, ib = net.node_index(a), net.node_index(b)
+        mean[ia, ib], stderr[ia, ib] = v, se
     return DistortionMatrix(mean, stderr, trials, tuple(net.nodes))

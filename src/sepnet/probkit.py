@@ -293,10 +293,7 @@ class RngStream:
 
 def sample(dist, rng):
     """Draw one symbol index from a distribution using the given stream."""
-    p = dist.probs if isinstance(dist, ProbVector) else _as_prob_array(dist)
-    cum = np.cumsum(p)
-    i = int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))
-    return min(i, p.size - 1)
+    return int(sample_many(dist, rng.uniform()))
 
 
 def sample_many(p, uniforms):
@@ -305,3 +302,22 @@ def sample_many(p, uniforms):
     cum = np.cumsum(p)
     idx = np.searchsorted(cum, np.asarray(uniforms) * cum[-1], side="right")
     return np.minimum(idx, p.size - 1)
+
+
+def sample_rows(cums, u):
+    """Inverse-cdf draw per row: cums (..., K) holds row-wise cumulative
+    weights and u (...) one uniform in [0, 1) per row. Returns the count of
+    entries <= u * row total, clipped to K - 1, which is the
+    searchsorted(side="right") index of each row."""
+    cums = np.asarray(cums)
+    idx = (cums <= (np.asarray(u) * cums[..., -1])[..., None]).sum(axis=-1)
+    return np.minimum(idx, cums.shape[-1] - 1)
+
+
+def mean_stderr(values):
+    """Sample mean and its standard error std(ddof=1) / sqrt(T); the error
+    of a single value is 0."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size < 2:
+        return float(arr.mean()), 0.0
+    return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))

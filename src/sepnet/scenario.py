@@ -70,12 +70,11 @@ class Scenario:
     code_params: dict = field(default_factory=dict)
     trials: int = 1000
     seed: int = 0
-    output_path: str = None
     extra: dict = field(default_factory=dict)
 
 
 _KNOWN = {"nodes", "edges", "sources", "demands", "code", "experiment",
-          "trials", "seed", "output_path"}
+          "trials", "seed"}
 
 
 def load_scenario(path):
@@ -93,7 +92,6 @@ def load_scenario(path):
         code_params=code.get("params", {}),
         trials=int(obj.get("trials", 1000)),
         seed=int(obj.get("seed", 0)),
-        output_path=obj.get("output_path"),
         extra={k: v for k, v in obj.items() if k not in _KNOWN})
 
 

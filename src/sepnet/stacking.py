@@ -8,19 +8,23 @@ Layer/time indexing is 0-based throughout. The interleaving schedule maps
 stacked-time-(t-1) observation lands strictly before every stacked-time-t
 emission.
 
-Noise coupling: a DMC edge at stacked time t draws the N per-layer uniforms
-from the stream child("edge", e, t); the de-stacked single-layer run draws
-the layer-l entry of that same stream, so coupled seeds reproduce the
-stacked run's channel realizations bit for bit.
+Noise coupling: one keying rule covers every run. The use of a DMC edge e
+at single-layer time tau of an N-fold interleaved run draws entry tau mod N
+of the stream child("edge", e, tau // N); the stacked run draws all N entries
+of child("edge", e, t) at stacked time t, and a plain single-layer run is the
+N = 1 case. PCG64 gives uniform(l + 1)[l] == uniform(N)[l], so coupled seeds
+reproduce the stacked run's channel realizations bit for bit. All three runs
+go through the one step loop, netmodel.run_steps; a de-stacked block is a
+run_block of the de-stacked policy, whose schedule gives N.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import (ArityMismatch, BitPipe, BudgetOverflow, CodeParameters,
-                       CodingPolicy, DmcChannel, Edge, NetworkSpec,
-                       TraceRecord, _block_distortion)
+from .netmodel import (ArityMismatch, CodeParameters, CodingPolicy, Edge,
+                       NetworkSpec, estimate_trials, raw_link, run_block,
+                       run_steps)
 
 
 @dataclass(frozen=True)
@@ -49,14 +53,19 @@ class InterleaveSchedule:
         for t in range(self.n):
             for l in range(self.N):
                 tau = self.to_single(t, l)
-                assert self.to_stacked(tau) == (t, l)
+                if self.to_stacked(tau) != (t, l):
+                    raise ValueError("schedule is not a bijection at "
+                                     "(t=%d, layer=%d)" % (t, l))
                 seen.add(tau)
-        assert seen == set(range(self.total_time))
+        if seen != set(range(self.total_time)):
+            raise ValueError("schedule does not cover every single-layer time")
         # every period-(t-1) observation precedes every period-t emission
         for t in range(1, self.n):
             latest_obs = max(self.to_single(t - 1, l) for l in range(self.N))
             earliest_em = min(self.to_single(t, l) for l in range(self.N))
-            assert latest_obs < earliest_em
+            if latest_obs >= earliest_em:
+                raise ValueError("period %d emits before period %d is "
+                                 "observed" % (t, t - 1))
         return True
 
 
@@ -93,55 +102,7 @@ def stack_network(net, N):
 
 
 # ---------------------------------------------------------------------------
-# stacked execution engine
-
-class _RawDmcLink:
-    def __init__(self, e_idx, edge, N):
-        self.e = e_idx
-        self.N = N
-        self.cums = np.cumsum(edge.channel.kernel.matrix, axis=1)
-        self.hi = edge.channel.kernel.output_size - 1
-
-    def transmit(self, rng, t, x_vec):
-        x = np.asarray(x_vec, dtype=np.int64)
-        if x.shape != (self.N,):
-            raise ArityMismatch("DMC edge %d expects %d layer inputs"
-                                % (self.e, self.N))
-        u = rng.child("edge", self.e, t).uniform(self.N)
-        rows = self.cums[x]
-        y = np.minimum((u[:, None] * rows[:, -1:] >= rows).sum(axis=1), self.hi)
-        return x, y, y
-
-
-class _RawPipeLink:
-    def __init__(self, e_idx, edge, N):
-        self.e = e_idx
-        self.N = N
-        self.pipe = edge.channel
-        self.sent = [0] * N
-
-    def transmit(self, rng, t, payloads):
-        if payloads is None:
-            payloads = [()] * self.N
-        if len(payloads) != self.N:
-            raise ArityMismatch("pipe edge %d expects %d layer payloads"
-                                % (self.e, self.N))
-        out = []
-        for l, p in enumerate(payloads):
-            bits = tuple(int(b) for b in (p or ()))
-            self.sent[l] += len(bits)
-            if self.sent[l] > self.pipe.budget(t + 1):
-                raise BudgetOverflow("pipe edge %d layer %d over budget at "
-                                     "t=%d" % (self.e, l, t + 1))
-            out.append(bits)
-        return list(out), list(out), list(out)
-
-
-def _default_handler(e_idx, edge, N):
-    if isinstance(edge.channel, DmcChannel):
-        return _RawDmcLink(e_idx, edge, N)
-    return _RawPipeLink(e_idx, edge, N)
-
+# stacked execution
 
 @dataclass
 class StackedConfig:
@@ -159,116 +120,64 @@ class StackedConfig:
         beh = (self.behaviors or {}).get(e_idx)
         edge = self.net.edges[e_idx]
         if beh is None:
-            return _default_handler(e_idx, edge, self.N)
+            return raw_link(e_idx, edge, self.N, True)
         return beh.make_handler(e_idx, edge, self.N)
 
 
 def run_stacked_block(config, code, rng, u_block=None):
     """Execute one stacked coding block: n uses of the N-layer network."""
-    net, N = config.net, config.N
+    N = config.N
     if code.N != N:
         raise ArityMismatch("code has %d layers, config has %d" % (code.N, N))
-    L, n = code.params.L, code.params.n
-    if u_block is None:
-        raw = net.sources.draw_block(N * L, rng.child("src"))
-        u_block = {a: raw[:, i].copy() for i, a in enumerate(net.nodes)}
-
-    handlers = {i: config.handler(i) for i in range(len(net.edges))}
-    rx = {i: [] for i in range(len(net.edges))}
-    edge_io = {i: [] for i in range(len(net.edges))}
-    pending = {i: None for i in range(len(net.edges))}
-
-    for t in range(n):
-        emissions = {}
-        for a in net.nodes:
-            enc = code.encoders.get(a)
-            if enc is None:
-                continue
-            visible = {i: rx[i][:t] for i in net.in_edges(a)}
-            emissions[a] = enc.emit(t, u_block[a], visible,
-                                    rng.child("node", a))
-        for i, e in enumerate(net.edges):
-            x = emissions.get(e.tail, {}).get(i)
-            x_rec, y_rec, delivered = handlers[i].transmit(rng, t, x)
-            edge_io[i].append((x_rec, y_rec))
-            if config.pipe_delay and isinstance(e.channel, BitPipe):
-                rx[i].append(pending[i] if pending[i] is not None
-                             else [()] * N)
-                pending[i] = delivered
-            else:
-                rx[i].append(delivered)
-
-    recon, dist = {}, {}
-    for (a, b), dec in code.decoders.items():
-        full = {i: list(rx[i]) for i in net.in_edges(b)}
-        recon[a, b] = np.asarray(dec.decode(u_block[b], full,
-                                            rng.child("dec", a, b)))
-        if len(recon[a, b]) != N * L:
-            raise ArityMismatch("stacked decoder for %r returned wrong "
-                                "block length" % ((a, b),))
-        dist[a, b] = _block_distortion(net.demands[(a, b)], u_block[a],
-                                       recon[a, b])
-    return TraceRecord(u_block, edge_io, recon, dist)
+    links = [config.handler(i) for i in range(len(config.net.edges))]
+    return run_steps(config.net, code, links, code.params.n,
+                     N * code.params.L, rng, config.pipe_delay, u_block,
+                     idle=[()] * N)
 
 
 def estimate_stacked_distortion(config, code, trials, rng):
-    per_trial = {k: [] for k in code.decoders}
-    for j in range(trials):
-        tr = run_stacked_block(config, code, rng.child("trial", j))
-        for k, v in tr.distortion.items():
-            per_trial[k].append(v)
-    out = {}
-    for k, vals in per_trial.items():
-        arr = np.asarray(vals)
-        out[k] = (float(arr.mean()),
-                  float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1
-                  else 0.0)
-    return out
+    """Per-demand (mean, stderr) of the stacked block distortion."""
+    return estimate_trials(lambda r: run_stacked_block(config, code, r),
+                           trials, rng)
 
 
 # ---------------------------------------------------------------------------
 # lifting: one independent code copy per layer
 
-class LiftedEncoder:
-    """Runs an independent copy of a single-layer encoder in each layer."""
-
+class _Lifted:
     def __init__(self, base, L, N):
         self.base = base
         self.L = L
         self.N = N
 
+    def layer_view(self, u_full, received_all, l):
+        """Layer l's source sub-block and its own history."""
+        return (u_full[l * self.L:(l + 1) * self.L],
+                {e: [obs[l] for obs in seq] for e, seq in received_all.items()})
+
+
+class LiftedEncoder(_Lifted):
+    """Runs an independent copy of a single-layer encoder in each layer."""
+
     def emit(self, t, u_full, received_all, rng):
         out = {}
         for l in range(self.N):
-            u_l = u_full[l * self.L:(l + 1) * self.L]
-            vis_l = {e: [self._layer_view(obs, l) for obs in seq]
-                     for e, seq in received_all.items()}
-            em = self.base.emit(t, u_l, vis_l, rng.child("layer", l))
+            em = self.base.emit(t, *self.layer_view(u_full, received_all, l),
+                                rng.child("layer", l))
             for e, v in em.items():
                 out.setdefault(e, [None] * self.N)[l] = v
         return {e: (np.asarray(v) if np.all([isinstance(x, (int, np.integer))
                                              for x in v]) else v)
                 for e, v in out.items()}
 
-    @staticmethod
-    def _layer_view(obs, l):
-        return obs[l]
 
-
-class LiftedDecoder:
-    def __init__(self, base, L, N):
-        self.base = base
-        self.L = L
-        self.N = N
-
+class LiftedDecoder(_Lifted):
     def decode(self, u_full, received_all, rng):
         recon = np.empty(self.N * self.L, dtype=np.int64)
         for l in range(self.N):
-            u_l = u_full[l * self.L:(l + 1) * self.L]
-            vis_l = {e: [obs[l] for obs in seq]
-                     for e, seq in received_all.items()}
-            recon[l * self.L:(l + 1) * self.L] = \
-                self.base.decode(u_l, vis_l, rng.child("layer", l))
+            recon[l * self.L:(l + 1) * self.L] = self.base.decode(
+                *self.layer_view(u_full, received_all, l),
+                rng.child("layer", l))
         return recon
 
 
@@ -286,6 +195,18 @@ def lift_code(code, params, N):
 # ---------------------------------------------------------------------------
 # de-stacking: the interleaved single-layer equivalent
 
+def _regroup(received_single, N, periods):
+    """Single-layer histories regrouped into the first `periods` stacked-time
+    vectors of N layer outputs each."""
+    out = {}
+    for e, seq in received_single.items():
+        chunks = [seq[t * N:(t + 1) * N] for t in range(periods)]
+        out[e] = [np.asarray(c, dtype=np.int64)
+                  if c and isinstance(c[0], (int, np.integer)) else list(c)
+                  for c in chunks]
+    return out
+
+
 class DestackedEncoder:
     """Replays layer-l stacked-time-t emissions at single-layer time t*N+l.
 
@@ -300,22 +221,9 @@ class DestackedEncoder:
 
     def emit(self, tau, u_full, received_single, rng):
         t, layer = self.sched.to_stacked(tau)
-        N = self.sched.N
-        received_all = {}
-        for e, seq in received_single.items():
-            per_t = []
-            for tp in range(t):
-                chunk = seq[tp * N:(tp + 1) * N]
-                per_t.append(self._pack(chunk))
-            received_all[e] = per_t
-        em = self.enc.emit(t, u_full, received_all, rng)
+        em = self.enc.emit(t, u_full,
+                           _regroup(received_single, self.sched.N, t), rng)
         return {e: v[layer] for e, v in em.items()}
-
-    @staticmethod
-    def _pack(chunk):
-        if chunk and isinstance(chunk[0], (int, np.integer)):
-            return np.asarray(chunk, dtype=np.int64)
-        return list(chunk)
 
 
 class DestackedDecoder:
@@ -324,24 +232,13 @@ class DestackedDecoder:
         self.sched = schedule
 
     def decode(self, u_full, received_single, rng):
-        N, n = self.sched.N, self.sched.n
-        received_all = {}
-        for e, seq in received_single.items():
-            received_all[e] = [DestackedEncoder._pack(seq[t * N:(t + 1) * N])
-                               for t in range(n)]
-        return self.dec.decode(u_full, received_all, rng)
+        return self.dec.decode(
+            u_full, _regroup(received_single, self.sched.N, self.sched.n), rng)
 
 
 @dataclass
 class DestackedPolicy(CodingPolicy):
     schedule: InterleaveSchedule = None
-
-    def edge_time_map(self, tau):
-        t, layer = self.sched_pair(tau)
-        return layer, t
-
-    def sched_pair(self, tau):
-        return self.schedule.to_stacked(tau)
 
 
 def destack_code(stacked):
@@ -364,9 +261,9 @@ def destack_code(stacked):
 
 
 def run_destacked_block(net, policy, params, rng, pipe_delay=0, u_block=None):
-    from .netmodel import run_block
-    return run_block(net, policy, params, rng, pipe_delay=pipe_delay,
-                     edge_time_map=policy.edge_time_map, u_block=u_block)
+    """Execute one de-stacked block: N*n single-layer uses whose noise is
+    keyed to the stacked run's (see the module docstring)."""
+    return run_block(net, policy, params, rng, pipe_delay, u_block)
 
 
 def _sym_equal(a, b):
@@ -390,45 +287,44 @@ def traces_match(stacked_trace, single_trace, schedule):
 # ---------------------------------------------------------------------------
 # even/odd layer split for mixing sources
 
-class _ParityEncoder:
+class _Parity:
     def __init__(self, inner, L, N_inner):
         self.inner = inner
         self.L = L
         self.Ni = N_inner
 
+    def blocks(self, c):
+        """Source slices of the layers 2j + c of parity class c."""
+        return [slice((2 * j + c) * self.L, (2 * j + c + 1) * self.L)
+                for j in range(self.Ni)]
+
+    def class_view(self, u_full, received_all, c):
+        """Class c's source blocks and its own layers' history."""
+        return (np.concatenate([u_full[b] for b in self.blocks(c)]),
+                {e: [np.asarray(obs)[c::2] for obs in seq]
+                 for e, seq in received_all.items()})
+
+
+class _ParityEncoder(_Parity):
     def emit(self, t, u_full, received_all, rng):
-        N2 = 2 * self.Ni
         out = {}
         for c in (0, 1):
-            u_c = np.concatenate([
-                u_full[(2 * j + c) * self.L:(2 * j + c + 1) * self.L]
-                for j in range(self.Ni)])
-            vis_c = {e: [np.asarray(obs)[c::2] for obs in seq]
-                     for e, seq in received_all.items()}
-            em = self.inner.emit(t, u_c, vis_c, rng.child("class", c))
+            em = self.inner.emit(t, *self.class_view(u_full, received_all, c),
+                                 rng.child("class", c))
             for e, v in em.items():
-                out.setdefault(e, [None] * N2)[c::2] = list(np.asarray(v))
+                out.setdefault(e, [None] * (2 * self.Ni))[c::2] = \
+                    list(np.asarray(v))
         return {e: np.asarray(v) for e, v in out.items()}
 
 
-class _ParityDecoder:
-    def __init__(self, inner, L, N_inner):
-        self.inner = inner
-        self.L = L
-        self.Ni = N_inner
-
+class _ParityDecoder(_Parity):
     def decode(self, u_full, received_all, rng):
         recon = np.empty(2 * self.Ni * self.L, dtype=np.int64)
         for c in (0, 1):
-            u_c = np.concatenate([
-                u_full[(2 * j + c) * self.L:(2 * j + c + 1) * self.L]
-                for j in range(self.Ni)])
-            vis_c = {e: [np.asarray(obs)[c::2] for obs in seq]
-                     for e, seq in received_all.items()}
-            r_c = self.inner.decode(u_c, vis_c, rng.child("class", c))
-            for j in range(self.Ni):
-                recon[(2 * j + c) * self.L:(2 * j + c + 1) * self.L] = \
-                    r_c[j * self.L:(j + 1) * self.L]
+            r_c = self.inner.decode(*self.class_view(u_full, received_all, c),
+                                    rng.child("class", c))
+            for j, b in enumerate(self.blocks(c)):
+                recon[b] = r_c[j * self.L:(j + 1) * self.L]
         return recon
 
 

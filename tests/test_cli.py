@@ -188,6 +188,15 @@ def test_cli_malformed_json_fails(tmp_path):
     assert "error" in proc.stderr
 
 
+def test_cli_lemma1_zero_trials_fails_cleanly():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    res = cli("lemma1", "--scenario",
+              os.path.join(root, "scenarios", "lemma1.json"), "--trials", "0")
+    assert res.returncode == 2
+    assert res.stderr.startswith("sepnet: error:")
+    assert "trials must be >= 1" in res.stderr
+
+
 def test_cli_invalid_kernel_fails(tmp_path):
     obj = json.loads(json.dumps(RELAY))
     obj["edges"][0]["channel"]["kernel"] = [[0.7, 0.11], [0.11, 0.89]]

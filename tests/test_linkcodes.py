@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sepnet import experiments
-from sepnet.experiments import lemma1_samples
+from sepnet.experiments import lemma1_samples, link_replacement_experiment
 from sepnet.linkcodes import (CodebookCapExceeded, CodedLinkBehavior,
                               LinkCodeReport, RateOutOfRange,
                               SynthLinkBehavior, bits_to_index,
@@ -172,9 +172,14 @@ def test_lemma1_samples_match_per_trial_codes(reuse, monkeypatch):
     assert lemma1_samples(*args, reuse=reuse) == expected
     # 7-trial chunks: 50 trials span a ragged final chunk
     keys = 1 if reuse else 3
-    monkeypatch.setattr(experiments, "LEMMA1_CHUNK_ELEMENTS",
+    monkeypatch.setattr(experiments, "CHUNK_ELEMENTS",
                         7 * keys * 2 ** 7 * 8)
     assert lemma1_samples(*args, reuse=reuse) == expected
+
+
+def test_lemma1_samples_rejects_zero_trials():
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        lemma1_samples(Kernel.bsc(0.2), 8, 0.8, 0, 0)
 
 
 def test_lemma1_samples_rate_guards():
@@ -242,3 +247,13 @@ def test_synth_link_pipe_rate_guard():
     with pytest.raises(RateOutOfRange):
         # ceil(8*0.8)=7 message bits do not fit floor(8*0.5)=4 pipe bits
         h.transmit(RngStream(18), 0, np.zeros(8, dtype=np.int64))
+
+
+def test_link_replacement_flushes_at_low_rate():
+    """At R = 0.25 a use carries 6 of the 24 bits: 4 carrying uses plus one
+    for the relay to flush, so noiseless pipes deliver every bit."""
+    r = link_replacement_experiment(p=0.11, N=24, R=0.25, trials=20, seed=3,
+                                    pe_trials=200)
+    assert r["distortion_pipe"] == 0.0
+    pe = r["link_report"]["p_e"]["0"]
+    assert 0.0 <= pe <= 1.0

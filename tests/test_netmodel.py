@@ -6,7 +6,9 @@ from sepnet.netmodel import (ArityMismatch, BitPipe, BudgetOverflow,
                              IidJoint, MarkovJoint, NetworkSpec,
                              estimate_distortion, run_block, validate_spec)
 from sepnet.probkit import Kernel, RngStream
-from sepnet.recipes import build_recipe, uncoded_relay
+from sepnet.recipes import adaptive_feedback, build_recipe, uncoded_relay
+from sepnet.stacking import (StackedConfig, estimate_stacked_distortion,
+                             lift_code, run_stacked_block)
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -294,3 +296,34 @@ def test_estimate_distortion_rejects_zero_trials():
     policy, params = uncoded_relay(net, L=2)
     with pytest.raises(ValueError):
         estimate_distortion(net, policy, params, 0, RngStream(0))
+    with pytest.raises(ValueError):
+        estimate_stacked_distortion(StackedConfig(net, 2),
+                                    lift_code(policy, params, 2), 0,
+                                    RngStream(0))
+
+
+FEEDBACK_NET = NetworkSpec((0, 1),
+                           (Edge(0, 1, DmcChannel(Kernel.bsc(0.11))),
+                            Edge(1, 0, DmcChannel(Kernel.bsc(0.1)))),
+                           {(0, 1): HAMMING},
+                           IidJoint((2, 2), [0.25, 0.25, 0.25, 0.25]))
+
+
+@pytest.mark.parametrize("recipe,net", [
+    (uncoded_relay, line_net(DmcChannel(Kernel.bsc(0.11)))),
+    (adaptive_feedback, FEEDBACK_NET),
+])
+def test_run_block_is_the_one_layer_stacked_run(recipe, net):
+    """A single-layer block is the N = 1 stacked block: same source, same
+    channel noise, same reconstruction."""
+    policy, params = recipe(net, L=5)
+    stacked = lift_code(policy, params, 1)
+    for j in range(10):
+        rng = RngStream(50 + j)
+        tr = run_block(net, policy, params, rng)
+        tr_s = run_stacked_block(StackedConfig(net, 1), stacked, rng)
+        for e, seq in tr_s.edge_io.items():
+            assert [(int(x[0]), int(y[0])) for x, y in seq] == tr.edge_io[e]
+        for k in net.demands:
+            assert np.array_equal(tr.recon[k], tr_s.recon[k])
+            assert tr.distortion[k] == tr_s.distortion[k]

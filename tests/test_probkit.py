@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from sepnet.probkit import (DimensionMismatch, EmpiricalJointType,
                             InvalidDistribution, JointPmf, Kernel, ProbVector,
                             RngStream, empirical_type, entropy, l1_distance,
-                            mutual_information, sample, sample_many,
-                            tv_distance)
+                            mean_stderr, mutual_information, sample,
+                            sample_many, sample_rows, tv_distance)
 
 
 def has_mass(*ws):
@@ -196,6 +196,27 @@ def test_sample_matches_sample_many():
         singles.append(sample(p, rng))
     # same uniforms, same inverse-cdf: identical symbol streams
     assert np.array_equal(singles, sample_many(p.probs, u))
+
+
+def test_sample_rows_matches_searchsorted():
+    """Row-wise inverse cdf equals searchsorted(side="right"), clipped."""
+    rng = RngStream(31)
+    for k in (2, 3, 5):
+        w = rng.child("w", k).uniform((400, k))
+        w[::7, -1] = 0.0  # rows whose last symbol has no mass
+        cums = np.cumsum(w, axis=1)
+        u = rng.child("u", k).uniform(400)
+        expected = [min(int(np.searchsorted(c, x * c[-1], side="right")),
+                        k - 1) for c, x in zip(cums, u)]
+        assert np.array_equal(sample_rows(cums, u), expected)
+        assert int(sample_rows(cums[3], u[3])) == expected[3]
+
+
+def test_mean_stderr():
+    assert mean_stderr([0.25]) == (0.25, 0.0)
+    mean, se = mean_stderr([0.0, 1.0, 1.0, 0.0])
+    assert mean == 0.5
+    assert se == pytest.approx(np.std([0, 1, 1, 0], ddof=1) / 2)
 
 
 def test_sample_many_frequencies():

@@ -120,6 +120,30 @@ def test_layer_count_mismatch_rejected():
         run_stacked_block(StackedConfig(net, 5), stacked, RngStream(0))
 
 
+def test_stacked_foreign_edge_emission_rejected():
+    """An encoder may only emit on edges its node feeds, in every mode."""
+    class Meddler:
+        def emit(self, t, u_full, received_all, rng):
+            return {0: np.zeros(2, dtype=np.int64),
+                    1: np.zeros(2, dtype=np.int64)}
+
+    net = feedback_net()
+    policy, params = adaptive_feedback(net, L=2)
+    stacked = lift_code(policy, params, 2)
+    stacked.encoders[1] = Meddler()  # node 1 feeds edge 1, not edge 0
+    with pytest.raises(ArityMismatch):
+        run_stacked_block(StackedConfig(net, 2), stacked, RngStream(0))
+
+
+def test_schedule_check_raises_on_broken_schedule():
+    class Reversed(InterleaveSchedule):
+        def to_single(self, t, layer):
+            return (self.n - 1 - t) * self.N + layer
+
+    with pytest.raises(ValueError):
+        Reversed(N=2, n=3).check()
+
+
 def test_lifted_layers_are_independent():
     """Different layers of a lifted code see independent channel noise."""
     net = relay_net(p=0.5)
