@@ -55,15 +55,15 @@ def capacity_report(kernel, tol=1e-9):
     res = blahut_capacity(kernel, tol=tol)
     return {"experiment": "capacity",
             "value": res.capacity, "gap": res.gap,
-            "iterations": res.iterations,
+            "iterations": res.iterations, "converged": res.converged,
             "optimizer": res.optimal_input.to_json()}
 
 
 def rd_report(source, distortion_matrix, target_d, tol=1e-9):
     res = blahut_rate_distortion(source, distortion_matrix, target_d, tol=tol)
     return {"experiment": "rd",
-            "value": res.rate, "gap": abs(res.distortion - target_d),
-            "iterations": res.iterations,
+            "value": res.rate, "gap": res.gap,
+            "iterations": res.iterations, "converged": res.converged,
             "optimizer": res.test_channel.to_json()}
 
 
@@ -83,6 +83,8 @@ def stack_check(net, code_name, code_params, N, trials, seed):
     """Layered-equivalence check: lifted N-layer run vs its de-stacked single-layer
     equivalent under coupled seeding; exact_match demands bit equality of
     every per-edge (x, y) sequence, schedule-permuted."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     policy, params = build_recipe(code_name, net, **code_params)
     stacked = lift_code(policy, params, N)
     destacked, dparams = destack_code(stacked)

@@ -4,6 +4,7 @@ Both solvers are alternating-maximization (Blahut-Arimoto style) iterations
 with certified stopping bounds; all rates are in bits.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from .probkit import Kernel, ProbVector, entropy
 
 _EPS = 1e-300
+_RD_TOL = 1e-12    # stopping bound of one slope evaluation, bits
 
 
 class InfeasibleTarget(ValueError):
@@ -31,7 +33,9 @@ class RdResult:
     rate: float              # bits per source symbol
     distortion: float
     test_channel: Kernel
-    iterations: int
+    iterations: int          # _rd_point iterations, bracket search included
+    gap: float               # rate certificate log2 max_j c_j, final slope
+    converged: bool = True
 
 
 def _relative_entropies(w, q):
@@ -49,128 +53,132 @@ def blahut_capacity(channel, tol=1e-9, max_iters=100000):
     information and whose `gap` bounds the distance to the true maximum:
     I(r) <= C <= max_x D(p(.|x)||q).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if tol <= 0 or max_iters < 1:
+        raise ValueError("tol and max_iters must be positive")
     w = channel.matrix
-    k = channel.input_size
-    r = np.full(k, 1.0 / k)
-    lower = upper = 0.0
-    iters = 0
+    r = np.full(channel.input_size, 1.0 / channel.input_size)
     for iters in range(1, max_iters + 1):
-        q = r @ w
-        d = _relative_entropies(w, q)
+        d = _relative_entropies(w, r @ w)
         active = r > 0
         lower = float((r[active] * d[active]).sum())
         upper = float(d[active].max())
-        if upper - lower <= tol:
-            return CapacityResult(lower, ProbVector(r), iters, upper - lower)
+        if upper - lower <= tol or iters == max_iters:
+            break
         # zero-probability inputs are retained but never revived
-        growth = np.where(active, np.exp2(d - upper), 0.0)
-        r = r * growth
+        r = r * np.where(active, np.exp2(d - upper), 0.0)
         r = r / r.sum()
     return CapacityResult(lower, ProbVector(r), iters, upper - lower,
-                          converged=False)
+                          upper - lower <= tol)
 
 
-def _rd_point(p, d, s, tol=1e-12, max_iters=100000):
-    """Rate-distortion point at slope parameter s >= 0 (bits, distortion)."""
-    a = np.exp2(-s * d)  # |X| x |Xhat|
+def _rd_point(p, d, s, max_iters):
+    """Rate-distortion point at slope s >= 0: (rate in bits, distortion,
+    test channel, iterations, gap), gap being the rate certificate."""
+    # row factors cancel in c and cond; dropping them stops underflow
+    a = np.exp2(-s * (d - d.min(axis=1, keepdims=True)))
     q = np.full(d.shape[1], 1.0 / d.shape[1])
-    iters = 0
     for iters in range(1, max_iters + 1):
         denom = a @ q
-        # certified stopping bound on the slope-s Lagrangian (Blahut)
         c = (p / denom) @ a  # c_j = sum_x p_x a[x,j] / denom_x
-        if np.log2(np.maximum(c, _EPS).max()) <= tol:
+        gap = float(np.log2(np.maximum(c, _EPS).max()))
+        if gap <= _RD_TOL or iters == max_iters:
             break
         q = q * c
         q = q / q.sum()
-    denom = a @ q
     cond = a * q[None, :] / denom[:, None]  # test channel p(xhat|x)
     dist = float((p[:, None] * cond * d).sum())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kl = np.where(cond > 0,
-                      cond * (np.log2(np.maximum(cond, _EPS)) -
-                              np.log2(np.maximum(q, _EPS))[None, :]), 0.0)
-    rate = float((p[:, None] * kl).sum())
-    return max(rate, 0.0), dist, cond, iters
+    rate = float(p @ _relative_entropies(cond, q))
+    return max(rate, 0.0), dist, cond, iters, gap
 
 
-def blahut_rate_distortion(source, distortion_fn, target_d, tol=1e-9,
-                           max_iters=100000):
-    """R(D) for a finite source at a target expected distortion.
+def _bisect_slope(above, lo):
+    """Last slope tested in the search over s > lo for where the monotone
+    test above(s) turns true: s - lo doubles from 1 until it holds, then the
+    bracket halves until above(s) is None (met) or at float resolution."""
+    hi, step, s = math.inf, 1.0, lo
+    while True:
+        t = lo + step if hi == math.inf else 0.5 * (lo + hi)
+        if not lo < t < hi:
+            return s
+        if t > 1e9:
+            raise InfeasibleTarget("slope search diverged")
+        s, side = t, above(t)
+        if side is None:
+            return s
+        if side:
+            hi = s
+        else:
+            lo, step = s, 2.0 * step
 
-    The convex curve is traced by its slope parameter; a bisection on the
-    slope pins the achieved distortion to target_d.
-    """
+
+def _slope_search(p, d, key, target, tol, max_iters=100000):
+    """Bisect the slope s of _rd_point until its rate (key 0, rising in s)
+    or distortion (key 1, falling in s) is within tol / 100 of target.
+    Returns the last point, its slope and the _rd_point iterations spent.
+    The bracket starts at the zero-rate slope s0, where Blahut's iteration
+    stalls: the largest s at which the point mass on argmin_j E d(X, j)
+    passes _rd_point's stopping test (a convex condition, true at s = 0)."""
+    excess = d - d[:, [int((p @ d).argmin())]]
+    with np.errstate(over="ignore"):
+        s0 = _bisect_slope(lambda s: np.log2(
+            (p @ np.exp2(-s * excess)).max()) > _RD_TOL, 0.0)
+    points = []
+
+    def above(s):
+        points.append(_rd_point(p, d, s, max_iters))
+        miss = points[-1][key] - target
+        if abs(miss) <= tol * 1e-2:
+            return None
+        return (miss > 0) == (key == 0)
+
+    s = _bisect_slope(above, s0)
+    return points[-1], s, sum(point[3] for point in points)
+
+
+def _rd_problem(source, distortion_fn, target):
+    """Checked (p, d, d_min, d_floor); d_floor is the zero-rate distortion."""
     p = source.probs if isinstance(source, ProbVector) else ProbVector(source).probs
     d = np.asarray(distortion_fn, dtype=float)
     if d.ndim != 2 or d.shape[0] != p.size:
         raise ValueError("distortion matrix shape does not match source")
     if not np.all(np.isfinite(d)) or np.any(d < 0):
         raise ValueError("distortion matrix must be finite and nonnegative")
+    if not math.isfinite(target):
+        raise ValueError("target %r is not finite" % (target,))
+    return p, d, float((p * d.min(axis=1)).sum()), float((p @ d).min())
 
-    d_min = float((p * d.min(axis=1)).sum())
-    d_floor = float((p @ d).min())  # zero-rate distortion
+
+def blahut_rate_distortion(source, distortion_fn, target_d, tol=1e-9,
+                           max_iters=100000):
+    """R(D) for a finite source at a target expected distortion, by the
+    slope search on the distortion."""
+    p, d, d_min, d_floor = _rd_problem(source, distortion_fn, target_d)
+    if max_iters < 1:
+        raise ValueError("max_iters must be positive")
     if target_d < d_min - tol or target_d > d.max() + tol:
         raise InfeasibleTarget("target distortion %r outside [%r, %r]"
                                % (target_d, d_min, d.max()))
-
     if target_d >= d_floor - tol:
-        j = int((p @ d).argmin())
-        cond = np.zeros_like(d)
-        cond[:, j] = 1.0
-        return RdResult(0.0, d_floor, Kernel(cond), 0)
-
+        cond = np.eye(d.shape[1])[np.full(p.size, (p @ d).argmin())]
+        return RdResult(0.0, d_floor, Kernel(cond), 0, 0.0)
     if target_d <= d_min + tol:
-        # deterministic minimum-distortion assignment (ties broken low)
-        j_star = d.argmin(axis=1)
-        cond = np.zeros_like(d)
-        cond[np.arange(p.size), j_star] = 1.0
-        push = np.zeros(d.shape[1])
-        np.add.at(push, j_star, p)
-        return RdResult(entropy(push), d_min, Kernel(cond), 0)
-
-    s_lo, s_hi = 0.0, 1.0
-    while _rd_point(p, d, s_hi)[1] > target_d:
-        s_hi *= 2.0
-        if s_hi > 1e9:
-            raise InfeasibleTarget("slope search diverged")
-    total_iters = 0
-    rate = dist = 0.0
-    cond = None
-    for _ in range(200):
-        s = 0.5 * (s_lo + s_hi)
-        rate, dist, cond, it = _rd_point(p, d, s)
-        total_iters += it
-        if abs(dist - target_d) <= tol * 1e-2:
-            break
-        if dist > target_d:
-            s_lo = s
-        else:
-            s_hi = s
+        cond = np.eye(d.shape[1])[d.argmin(axis=1)]  # ties broken low
+        return RdResult(entropy(p @ cond), d_min, Kernel(cond), 0, 0.0)
+    (rate, dist, cond, _, gap), s, iters = _slope_search(
+        p, d, 1, target_d, tol, max_iters)
     # first-order correction along the supporting line of slope -s
     rate = max(rate + s * (dist - target_d), 0.0)
-    return RdResult(rate, dist, Kernel(cond), total_iters)
+    return RdResult(rate, dist, Kernel(cond), iters, gap, gap <= _RD_TOL)
 
 
 def invert_rate_distortion(source, distortion_fn, target_rate, tol=1e-9):
-    """Distortion D with R(D) = target_rate, by bisection on D."""
-    p = source.probs if isinstance(source, ProbVector) else ProbVector(source).probs
-    d = np.asarray(distortion_fn, dtype=float)
-    d_min = float((p * d.min(axis=1)).sum())
-    d_floor = float((p @ d).min())
-    lo, hi = d_min, d_floor
+    """Distortion D with R(D) = target_rate, by slope search on the rate."""
+    p, d, d_min, d_floor = _rd_problem(source, distortion_fn, target_rate)
     if target_rate <= 0:
         return d_floor
-    r_min = blahut_rate_distortion(source, distortion_fn, d_min, tol).rate
-    if target_rate >= r_min:
+    push = p @ np.eye(d.shape[1])[d.argmin(axis=1)]
+    if d_floor - d_min <= tol or target_rate >= entropy(push):
         return d_min
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        r = blahut_rate_distortion(source, distortion_fn, mid, tol).rate
-        if r > target_rate:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    (rate, dist, _, _, _), s, _ = _slope_search(p, d, 0, target_rate, tol)
+    # first-order correction along the supporting line of slope -s
+    return min(max(dist + (rate - target_rate) / s, d_min), d_floor)

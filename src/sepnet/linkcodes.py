@@ -70,10 +70,8 @@ class ChannelCode:
         return self.codebook[msg]
 
     def decode(self, y):
-        """ML message index; ties broken toward the lowest index."""
-        logw = _log_kernel(self.channel.matrix)
-        ll = logw[self.codebook, np.asarray(y)[None, :]].sum(axis=1)
-        return int(ll.argmax())
+        """ML message index of one word, by decode_batch."""
+        return int(self.decode_batch(np.asarray(y)[None, :])[0])
 
     def decode_batch(self, ys):
         logw = _log_kernel(self.channel.matrix)
@@ -343,7 +341,6 @@ class _AggregatePipeHandler:
         self.e = e_idx
         self.per_use = int(np.floor(N * edge.channel.rate + 1e-12))
         self.sent = 0
-        self.uses = 0
 
     def transmit(self, rng, t, payload):
         bits = tuple(int(b) for b in (payload or ()))

@@ -65,12 +65,6 @@ class ProbVector:
     def uniform(k):
         return ProbVector(np.full(k, 1.0 / k))
 
-    @staticmethod
-    def point_mass(i, k):
-        p = np.zeros(k)
-        p[i] = 1.0
-        return ProbVector(p)
-
     def to_json(self):
         return [float(v) for v in self.probs]
 
@@ -166,9 +160,6 @@ class JointPmf:
 
     def marginal_y(self):
         return ProbVector(self.table.sum(axis=0))
-
-    def flat(self):
-        return ProbVector(self.table.reshape(-1))
 
     def tv_to(self, other):
         if self.table.shape != other.table.shape:

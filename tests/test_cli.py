@@ -197,6 +197,17 @@ def test_cli_lemma1_zero_trials_fails_cleanly():
     assert "trials must be >= 1" in res.stderr
 
 
+def test_cli_stack_check_zero_trials_fails_cleanly():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    res = cli("stack-check", "--scenario",
+              os.path.join(root, "scenarios", "stack_check.json"),
+              "--trials", "0")
+    assert res.returncode == 2
+    assert res.stderr.startswith("sepnet: error:")
+    assert "trials must be >= 1" in res.stderr
+    assert res.stdout == ""
+
+
 def test_cli_invalid_kernel_fails(tmp_path):
     obj = json.loads(json.dumps(RELAY))
     obj["edges"][0]["channel"]["kernel"] = [[0.7, 0.11], [0.11, 0.89]]

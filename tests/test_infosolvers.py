@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sepnet import infosolvers
+from sepnet.experiments import capacity_report, rd_report
 from sepnet.infosolvers import (InfeasibleTarget, blahut_capacity,
                                 blahut_rate_distortion,
                                 invert_rate_distortion)
@@ -146,3 +150,112 @@ def test_invert_rd_matches_closed_form():
     c = 1 - h2(0.11)
     assert invert_rate_distortion(UNIFORM2, HAMMING, c) == \
         pytest.approx(0.11, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# input validation, certificates and the zero-rate slope
+
+BERNOULLI_02 = ProbVector([0.2, 0.8])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rd_rejects_non_finite_targets(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        blahut_rate_distortion(UNIFORM2, HAMMING, bad)
+    with pytest.raises(ValueError, match="not finite"):
+        invert_rate_distortion(UNIFORM2, HAMMING, bad)
+
+
+@pytest.mark.parametrize("solver, target", [(blahut_rate_distortion, 0.1),
+                                            (invert_rate_distortion, 0.5)])
+def test_rd_solvers_share_input_checks(solver, target):
+    with pytest.raises(ValueError, match="shape"):
+        solver(UNIFORM2, np.array([[0.0, 1.0]]), target)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        solver(UNIFORM2, np.array([[0.0, -1.0], [1.0, 0.0]]), target)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        solver(UNIFORM2, np.array([[0.0, np.nan], [1.0, 0.0]]), target)
+
+
+def count_rd_point_iterations(monkeypatch):
+    """Wrap the slope evaluation so a test can count every iteration."""
+    spent = []
+    inner = infosolvers._rd_point
+
+    def counted(*args, **kwargs):
+        point = inner(*args, **kwargs)
+        spent.append(point[3])
+        return point
+
+    monkeypatch.setattr(infosolvers, "_rd_point", counted)
+    return spent
+
+
+def test_rd_certificate_counts_every_iteration(monkeypatch):
+    spent = count_rd_point_iterations(monkeypatch)
+    res = blahut_rate_distortion(ProbVector([0.3, 0.7]), HAMMING, 0.1)
+    assert res.iterations == sum(spent) > 0
+    assert res.converged
+    assert res.gap <= 1e-12
+    # a point mass is certified exactly at the endpoints
+    end = blahut_rate_distortion(UNIFORM2, HAMMING, 0.5)
+    assert (end.iterations, end.gap, end.converged) == (0, 0.0, True)
+
+
+def test_rd_unconverged_point_is_flagged():
+    res = blahut_rate_distortion(ProbVector([0.3, 0.7]), HAMMING, 0.1,
+                                 max_iters=3)
+    assert not res.converged
+    assert res.gap > 1e-12
+    with pytest.raises(ValueError):
+        blahut_rate_distortion(UNIFORM2, HAMMING, 0.1, max_iters=0)
+
+
+def test_reports_carry_certificates():
+    cap = capacity_report(Kernel.bsc(0.11))
+    assert cap["converged"] is True and cap["gap"] <= 1e-9
+    rd = rd_report(BERNOULLI_02, HAMMING, 0.04)
+    assert rd["converged"] is True
+    assert rd["gap"] <= 1e-12
+    assert rd["iterations"] > 0
+
+
+def test_rd_zero_rate_slope_is_not_evaluated(monkeypatch):
+    # Bernoulli(0.2) has zero-rate slope log2(0.8 / 0.2) = 2, where
+    # Blahut's iteration converges only sublinearly; both solvers must stay
+    # clear of it.
+    spent = count_rd_point_iterations(monkeypatch)
+    res = blahut_rate_distortion(BERNOULLI_02, HAMMING, 0.04)
+    assert res.rate == pytest.approx(h2(0.2) - h2(0.04), abs=1e-6)
+    assert res.converged
+    assert res.iterations == sum(spent) <= 10000
+    del spent[:]
+    dd = invert_rate_distortion(BERNOULLI_02, HAMMING, 0.3)
+    assert h2(0.2) - h2(dd) == pytest.approx(0.3, abs=1e-6)
+    assert sum(spent) <= 10000
+
+
+@settings(max_examples=25, deadline=None)
+@given(pi=st.floats(0.05, 0.5), share=st.floats(0.05, 0.95))
+def test_invert_rd_round_trip_on_bernoulli_sources(pi, share):
+    # Shares of h2(pi) near 0 sit next to the zero-rate slope, where each
+    # Blahut evaluation needs about 30 / (s - s0) iterations.
+    src = ProbVector([pi, 1 - pi])
+    rate = share * h2(pi)
+    dd = invert_rate_distortion(src, HAMMING, rate)
+    assert h2(pi) - h2(dd) == pytest.approx(rate, abs=1e-6)
+    res = blahut_rate_distortion(src, HAMMING, dd)
+    assert res.converged
+    assert res.rate == pytest.approx(rate, abs=1e-6)
+
+
+def test_rd_is_unchanged_by_a_distortion_offset():
+    # a constant added to every distortion only shifts D; large offsets
+    # must not underflow the slope evaluation
+    for dd in (0.02, 0.2):
+        res = blahut_rate_distortion(UNIFORM2, HAMMING + 200.0, 200.0 + dd)
+        assert res.converged
+        assert res.rate == pytest.approx(1 - h2(dd), abs=1e-6)
+    assert invert_rate_distortion(UNIFORM2, HAMMING + 200.0, 0.5) == \
+        pytest.approx(200.0 + invert_rate_distortion(UNIFORM2, HAMMING, 0.5),
+                      abs=1e-9)

@@ -74,6 +74,16 @@ def test_decode_batch_matches_single():
     assert np.array_equal(code.decode_batch(ys), singles)
 
 
+def test_decode_returns_a_maximum_likelihood_int():
+    code = build_channel_code(Kernel.bsc(0.2), 12, 0.2, RngStream(4))
+    logw = np.log(code.channel.matrix)
+    for y in RngStream(6).generator().integers(0, 2, size=(20, 12)):
+        ll = logw[code.codebook, y[None, :]].sum(axis=1)
+        dec = code.decode(list(y))
+        assert type(dec) is int
+        assert ll[dec] >= ll.max() - 1e-12
+
+
 def test_report_excess_bound_recomputed():
     rep = LinkCodeReport({0: 0.02, 3: 0.05}, {0: 0.001, 3: 0.002},
                          n_edges=2, d_max=3.0)
