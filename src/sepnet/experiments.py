@@ -15,8 +15,9 @@ import numpy as np
 from .infosolvers import (blahut_capacity, blahut_rate_distortion,
                           invert_rate_distortion)
 from .linkcodes import (CHUNK_ELEMENTS, AggregatePipeBehavior,
-                        CodedLinkBehavior, LinkCodeReport, build_channel_code,
-                        build_synthesis_code, estimate_error_prob,
+                        CodedLinkBehavior, LinkCodeReport, TypeScorer,
+                        build_channel_code, build_synthesis_code,
+                        codebook_bits, estimate_error_prob,
                         likelihood_weights, log_posterior, output_marginal,
                         synthesis_code_bits, synthesized_type_tv)
 from .netmodel import (BitPipe, CodeParameters, DmcChannel, Edge, IidJoint,
@@ -285,6 +286,7 @@ class Lemma1Report:
     min_cell_samples: int = 100
     z_crit: float = 2.58
     share_allowed: float = 0.05
+    dropped: dict = field(default_factory=dict)  # cells left out, counts
 
     @property
     def exceedances(self):
@@ -308,7 +310,8 @@ class Lemma1Report:
                 "exceedances": self.exceedances,
                 "num_z": len(self.z_scores),
                 "passed": bool(self.passed),
-                "inconclusive": bool(self.inconclusive)}
+                "inconclusive": bool(self.inconclusive),
+                "dropped": {repr(k): v for k, v in self.dropped.items()}}
 
 
 def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
@@ -348,11 +351,13 @@ def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
                 u_w[i, k] = RngStream(seed, ("trial", j, "w", key)).uniform()
         x = sample_many(p.probs, u_x)
         codebooks = sample_many(q_y, u_cb)
-        weights = likelihood_weights(log_post, codebooks, x[:, None, :])
+        weights = likelihood_weights(TypeScorer(log_post, codebooks),
+                                     x[:, None, :])
         w = sample_rows(np.cumsum(weights, axis=-1), u_w)
         x0[js.start:js.stop] = x[:, 0]
         y0[js.start:js.stop] = np.take_along_axis(
             codebooks[..., 0], w[..., None], axis=-1)[..., 0]
+        del u_cb, codebooks   # freed before the next chunk draws its own
     records = {}
     for t in range(1, n_times):
         prev, cur = y0[:, key_of_time[t - 1]], y0[:, key_of_time[t]]
@@ -364,8 +369,11 @@ def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
 def lemma1_report(records, out_size, min_cell=100, z_crit=2.58,
                   share_allowed=0.05):
     """Compare, per conditioning cell, the conditional law of y_t against
-    the law pooled from same-x_t samples outside the cell."""
+    the law pooled from same-x_t samples outside the cell. A cell with
+    samples but fewer than min_cell of them, in the cell or outside it, is
+    not tested; it is listed in dropped with both counts."""
     cells = {}
+    dropped = {}
     z_all = []
     for t, recs in records.items():
         arr = np.asarray(recs, dtype=np.int64)
@@ -376,7 +384,10 @@ def lemma1_report(records, out_size, min_cell=100, z_crit=2.58,
                               (arr[:, 2] == xc)
                     rest = (arr[:, 2] == xc) & ~in_cell
                     n1, n2 = int(in_cell.sum()), int(rest.sum())
+                    key = (t, int(xp), int(yp), int(xc))
                     if n1 < min_cell or n2 < min_cell:
+                        if n1:
+                            dropped[key] = {"samples": n1, "rest": n2}
                         continue
                     lhs = np.bincount(arr[in_cell, 3], minlength=out_size) / n1
                     rhs = np.bincount(arr[rest, 3], minlength=out_size) / n2
@@ -387,11 +398,12 @@ def lemma1_report(records, out_size, min_cell=100, z_crit=2.58,
                         z = 0.0 if var <= 0 else \
                             (lhs[y] - rhs[y]) / np.sqrt(var)
                         zs.append(float(z))
-                    cells[(t, int(xp), int(yp), int(xc))] = {
+                    cells[key] = {
                         "lhs": lhs.tolist(), "rhs": rhs.tolist(),
                         "samples": n1, "z": zs}
                     z_all.extend(zs)
-    return Lemma1Report(cells, z_all, min_cell, z_crit, share_allowed)
+    return Lemma1Report(cells, z_all, min_cell, z_crit, share_allowed,
+                        dropped)
 
 
 def verify_lemma1(channel, N=8, R=0.8, trials=8000, seed=0, n_times=3):
@@ -463,27 +475,27 @@ def two_step_induction(channel=None, N=24, R=0.6, trials=256, replicates=8,
 # ---------------------------------------------------------------------------
 # separation experiment
 
-def _hamming_quantize(u, codebook, chunk=256):
-    """Minimum-Hamming-distance index per row of u."""
-    out = np.empty(u.shape[0], dtype=np.int64)
-    for i in range(0, u.shape[0], chunk):
-        d = (u[i:i + chunk, None, :] != codebook[None, :, :]).sum(axis=2)
-        out[i:i + chunk] = d.argmin(axis=1)
-    return out
-
-
 def separation_experiment(p=0.11, kappa=1.0, quantizer_bits=(6, 8, 10),
                           trials=10000, seed=0, link_rate=0.4):
     """The separated scheme (random quantizer + link transport) over the
     true BSC(p) with a channel code versus over a capacity bit-pipe."""
+    if not (np.isfinite(link_rate) and link_rate > 0):
+        raise ValueError("link_rate must be finite and positive, got %r"
+                         % (link_rate,))
+    if not all(isinstance(k, (int, np.integer)) and k > 0
+               for k in quantizer_bits):
+        raise ValueError("quantizer_bits must be positive integers, got %r"
+                         % (quantizer_bits,))
+    sizes = [(k, max(1, int(round(k / link_rate)))) for k in quantizer_bits]
+    for k_bits, L in sizes:  # the cap, before any codebook is drawn
+        codebook_bits(L, k_bits / L)
     ham = np.array([[0.0, 1.0], [1.0, 0.0]])
     src = ProbVector([0.5, 0.5])
     cap = blahut_capacity(Kernel.bsc(p)).capacity
     d_star = invert_rate_distortion(src, ham, cap / kappa)
     rng = RngStream(seed)
     rows = []
-    for k_bits in quantizer_bits:
-        L = int(round(k_bits / link_rate))
+    for k_bits, L in sizes:
         r = rng.child("size", k_bits)
         # quantizer codebook from the R(D)-optimal output marginal (uniform
         # for the binary symmetric problem), minimum-distortion encoding
@@ -491,7 +503,7 @@ def separation_experiment(p=0.11, kappa=1.0, quantizer_bits=(6, 8, 10),
         cc = build_channel_code(Kernel.bsc(p), L, k_bits / L,
                                 r.child("ccode"))
         u = (r.child("u").uniform((trials, L)) < 0.5).astype(np.int64)
-        w = _hamming_quantize(u, qcb)
+        w = TypeScorer(-ham.T, qcb).argmax(u)
         d_pipe_t = (u != qcb[w]).mean(axis=1)
 
         x = cc.codebook[w]

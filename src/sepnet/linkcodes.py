@@ -17,8 +17,8 @@ from .probkit import (JointPmf, Kernel, ProbVector, empirical_type,
 
 CODEBOOK_CAP_BITS = 22
 DEFAULT_MARGIN = 0.05
-# elements per array in the batched kernels: codeword symbols gathered per
-# decode_batch chunk, codebook symbols per lemma-1 trial chunk (16 MiB of
+# elements per array in the batched kernels: codeword symbols per
+# TypeScorer.argmax chunk, codebook symbols per lemma-1 trial chunk (16 MiB of
 # float64)
 CHUNK_ELEMENTS = 2 ** 21
 
@@ -34,6 +34,63 @@ class CodebookCapExceeded(ValueError):
 def _log_kernel(matrix):
     with np.errstate(divide="ignore"):
         return np.log(np.maximum(matrix, 1e-300))
+
+
+def codebook_bits(N, R, cap_bits=CODEBOOK_CAP_BITS):
+    """Index bits ceil(N*R) of a blocklength-N, rate-R codebook, checked
+    against the cap before any codebook is drawn."""
+    bits = int(np.ceil(N * R - 1e-12))
+    if bits > cap_bits:
+        raise CodebookCapExceeded("ceil(N*R)=%d exceeds cap %d" % (bits, cap_bits))
+    return bits
+
+
+class TypeScorer:
+    """Scores sum_i table[c_i, y_i] of every codeword c of codebook
+    (..., M, N) against words y (..., N), as table[codebook, y[..., None,
+    :]].sum(-1) would, from the joint type of (c, y): a one-hot matmul counts
+    the positions in each group of equal-valued table cells (integers, exact
+    in float32 while N < 2^24), and the counts meet the distinct values in
+    one fixed order. Codewords of equal type, or on a BSC of equal Hamming
+    distance, score bitwise equal, so argmax takes the lowest index on a tie.
+    The one-hot is built once per codebook, without a column for symbol 0.
+    """
+
+    def __init__(self, table, codebook):
+        self.values, group = np.unique(table, return_inverse=True)
+        cells = np.equal.outer(group.reshape(np.shape(table)),
+                               np.arange(len(self.values))).astype(np.float32)
+        # group counts of c_i = 0, and their change when c_i = a > 0
+        self._zero, self._diff = cells[0], cells[1:] - cells[0]
+        self._onehot = (codebook[..., None, :] == np.arange(
+            1, len(cells))[:, None]).astype(np.float32).reshape(
+            *codebook.shape[:-1], -1)
+
+    def scores(self, y):
+        y = np.asarray(y)
+        # (..., V, (K_in - 1) * N), in the column order of the one-hot
+        lead, d = y.shape[:-1] + (len(self.values),), self._onehot.shape[-1]
+        r = np.moveaxis(self._diff[:, y], (0, -1), (-2, -3)).reshape(*lead, d)
+        if self._onehot.ndim == 2:   # one codebook: one matmul for all words
+            counts = (r.reshape(int(np.prod(lead)), d)
+                      @ self._onehot.T).reshape(*lead, -1)
+        else:
+            counts = r @ np.swapaxes(self._onehot, -1, -2)
+        counts += self._zero[y].sum(axis=-2)[..., None]
+        s = counts[..., 0, :] * self.values[0]
+        for j in range(1, len(self.values)):
+            s += counts[..., j, :] * self.values[j]
+        return s
+
+    def argmax(self, ys):
+        """Best codeword index per word of ys (B, N), in chunks of at most
+        CHUNK_ELEMENTS codeword symbols."""
+        ys = np.asarray(ys)
+        out = np.empty(len(ys), dtype=np.int64)
+        step = max(1, CHUNK_ELEMENTS // (self._onehot.shape[0] * ys.shape[-1]))
+        for i in range(0, len(ys), step):
+            out[i:i + step] = self.scores(ys[i:i + step]).argmax(axis=-1)
+        return out
 
 
 def bits_to_index(bits):
@@ -69,19 +126,17 @@ class ChannelCode:
     def encode(self, msg):
         return self.codebook[msg]
 
+    @cached_property
+    def scorer(self):
+        return TypeScorer(_log_kernel(self.channel.matrix), self.codebook)
+
     def decode(self, y):
         """ML message index of one word, by decode_batch."""
         return int(self.decode_batch(np.asarray(y)[None, :])[0])
 
     def decode_batch(self, ys):
-        logw = _log_kernel(self.channel.matrix)
-        out = np.empty(ys.shape[0], dtype=np.int64)
-        step = max(1, CHUNK_ELEMENTS // max(self.codebook.size, 1))
-        for i in range(0, ys.shape[0], step):
-            chunk = ys[i:i + step]
-            ll = logw[self.codebook[None, :, :], chunk[:, None, :]].sum(axis=2)
-            out[i:i + step] = ll.argmax(axis=1)
-        return out
+        """ML message index per word; the lowest index on an exact tie."""
+        return self.scorer.argmax(ys)
 
 
 def build_channel_code(channel, N, R, rng, margin=DEFAULT_MARGIN,
@@ -92,10 +147,7 @@ def build_channel_code(channel, N, R, rng, margin=DEFAULT_MARGIN,
     if R > cap.capacity - margin:
         raise RateOutOfRange("R=%g above capacity %.6f minus margin %g"
                              % (R, cap.capacity, margin))
-    bits = int(np.ceil(N * R - 1e-12))
-    if bits > cap_bits:
-        raise CodebookCapExceeded("ceil(N*R)=%d exceeds cap %d" % (bits, cap_bits))
-    m = 2 ** bits
+    m = 2 ** codebook_bits(N, R, cap_bits)
     u = rng.child("codebook").uniform((m, N))
     codebook = sample_many(cap.optimal_input.probs, u.reshape(-1)) \
         .reshape(m, N).astype(np.int64)
@@ -143,10 +195,7 @@ def synthesis_code_bits(target_input, channel, N, R, margin=DEFAULT_MARGIN,
     if enforce_margin and R < mi + margin:
         raise RateOutOfRange("R=%g below I=%.6f plus margin %g"
                              % (R, mi, margin))
-    bits = int(np.ceil(N * R - 1e-12))
-    if bits > cap_bits:
-        raise CodebookCapExceeded("ceil(N*R)=%d exceeds cap %d" % (bits, cap_bits))
-    return bits
+    return codebook_bits(N, R, cap_bits)
 
 
 def output_marginal(target_input, channel):
@@ -164,11 +213,12 @@ def log_posterior(target_input, channel):
     return _log_kernel(post.T)
 
 
-def likelihood_weights(log_post, codebooks, x):
+def likelihood_weights(scorer, x):
     """Normalized likelihood-encoder weights prod_i P(x_i | y_i(w)) over the
-    codebook indices w. Batched: codebooks (..., M, N) and inputs (..., N)
-    give weights (..., M)."""
-    ll = log_post[codebooks, np.asarray(x)[..., None, :]].sum(axis=-1)
+    codebook indices w, from a TypeScorer of the log posterior over the
+    codebooks. Batched: codebooks (..., M, N) and inputs (..., N) give
+    weights (..., M)."""
+    ll = scorer.scores(x)
     w = np.exp(ll - ll.max(axis=-1, keepdims=True))
     return w / w.sum(axis=-1, keepdims=True)
 
@@ -195,12 +245,13 @@ class SynthesisCode:
         return JointPmf.from_input_channel(self.target_input, self.channel)
 
     @cached_property
-    def log_posterior(self):
-        return log_posterior(self.target_input, self.channel)
+    def scorer(self):
+        return TypeScorer(log_posterior(self.target_input, self.channel),
+                          self.codebook)
 
     def encoder_weights(self, x):
         """Normalized index-selection weights for an input sequence."""
-        return likelihood_weights(self.log_posterior, self.codebook, x)
+        return likelihood_weights(self.scorer, x)
 
     def encode(self, x, rng):
         """Stochastic index selection; one uniform draw per call."""
@@ -254,8 +305,6 @@ class _CodedLinkHandler:
         self.e = e_idx
         self.code = code
         self.cums = np.cumsum(code.channel.matrix, axis=1)
-        self.errors = 0
-        self.uses = 0
 
     def transmit(self, rng, t, payload):
         bits = tuple(int(b) for b in (payload or ()))
@@ -270,8 +319,6 @@ class _CodedLinkHandler:
                         rng.child("edge", self.e, t).uniform(self.code.N))
         dec = self.code.decode(y)
         out = index_to_bits(dec % (1 << len(bits)), len(bits))
-        self.uses += 1
-        self.errors += int(out != bits)
         return bits, out, out
 
 

@@ -208,6 +208,25 @@ def test_cli_stack_check_zero_trials_fails_cleanly():
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("quantizer_bits", [0], "quantizer_bits must be positive integers"),
+    ("quantizer_bits", [2.5], "quantizer_bits must be positive integers"),
+    ("link_rate", 0, "link_rate must be finite and positive"),
+    ("link_rate", float("nan"), "link_rate must be finite and positive"),
+    ("quantizer_bits", [6, 23], "ceil(N*R)=23 exceeds cap 22"),
+])
+def test_cli_separation_rejects_bad_sizes(tmp_path, key, value, message):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "scenarios", "separation.json")) as fh:
+        obj = json.load(fh)
+    obj[key] = value
+    res = cli("separation", "--scenario", write_scenario(tmp_path, obj))
+    assert res.returncode == 2
+    assert res.stderr.startswith("sepnet: error:")
+    assert message in res.stderr
+    assert res.stdout == ""
+
+
 def test_cli_invalid_kernel_fails(tmp_path):
     obj = json.loads(json.dumps(RELAY))
     obj["edges"][0]["channel"]["kernel"] = [[0.7, 0.11], [0.11, 0.89]]

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepnet import experiments
-from sepnet.experiments import lemma1_samples, link_replacement_experiment
-from sepnet.linkcodes import (CodebookCapExceeded, CodedLinkBehavior,
-                              LinkCodeReport, RateOutOfRange,
-                              SynthLinkBehavior, bits_to_index,
-                              build_channel_code, build_synthesis_code,
-                              combine_reports, estimate_error_prob,
-                              index_to_bits, synthesized_type_tv)
+from sepnet.experiments import (lemma1_report, lemma1_samples,
+                                link_replacement_experiment)
+from sepnet.linkcodes import (ChannelCode, CodebookCapExceeded,
+                              CodedLinkBehavior, LinkCodeReport,
+                              RateOutOfRange, SynthLinkBehavior, TypeScorer,
+                              bits_to_index, build_channel_code,
+                              build_synthesis_code, combine_reports,
+                              estimate_error_prob, index_to_bits,
+                              synthesized_type_tv)
 from sepnet.netmodel import BitPipe, DmcChannel, Edge
 from sepnet.probkit import (Kernel, ProbVector, RngStream, empirical_type,
                             sample_many)
@@ -66,12 +70,68 @@ def test_error_prob_decreases_with_blocklength():
     assert wins >= 9
 
 
-def test_decode_batch_matches_single():
-    code = build_channel_code(Kernel.bsc(0.2), 12, 0.2, RngStream(4))
+def _lowest_index_nearest(codebook, ys):
+    """ML decoding on a BSC(p < 1/2), brute force: the codeword at minimum
+    Hamming distance, the lowest index on a tie; and which words tie."""
+    dist = (ys[:, None, :] != codebook[None, :, :]).sum(axis=2)
+    tied = (dist == dist.min(axis=1, keepdims=True)).sum(axis=1) > 1
+    return dist.argmin(axis=1), tied
+
+
+def test_decoders_take_the_lowest_index_ml_codeword():
+    code = build_channel_code(Kernel.bsc(0.11), 24, 0.4, RngStream(4))
     g = RngStream(5).generator()
-    ys = g.integers(0, 2, size=(40, 12))
-    singles = [code.decode(y) for y in ys]
-    assert np.array_equal(code.decode_batch(ys), singles)
+    msgs = g.integers(0, code.codebook.shape[0], size=1000)
+    ys = code.codebook[msgs] ^ (g.random((1000, 24)) < 0.11)
+    want, tied = _lowest_index_nearest(code.codebook, ys)
+    assert tied.mean() > 0.1           # about 16 % of words tie exactly
+    assert np.array_equal(code.decode_batch(ys), want)
+    assert [code.decode(y) for y in ys[:200]] == want[:200].tolist()
+    # a duplicated codeword: its copy at the higher index is never decoded
+    dup = code.codebook.copy()
+    dup[7] = dup[3]
+    dup_code = ChannelCode(24, 0.4, dup, code.channel, code.input_law)
+    want, _ = _lowest_index_nearest(dup, ys)
+    assert 7 not in want
+    assert np.array_equal(dup_code.decode_batch(ys), want)
+    assert dup_code.decode(dup[7]) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_in=st.integers(1, 4), k_out=st.integers(1, 4),
+       zero_share=st.sampled_from([0.0, 0.3]), bec=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_type_scorer_equals_the_gather_sum(k_in, k_out, zero_share, bec,
+                                           seed):
+    """Scores match table[codebook, y].sum over N for one codebook against
+    many words or one, and for lemma 1's (trials, keys, M, N) codebooks;
+    codewords of equal joint type with y score bitwise equal."""
+    g = np.random.default_rng(seed)
+    w = Kernel.bec(0.3).matrix if bec else \
+        g.random((k_in, k_out)) * (g.random((k_in, k_out)) >= zero_share)
+    table = np.log(np.maximum(w, 1e-300))     # zeros clamp as log tables do
+    k_in, k_out = table.shape
+    n, m = int(g.integers(1, 30)), int(g.integers(2, 20))
+
+    def check(codebook, ys):
+        got = TypeScorer(table, codebook).scores(ys)
+        want = table[codebook, ys[..., None, :]].sum(axis=-1)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        return got
+
+    codebook = g.integers(0, k_in, size=(m, n))
+    check(codebook, g.integers(0, k_out, size=(5, n)))
+    check(g.integers(0, k_in, size=(3, 2, m, n)),
+          g.integers(0, k_out, size=(3, 1, n)))
+    y = g.integers(0, k_out, size=n)
+    # row 1: row 0 permuted within each group of equal y, so equal type
+    perm = np.argsort(y, kind="stable")
+    codebook[1, perm] = np.concatenate(
+        [g.permutation(codebook[0, perm][y[perm] == b])
+         for b in range(k_out)])
+    s = check(codebook, y)
+    assert s[0] == s[1]
 
 
 def test_decode_returns_a_maximum_likelihood_int():
@@ -199,6 +259,19 @@ def test_lemma1_samples_rate_guards():
         lemma1_samples(Kernel.bsc(0.2), 32, 0.8, 10, 0)
 
 
+def test_lemma1_report_lists_the_cells_it_drops():
+    """x_t = 0 throughout; y_prev = 0, 1, 2 in 200, 150 and 40 records.
+    The y_prev = 2 cell is below 100 samples: it is listed, not tested."""
+    recs = [(0, yp, 0, j % 2) for yp, count in ((0, 200), (1, 150), (2, 40))
+            for j in range(count)]
+    rep = lemma1_report({1: recs}, out_size=2)
+    assert sorted(rep.cells) == [(1, 0, 0, 0), (1, 0, 1, 0)]
+    out = rep.to_json()
+    assert out["dropped"] == {repr((1, 0, 2, 0)): {"samples": 40,
+                                                    "rest": 350}}
+    assert out["num_z"] == 4 and not out["inconclusive"]
+
+
 def test_synthesized_tv_decreasing_in_blocklength():
     tvs = []
     for N in (8, 16, 24):
@@ -235,7 +308,6 @@ def test_coded_link_noiseless_is_transparent():
         payload = index_to_bits(t, 4)
         _, out, _ = h.transmit(RngStream(3), t, payload)
         assert out == payload
-    assert h.errors == 0
 
 
 def test_synth_link_audit_catches_code_reuse():
