@@ -12,6 +12,7 @@ separation commands).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,7 +24,8 @@ from .experiments import (_PLOT_SCHEMAS, capacity_report, chancode_sweep,
                           simulate, stack_check, synth_sweep, verify_lemma1)
 from .netmodel import DmcChannel
 from .probkit import Kernel, ProbVector
-from .scenario import ScenarioError, load_scenario, write_json_atomic
+from .scenario import (ScenarioError, load_scenario, scenario_value,
+                       write_json_atomic)
 
 SUBCOMMANDS = ("capacity", "rd", "simulate", "stack-check",
                "chancode-sweep", "synth-sweep", "lemma1", "separation")
@@ -49,64 +51,65 @@ def run_scenario(path, command=None, seed=None, trials=None):
         raise ScenarioError("unknown experiment %r" % command)
 
     if "nodes" not in raw:
+        ex = functools.partial(scenario_value, raw)
         if command == "capacity":
-            return capacity_report(Kernel(raw["kernel"]),
-                                   tol=raw.get("tol", 1e-9))
+            return capacity_report(ex("kernel", None, Kernel),
+                                   tol=ex("tol", 1e-9, float))
         if command == "rd":
-            return rd_report(ProbVector(raw["source"]),
+            return rd_report(ex("source", None, ProbVector),
                              np.asarray(raw["distortion_matrix"], float),
-                             float(raw["target_d"]),
-                             tol=raw.get("tol", 1e-9))
+                             ex("target_d", None, float),
+                             tol=ex("tol", 1e-9, float))
         raise ScenarioError("experiment %r needs a network scenario"
                             % command)
 
     scn = load_scenario(path)
     seed = scn.seed if seed is None else int(seed)
     trials = scn.trials if trials is None else int(trials)
-    ex = scn.extra
+    ex = functools.partial(scenario_value, scn.extra)
 
     if command == "capacity":
         return capacity_report(_first_dmc_kernel(scn.net),
-                               tol=ex.get("tol", 1e-9))
+                               tol=ex("tol", 1e-9, float))
     if command == "rd":
         (a, b), dmat = next(iter(scn.net.demands.items()))
         return rd_report(scn.net.sources.pmf, dmat,
-                         float(ex["target_d"]), tol=ex.get("tol", 1e-9))
+                         ex("target_d", None, float),
+                         tol=ex("tol", 1e-9, float))
     if command == "simulate":
         return simulate(scn.net, scn.code_name, scn.code_params, trials,
-                        seed, pipe_delay=ex.get("pipe_delay", 0))
+                        seed, pipe_delay=ex("pipe_delay", 0, int))
     if command == "stack-check":
         return stack_check(scn.net, scn.code_name, scn.code_params,
-                           int(ex.get("N", 4)), trials, seed)
+                           ex("N", 4, int), trials, seed)
     if command == "chancode-sweep":
         return chancode_sweep(_first_dmc_kernel(scn.net),
-                              tuple(ex.get("Ns", (8, 16, 24))),
-                              float(ex.get("R", 0.25)),
+                              ex("Ns", (8, 16, 24), tuple),
+                              ex("R", 0.25, float),
                               trials=trials, seed=seed,
-                              batches=int(ex.get("batches", 1)))
+                              batches=ex("batches", 1, int))
     if command == "synth-sweep":
         kernel = _first_dmc_kernel(scn.net)
-        law = (ProbVector(ex["input_law"]) if "input_law" in ex
-               else ProbVector.uniform(kernel.input_size))
+        law = ex("input_law", ProbVector.uniform(kernel.input_size).probs,
+                 ProbVector)
         return synth_sweep(kernel, law,
-                           tuple(ex.get("Ns", (8, 16, 24))),
-                           float(ex.get("R", 0.6)),
-                           batches=int(ex.get("batches", 30)),
-                           codebooks=int(ex.get("codebooks", 8)),
-                           samples=int(ex.get("samples", 16)), seed=seed)
+                           ex("Ns", (8, 16, 24), tuple),
+                           ex("R", 0.6, float),
+                           batches=ex("batches", 30, int),
+                           codebooks=ex("codebooks", 8, int),
+                           samples=ex("samples", 16, int), seed=seed)
     if command == "lemma1":
         return verify_lemma1(_first_dmc_kernel(scn.net),
-                             N=int(ex.get("N", 8)),
-                             R=float(ex.get("R", 0.8)),
+                             N=ex("N", 8, int), R=ex("R", 0.8, float),
                              trials=trials, seed=seed,
-                             n_times=int(ex.get("n_times", 3)))
+                             n_times=ex("n_times", 3, int))
     # separation
-    return separation_experiment(p=float(ex.get("p", 0.11)),
-                                 kappa=float(ex.get("kappa", 1.0)),
-                                 quantizer_bits=tuple(
-                                     ex.get("quantizer_bits", (6, 8, 10))),
+    return separation_experiment(p=ex("p", 0.11, float),
+                                 kappa=ex("kappa", 1.0, float),
+                                 quantizer_bits=ex("quantizer_bits",
+                                                   (6, 8, 10), tuple),
                                  trials=trials, seed=seed,
-                                 link_rate=float(ex.get("link_rate", 0.4)))
+                                 link_rate=ex("link_rate", 0.4, float))
 
 
 def build_parser():

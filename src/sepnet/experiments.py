@@ -23,7 +23,7 @@ from .linkcodes import (CHUNK_ELEMENTS, AggregatePipeBehavior,
 from .netmodel import (BitPipe, CodeParameters, DmcChannel, Edge, IidJoint,
                        MarkovJoint, NetworkSpec, estimate_distortion)
 from .probkit import (Kernel, ProbVector, RngStream, mean_stderr,
-                      sample_many, sample_rows)
+                      sample_many, sample_rows, uniform_streams)
 from .recipes import build_recipe
 from .stacking import (InterleaveSchedule, StackedCode, StackedConfig,
                        destack_code, estimate_stacked_distortion, lift_code,
@@ -324,8 +324,10 @@ def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
     key k (k = t, or 0 for every t under reuse) from ("trial", j, "code", k,
     "codebook") with its encoder uniform from ("trial", j, "w", k): the
     streams build_synthesis_code and SynthesisCode.synthesize would use.
-    Codebooks are sampled and encoded as (trials, keys, 2^bits, N) arrays in
-    trial chunks of at most CHUNK_ELEMENTS codebook symbols."""
+    Each trial chunk draws them through uniform_streams, which equals these
+    per-trial streams bit for bit. Codebooks are sampled and encoded as
+    (trials, keys, 2^bits, N) arrays in trial chunks of at most
+    CHUNK_ELEMENTS codebook symbols."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = ProbVector.uniform(channel.input_size)
@@ -340,15 +342,13 @@ def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
     y0 = np.empty((trials, len(keys)), dtype=np.int64)
     for lo in range(0, trials, chunk):
         js = range(lo, min(lo + chunk, trials))
-        u_x = np.empty((len(js), N))
-        u_cb = np.empty((len(js), len(keys), m, N))
-        u_w = np.empty((len(js), len(keys)))
-        for i, j in enumerate(js):
-            u_x[i] = RngStream(seed, ("trial", j, "x")).uniform(N)
-            for k, key in enumerate(keys):
-                u_cb[i, k] = RngStream(
-                    seed, ("trial", j, "code", key, "codebook")).uniform((m, N))
-                u_w[i, k] = RngStream(seed, ("trial", j, "w", key)).uniform()
+        u_x = uniform_streams(seed, (("trial", j, "x") for j in js), N)
+        u_cb = uniform_streams(
+            seed, (("trial", j, "code", key, "codebook")
+                   for j in js for key in keys),
+            (m, N)).reshape(len(js), len(keys), m, N)
+        u_w = uniform_streams(seed, (("trial", j, "w", key) for j in js
+                                     for key in keys)).reshape(len(js), -1)
         x = sample_many(p.probs, u_x)
         codebooks = sample_many(q_y, u_cb)
         weights = likelihood_weights(TypeScorer(log_post, codebooks),

@@ -221,7 +221,9 @@ def _block_distortion(d, u_block, recon):
 #
 # Noise keying: layer l at stacked time t draws entry l of the stream
 # rng.child("edge", e, t), so a stacked run and its de-stacked equivalent see
-# the same channel realizations bit for bit.
+# the same channel realizations bit for bit. The stacked link draws all N
+# entries at once; the interleaved link draws them at the period's first use
+# and keeps them for its later layers.
 
 class DmcLink:
     def __init__(self, e_idx, kernel, N, stacked):
@@ -229,6 +231,7 @@ class DmcLink:
         self.N = N
         self.stacked = stacked
         self.cums = np.cumsum(kernel.matrix, axis=1)
+        self._period, self._u = None, None   # the kept draw of a period
 
     def transmit(self, rng, t, x):
         if self.stacked:
@@ -242,8 +245,10 @@ class DmcLink:
         if x is None:
             raise ArityMismatch("no input for DMC edge %d at t=%d" % (self.e, t))
         period, layer = divmod(t, self.N)
-        u = rng.child("edge", self.e, period).uniform(layer + 1)[layer]
-        y = int(sample_rows(self.cums[int(x)], u))
+        if period != self._period:
+            self._period = period
+            self._u = rng.child("edge", self.e, period).uniform(self.N)
+        y = int(sample_rows(self.cums[int(x)], self._u[layer]))
         return int(x), y, y
 
 

@@ -249,6 +249,25 @@ def mutual_information(input_law, channel):
     return max(h_y - h_y_given_x, 0.0)
 
 
+_SEED_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+def _stream_key(seed, stream_id):
+    """The 32-byte key a stream is seeded from: blake2b of the repr of its
+    (masked seed, stream id tuple)."""
+    return hashlib.blake2b(repr((seed, stream_id)).encode(),
+                           digest_size=32).digest()
+
+
+def _entropy(key):
+    """SeedSequence entropy for a stream key. Streams are seeded from the
+    int the key encodes little-endian; its uint32 words are the same entropy
+    and faster to pass, except when the top word is 0: the int drops high
+    zero words, so such a key is passed as the int."""
+    words = np.frombuffer(key, "<u4")
+    return words if words[-1] else int.from_bytes(key, "little")
+
+
 class RngStream:
     """A reproducible random stream keyed by (seed, hierarchical stream id).
 
@@ -260,7 +279,7 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed, stream_id=()):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed) & _SEED_MASK
         self.stream_id = tuple(stream_id)
         self._gen = None
 
@@ -269,9 +288,8 @@ class RngStream:
 
     def generator(self):
         if self._gen is None:
-            key = hashlib.blake2b(repr((self.seed, self.stream_id)).encode(),
-                                  digest_size=32).digest()
-            ss = np.random.SeedSequence(int.from_bytes(key, "little"))
+            ss = np.random.SeedSequence(
+                _entropy(_stream_key(self.seed, self.stream_id)))
             self._gen = np.random.Generator(np.random.PCG64(ss))
         return self._gen
 
@@ -280,6 +298,91 @@ class RngStream:
 
     def __repr__(self):
         return "RngStream(seed=%d, stream_id=%r)" % (self.seed, self.stream_id)
+
+
+# numpy's SeedSequence constants. Its hash constant starts at a fixed value
+# and is multiplied by a fixed factor at each hash, so hash k uses the
+# data-independent pair _HASH_A[k], _HASH_A[k + 1]: 32 hashes mix 8 entropy
+# words into the pool, and _HASH_B serves the 8 output words likewise.
+def _hash_consts(init, mult, n):
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)
+
+
+_HASH_A = _hash_consts(0x43b0d7e5, 0x931e8875, 32)
+_HASH_B = _hash_consts(0x8b51f9dd, 0x58f38ded, 8)
+_MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
+
+
+def _seed_words(ent):
+    """SeedSequence(_entropy(key)).generate_state(4, np.uint64) for each
+    row of ent, a (B, 8) array of 32-byte keys as little-endian uint32
+    words; returns a (B, 4) array. This is numpy's pool mixing of 8 entropy
+    words into a pool of 4, run once over all keys. A key whose top word is
+    0 has fewer entropy words and is seeded one at a time."""
+    hashes = iter(zip(_HASH_A[:-1], _HASH_A[1:]))
+
+    def hashmix(v):
+        c, c_next = next(hashes)
+        v = (v ^ c) * c_next
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ (r >> 16)
+
+    pool = [hashmix(ent[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, 8):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(ent[:, src]))
+    state = np.empty((len(ent), 8), dtype=np.uint32)
+    for i in range(8):
+        v = (pool[i % 4] ^ _HASH_B[i]) * _HASH_B[i + 1]
+        state[:, i] = v ^ (v >> 16)
+    words = state.view("<u8")
+    for i in np.flatnonzero(ent[:, 7] == 0):
+        words[i] = np.random.SeedSequence(
+            _entropy(ent[i].tobytes())).generate_state(4, np.uint64)
+    return words
+
+
+class _SeedWords:
+    """Seed words computed in advance, handed to a bit generator as is.
+    uniform_streams registers it as a numpy ISeedSequence when it runs, not
+    at import: loading numpy.random before the package's other imports
+    raises the process's peak RSS by about 0.8 MB."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def uniform_streams(seed, stream_ids, size=None):
+    """[RngStream(seed, i).uniform(size) for i in stream_ids] as one array of
+    shape (number of ids,) + the shape of size, bit for bit; stream_ids may
+    be any iterable of stream ids.
+
+    The streams' seed words are mixed in one vectorized pass, and each
+    stream draws straight into its row of the output."""
+    seed = int(seed) & _SEED_MASK
+    ent = np.frombuffer(b"".join(_stream_key(seed, tuple(i))
+                                 for i in stream_ids), "<u4").reshape(-1, 8)
+    shape = () if size is None else tuple(np.atleast_1d(size))
+    out = np.empty((len(ent),) + shape)
+    if len(ent):
+        np.random.bit_generator.ISeedSequence.register(_SeedWords)
+        for row, words in zip(out.reshape(len(ent), -1), _seed_words(ent)):
+            np.random.Generator(np.random.PCG64(_SeedWords(words))).random(
+                out=row)
+    return out
 
 
 def sample(dist, rng):

@@ -77,6 +77,17 @@ _KNOWN = {"nodes", "edges", "sources", "demands", "code", "experiment",
           "trials", "seed"}
 
 
+def scenario_value(obj, key, default, convert):
+    """convert(obj[key]), or convert(default) when the key is absent; a value
+    convert rejects is a ScenarioError naming the key."""
+    value = obj.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError("scenario key %r: cannot read %r: %s"
+                            % (key, value, exc)) from None
+
+
 def load_scenario(path):
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -90,8 +101,8 @@ def load_scenario(path):
         experiment=obj.get("experiment", "simulate"),
         code_name=code.get("name"),
         code_params=code.get("params", {}),
-        trials=int(obj.get("trials", 1000)),
-        seed=int(obj.get("seed", 0)),
+        trials=scenario_value(obj, "trials", 1000, int),
+        seed=scenario_value(obj, "seed", 0, int),
         extra={k: v for k, v in obj.items() if k not in _KNOWN})
 
 

@@ -9,13 +9,15 @@ stacked-time-(t-1) observation lands strictly before every stacked-time-t
 emission.
 
 Noise coupling: one keying rule covers every run. The use of a DMC edge e
-at single-layer time tau of an N-fold interleaved run draws entry tau mod N
+at single-layer time tau of an N-fold interleaved run reads entry tau mod N
 of the stream child("edge", e, tau // N); the stacked run draws all N entries
 of child("edge", e, t) at stacked time t, and a plain single-layer run is the
-N = 1 case. PCG64 gives uniform(l + 1)[l] == uniform(N)[l], so coupled seeds
-reproduce the stacked run's channel realizations bit for bit. All three runs
-go through the one step loop, netmodel.run_steps; a de-stacked block is a
-run_block of the de-stacked policy, whose schedule gives N.
+N = 1 case. The de-stacked link draws uniform(N) from each period's stream
+once, at the period's first use, and keeps it for the period's later
+layers, so coupled seeds reproduce the stacked run's channel realizations bit
+for bit. All three runs go through the one step loop, netmodel.run_steps; a
+de-stacked block is a run_block of the de-stacked policy, whose schedule
+gives N.
 """
 
 from dataclasses import dataclass

@@ -227,6 +227,26 @@ def test_cli_separation_rejects_bad_sizes(tmp_path, key, value, message):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("command, scenario, key, value", [
+    ("separation", "separation.json", "quantizer_bits", 6),
+    ("separation", "separation.json", "link_rate", None),
+    ("separation", "separation.json", "p", [0.1]),
+    ("stack-check", "stack_check.json", "N", None),
+    ("stack-check", "stack_check.json", "trials", None),
+])
+def test_cli_unreadable_scenario_key_names_it(tmp_path, command, scenario,
+                                               key, value):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "scenarios", scenario)) as fh:
+        obj = json.load(fh)
+    obj[key] = value
+    res = cli(command, "--scenario", write_scenario(tmp_path, obj))
+    assert res.returncode == 2
+    assert res.stderr.startswith("sepnet: error: scenario key %r" % key)
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_cli_invalid_kernel_fails(tmp_path):
     obj = json.loads(json.dumps(RELAY))
     obj["edges"][0]["channel"]["kernel"] = [[0.7, 0.11], [0.11, 0.89]]

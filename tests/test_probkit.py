@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from sepnet.probkit import (DimensionMismatch, EmpiricalJointType,
                             InvalidDistribution, JointPmf, Kernel, ProbVector,
-                            RngStream, empirical_type, entropy, l1_distance,
-                            mean_stderr, mutual_information, sample,
-                            sample_many, sample_rows, tv_distance)
+                            RngStream, _seed_words, empirical_type, entropy,
+                            l1_distance, mean_stderr, mutual_information,
+                            sample, sample_many, sample_rows, tv_distance,
+                            uniform_streams)
 
 
 def has_mass(*ws):
@@ -185,6 +186,57 @@ def test_rng_children_distinct():
 def test_rng_child_order_matters():
     assert RngStream(0).child("a", "b").uniform() != \
         RngStream(0).child("b", "a").uniform()
+
+
+@pytest.mark.parametrize("stream, first", [
+    (RngStream(0),
+     [0.8402047142732112, 0.9128394737048813, 0.23586335631662325]),
+    (RngStream(7, ("trial", 3, "x")),
+     [0.6872524609911609, 0.04214668949439471, 0.8100425690185727]),
+    (RngStream(2 ** 64 - 1, ("edge", 0, 5)),
+     [0.30923808693401944, 0.7632542213866507, 0.7624338795197668]),
+], ids=["root", "trial", "edge-top-seed"])
+def test_rng_stream_frozen_values(stream, first):
+    """Every seeded number in the package follows from these streams; a
+    change to keying or seeding shows here before anywhere else."""
+    assert stream.uniform(3).tolist() == first
+
+
+def _numpy_seed_words(key):
+    return np.random.SeedSequence(
+        int.from_bytes(key, "little")).generate_state(4, np.uint64)
+
+
+@given(st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=8))
+@example([bytes(28) + b"\x01\x00\x00\x00"])
+@example([b"\xff" * 28 + bytes(4), bytes(32), b"\x05" * 32])
+@settings(max_examples=60)
+def test_seed_words_equal_numpy_seed_sequence(keys):
+    """The vectorized pool mixing equals numpy's SeedSequence, also for keys
+    whose top words are 0 (an int key drops them)."""
+    expected = np.array([_numpy_seed_words(k) for k in keys])
+    ent = np.frombuffer(b"".join(keys), "<u4").reshape(len(keys), 8)
+    assert np.array_equal(_seed_words(ent), expected)
+
+
+labels = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.text(max_size=4))
+
+
+@given(st.integers(0, 2 ** 64 - 1),
+       st.lists(st.lists(labels, max_size=4).map(tuple), max_size=6),
+       st.one_of(st.none(), st.integers(0, 5),
+                 st.tuples(st.integers(0, 4), st.integers(1, 3))))
+@example(3, [("trial", 0, "x")], None)
+@example(3, [], 4)
+@example(3, [()], (2, 3))
+@settings(max_examples=60)
+def test_uniform_streams_equal_per_stream_draws(seed, ids, size):
+    expected = [RngStream(seed, i).uniform(size) for i in ids]
+    got = uniform_streams(seed, ids, size)
+    shape = () if size is None else np.shape(np.empty(size))
+    assert got.shape == (len(ids),) + shape
+    for row, want in zip(got, expected):
+        assert np.array_equal(row, want)
 
 
 def test_sample_matches_sample_many():

@@ -93,6 +93,30 @@ def test_destack_reproduces_stacked_traces(recipe, net):
         assert np.array_equal(tr_s.recon[key], tr_d.recon[key])
 
 
+def test_destacked_link_seeds_each_period_stream_once(monkeypatch):
+    seeded = []
+    generator = RngStream.generator
+
+    def counting(stream):
+        if stream._gen is None:
+            seeded.append(stream.stream_id)
+        return generator(stream)
+
+    net = relay_net()
+    policy, params = uncoded_relay(net, L=3)
+    N = 8
+    stacked = lift_code(policy, params, N)
+    destacked, dparams = destack_code(stacked)
+    rng = RngStream(5)
+    tr_s = run_stacked_block(StackedConfig(net, N), stacked, rng)
+    monkeypatch.setattr(RngStream, "generator", counting)
+    tr_d = run_destacked_block(net, destacked, dparams, rng)
+    monkeypatch.undo()
+    edge_streams = [s for s in seeded if s[:1] == ("edge",)]
+    assert sorted(edge_streams) == [("edge", 0, t) for t in range(params.n)]
+    assert traces_match(tr_s, tr_d, InterleaveSchedule(N, params.n))
+
+
 def test_destack_preserves_kappa():
     policy, params = uncoded_relay(relay_net(), L=3)
     stacked = lift_code(policy, params, 6)
