@@ -3,32 +3,30 @@
 Usage: sepnet <subcommand> --scenario <file.json> [--seed S] [--trials T]
               [--out <dir>]
 
-Subcommands: capacity, rd, simulate, stack-check, chancode-sweep,
-synth-sweep, lemma1, separation. The scenario file carries the network and
-any experiment-specific keys; --seed and --trials, when given, override the
+EXPERIMENTS is the one command table: subcommand -> (run(scenario), CSV plot
+data as (file name, columns) or None). The parser, run_scenario and main read
+only this table. Run functions call the experiments by module-global name
+when they run, so a module attribute swapped in (by a tracer or a test) is
+the one called. The scenario file carries the network and any
+experiment-specific keys; --seed and --trials, when given, override the
 values stored in the scenario. Results go to stdout as JSON and, with --out,
-to <out>/<subcommand>.json (plus tidy CSV plot data for the sweep and
-separation commands).
+to <out>/<subcommand>.json plus the command's CSV plot data.
 """
 
 import argparse
-import functools
 import json
 import os
 import sys
 
 import numpy as np
 
-from .experiments import (_PLOT_SCHEMAS, capacity_report, chancode_sweep,
-                          emit_plotdata, rd_report, separation_experiment,
-                          simulate, stack_check, synth_sweep, verify_lemma1)
+from .experiments import (capacity_report, chancode_sweep, emit_plotdata,
+                          rd_report, separation_experiment, simulate,
+                          stack_check, synth_sweep, verify_lemma1)
 from .netmodel import DmcChannel
 from .probkit import Kernel, ProbVector
-from .scenario import (ScenarioError, load_scenario, scenario_value,
+from .scenario import (ScenarioError, load_scenario, positive_ints,
                        write_json_atomic)
-
-SUBCOMMANDS = ("capacity", "rd", "simulate", "stack-check",
-               "chancode-sweep", "synth-sweep", "lemma1", "separation")
 
 
 def _first_dmc_kernel(net):
@@ -38,78 +36,87 @@ def _first_dmc_kernel(net):
     raise ScenarioError("scenario has no noisy (dmc) edge")
 
 
+def _capacity(scn):
+    kernel = (scn.value("kernel", None, Kernel) if scn.net is None
+              else _first_dmc_kernel(scn.net))
+    return capacity_report(kernel, tol=scn.value("tol", 1e-9, float))
+
+
+def _rd(scn):
+    if scn.net is None:
+        source = scn.value("source", None, ProbVector)
+        dmat = np.asarray(scn.extra["distortion_matrix"], float)
+    else:
+        source = scn.net.sources.pmf
+        dmat = next(iter(scn.net.demands.values()))
+    return rd_report(source, dmat, scn.value("target_d", None, float),
+                     tol=scn.value("tol", 1e-9, float))
+
+
+def _synth_sweep(scn):
+    kernel = _first_dmc_kernel(scn.net)
+    law = scn.value("input_law",
+                    ProbVector.uniform(kernel.input_size).probs, ProbVector)
+    return synth_sweep(kernel, law,
+                       scn.value("Ns", (8, 16, 24), positive_ints),
+                       scn.value("R", 0.6, float),
+                       batches=scn.value("batches", 30, int),
+                       codebooks=scn.value("codebooks", 8, int),
+                       samples=scn.value("samples", 16, int), seed=scn.seed)
+
+
+EXPERIMENTS = {
+    "capacity": (_capacity, None),
+    "rd": (_rd, None),
+    "simulate": (lambda scn: simulate(
+        scn.net, scn.code_name, scn.code_params, scn.trials, scn.seed,
+        pipe_delay=scn.value("pipe_delay", 0, int)), None),
+    "stack-check": (lambda scn: stack_check(
+        scn.net, scn.code_name, scn.code_params, scn.value("N", 4, int),
+        scn.trials, scn.seed), None),
+    "chancode-sweep": (lambda scn: chancode_sweep(
+        _first_dmc_kernel(scn.net),
+        scn.value("Ns", (8, 16, 24), positive_ints),
+        scn.value("R", 0.25, float), trials=scn.trials, seed=scn.seed,
+        batches=scn.value("batches", 1, int)),
+        ("chancode_sweep.csv",
+         ["N", "R", "pe_mean", "pe_stderr", "seed_batch"])),
+    "synth-sweep": (_synth_sweep, (
+        "synth_sweep.csv", ["N", "R", "tv_mean", "tv_stderr", "seed_batch"])),
+    "lemma1": (lambda scn: verify_lemma1(
+        _first_dmc_kernel(scn.net), N=scn.value("N", 8, int),
+        R=scn.value("R", 0.8, float), trials=scn.trials, seed=scn.seed,
+        n_times=scn.value("n_times", 3, int)), None),
+    "separation": (lambda scn: separation_experiment(
+        p=scn.value("p", 0.11, float), kappa=scn.value("kappa", 1.0, float),
+        quantizer_bits=scn.value("quantizer_bits", (6, 8, 10), tuple),
+        trials=scn.trials, seed=scn.seed,
+        link_rate=scn.value("link_rate", 0.4, float)),
+        ("separation.csv",
+         ["quantizer_bits", "block_length", "D_pipe", "stderr_pipe",
+          "D_noisy", "stderr_noisy", "p_e", "p_e_stderr", "excess_bound",
+          "pooled_stderr"])),
+}
+
+
 def run_scenario(path, command=None, seed=None, trials=None):
     """Load a scenario file and run the requested experiment on it.
 
     capacity/rd also accept bare solver-input files ({kernel, tol} or
     {source, distortion_matrix, target_d}) with no network section.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    command = command or raw.get("experiment", "simulate")
-    if command not in SUBCOMMANDS:
+    scn = load_scenario(path)
+    command = command or scn.experiment
+    if command not in EXPERIMENTS:
         raise ScenarioError("unknown experiment %r" % command)
-
-    if "nodes" not in raw:
-        ex = functools.partial(scenario_value, raw)
-        if command == "capacity":
-            return capacity_report(ex("kernel", None, Kernel),
-                                   tol=ex("tol", 1e-9, float))
-        if command == "rd":
-            return rd_report(ex("source", None, ProbVector),
-                             np.asarray(raw["distortion_matrix"], float),
-                             ex("target_d", None, float),
-                             tol=ex("tol", 1e-9, float))
+    if scn.net is None and command not in ("capacity", "rd"):
         raise ScenarioError("experiment %r needs a network scenario"
                             % command)
-
-    scn = load_scenario(path)
-    seed = scn.seed if seed is None else int(seed)
-    trials = scn.trials if trials is None else int(trials)
-    ex = functools.partial(scenario_value, scn.extra)
-
-    if command == "capacity":
-        return capacity_report(_first_dmc_kernel(scn.net),
-                               tol=ex("tol", 1e-9, float))
-    if command == "rd":
-        (a, b), dmat = next(iter(scn.net.demands.items()))
-        return rd_report(scn.net.sources.pmf, dmat,
-                         ex("target_d", None, float),
-                         tol=ex("tol", 1e-9, float))
-    if command == "simulate":
-        return simulate(scn.net, scn.code_name, scn.code_params, trials,
-                        seed, pipe_delay=ex("pipe_delay", 0, int))
-    if command == "stack-check":
-        return stack_check(scn.net, scn.code_name, scn.code_params,
-                           ex("N", 4, int), trials, seed)
-    if command == "chancode-sweep":
-        return chancode_sweep(_first_dmc_kernel(scn.net),
-                              ex("Ns", (8, 16, 24), tuple),
-                              ex("R", 0.25, float),
-                              trials=trials, seed=seed,
-                              batches=ex("batches", 1, int))
-    if command == "synth-sweep":
-        kernel = _first_dmc_kernel(scn.net)
-        law = ex("input_law", ProbVector.uniform(kernel.input_size).probs,
-                 ProbVector)
-        return synth_sweep(kernel, law,
-                           ex("Ns", (8, 16, 24), tuple),
-                           ex("R", 0.6, float),
-                           batches=ex("batches", 30, int),
-                           codebooks=ex("codebooks", 8, int),
-                           samples=ex("samples", 16, int), seed=seed)
-    if command == "lemma1":
-        return verify_lemma1(_first_dmc_kernel(scn.net),
-                             N=ex("N", 8, int), R=ex("R", 0.8, float),
-                             trials=trials, seed=seed,
-                             n_times=ex("n_times", 3, int))
-    # separation
-    return separation_experiment(p=ex("p", 0.11, float),
-                                 kappa=ex("kappa", 1.0, float),
-                                 quantizer_bits=ex("quantizer_bits",
-                                                   (6, 8, 10), tuple),
-                                 trials=trials, seed=seed,
-                                 link_rate=ex("link_rate", 0.4, float))
+    if seed is not None:
+        scn.seed = int(seed)
+    if trials is not None:
+        scn.trials = int(trials)
+    return EXPERIMENTS[command][0](scn)
 
 
 def build_parser():
@@ -118,7 +125,7 @@ def build_parser():
         description="Monte Carlo laboratory for source-network and channel "
                     "coding separation over wireline networks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True,
                        help="scenario JSON file")
@@ -143,8 +150,10 @@ def main(argv=None):
     if args.out:
         write_json_atomic(result, os.path.join(args.out,
                                                args.command + ".json"))
-        if result.get("experiment") in _PLOT_SCHEMAS:
-            emit_plotdata(result, args.out)
+        plot = EXPERIMENTS[args.command][1]
+        if plot:
+            emit_plotdata(result["rows"], os.path.join(args.out, plot[0]),
+                          plot[1])
     json.dump(result, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0

@@ -6,8 +6,6 @@ Every experiment is a pure function of its parameters and a master seed, so
 rerunning with the stored seed reproduces the result object exactly.
 """
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,24 +27,6 @@ from .stacking import (InterleaveSchedule, StackedCode, StackedConfig,
                        destack_code, estimate_stacked_distortion, lift_code,
                        parity_class_dependence_tv, run_destacked_block,
                        run_stacked_block, traces_match)
-
-
-def worker_count():
-    try:
-        return max(1, int(os.environ.get("SEPNET_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_indexed(fn, args_list):
-    """Order-preserving map, fanned out to a process pool when
-    SEPNET_WORKERS > 1. Merges are index-ordered so the worker count never
-    changes the output."""
-    w = worker_count()
-    if w <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, args_list))
 
 
 # ---------------------------------------------------------------------------
@@ -249,30 +229,23 @@ def chancode_sweep(channel, Ns, R, trials=10000, seed=0, batches=1):
     return {"experiment": "chancode-sweep", "seed": seed, "rows": rows}
 
 
-def _synth_batch(args):
-    (channel_matrix, input_probs, N, R, seed, b, codebooks, samples,
-     enforce) = args
-    channel = Kernel(channel_matrix)
-    p = ProbVector(input_probs)
-    rng = RngStream(seed).child("batch", b, "N", N)
-    tvs = []
-    for c in range(codebooks):
-        code = build_synthesis_code(p, channel, N, R, rng.child("code", c),
-                                    enforce_margin=enforce)
-        mean, _ = synthesized_type_tv(code, rng.child("tv", c),
-                                      samples=samples)
-        tvs.append(mean)
-    tv_mean, se = mean_stderr(tvs)
-    return {"N": N, "R": R, "tv_mean": tv_mean, "tv_stderr": se,
-            "seed_batch": b}
-
-
 def synth_sweep(channel, input_law, Ns, R, batches=30, codebooks=8,
                 samples=16, seed=0, enforce_margin=True):
-    args = [(channel.to_json(), input_law.to_json(), N, R, seed, b,
-             codebooks, samples, enforce_margin)
-            for b in range(batches) for N in Ns]
-    rows = _map_indexed(_synth_batch, args)
+    rows = []
+    for b in range(batches):
+        for N in Ns:
+            rng = RngStream(seed).child("batch", b, "N", N)
+            tvs = []
+            for c in range(codebooks):
+                code = build_synthesis_code(input_law, channel, N, R,
+                                            rng.child("code", c),
+                                            enforce_margin=enforce_margin)
+                mean, _ = synthesized_type_tv(code, rng.child("tv", c),
+                                              samples=samples)
+                tvs.append(mean)
+            tv_mean, se = mean_stderr(tvs)
+            rows.append({"N": N, "R": R, "tv_mean": tv_mean,
+                         "tv_stderr": se, "seed_batch": b})
     return {"experiment": "synth-sweep", "seed": seed, "rows": rows}
 
 
@@ -330,6 +303,8 @@ def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
     CHUNK_ELEMENTS codebook symbols."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if n_times < 1:
+        raise ValueError("n_times must be >= 1")
     p = ProbVector.uniform(channel.input_size)
     bits = synthesis_code_bits(p, channel, N, R)
     m = 2 ** bits
@@ -540,28 +515,11 @@ def mixing_demo(flip=0.4, L=64, samples=20000, seed=0, num_blocks=4):
 # ---------------------------------------------------------------------------
 # plot data export
 
-_PLOT_SCHEMAS = {
-    "synth-sweep": ("synth_sweep.csv",
-                    ["N", "R", "tv_mean", "tv_stderr", "seed_batch"]),
-    "chancode-sweep": ("chancode_sweep.csv",
-                       ["N", "R", "pe_mean", "pe_stderr", "seed_batch"]),
-    "separation": ("separation.csv",
-                   ["quantizer_bits", "block_length", "D_pipe",
-                    "stderr_pipe", "D_noisy", "stderr_noisy", "p_e",
-                    "p_e_stderr", "excess_bound", "pooled_stderr"]),
-}
-
-
-def emit_plotdata(result, outdir):
-    """Tidy CSV export, one row per (sweep point, seed batch)."""
-    tag = result.get("experiment")
-    if tag not in _PLOT_SCHEMAS:
-        raise KeyError("no plot schema for experiment %r" % tag)
-    fname, cols = _PLOT_SCHEMAS[tag]
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, fname)
+def emit_plotdata(rows, path, columns):
+    """Tidy CSV export of result rows, one line per (sweep point, seed
+    batch), with the given columns in order."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in result.get("rows", []):
-            fh.write(",".join(repr(row[c]) for c in cols) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(row[c]) for c in columns) + "\n")
     return path

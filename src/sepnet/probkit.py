@@ -410,8 +410,11 @@ def sample_rows(cums, u):
 
 def mean_stderr(values):
     """Sample mean and its standard error std(ddof=1) / sqrt(T); the error
-    of a single value is 0."""
+    of a single value is 0. No values is a ValueError, not a NaN."""
     arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        raise ValueError("no values to average: a trial, sample or code "
+                         "count is 0")
     if arr.size < 2:
         return float(arr.mean()), 0.0
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))

@@ -16,7 +16,9 @@ Scenario schema:
 }
 """
 
+import inspect
 import json
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -26,6 +28,7 @@ import numpy as np
 from .netmodel import (BitPipe, DmcChannel, Edge, IidJoint, MarkovJoint,
                        NetworkSpec, validate_spec)
 from .probkit import Kernel
+from .recipes import RECIPES
 
 SCHEMA_VERSION = "sepnet/v1"
 
@@ -64,6 +67,8 @@ def parse_network(obj):
 
 @dataclass
 class Scenario:
+    """A loaded scenario file. A bare solver-input file (no "nodes") has net
+    None and all of its keys in extra."""
     net: NetworkSpec
     experiment: str
     code_name: str = None
@@ -71,6 +76,10 @@ class Scenario:
     trials: int = 1000
     seed: int = 0
     extra: dict = field(default_factory=dict)
+
+    def value(self, key, default, convert):
+        """An experiment-specific key, read by scenario_value."""
+        return scenario_value(self.extra, key, default, convert)
 
 
 _KNOWN = {"nodes", "edges", "sources", "demands", "code", "experiment",
@@ -83,24 +92,51 @@ def scenario_value(obj, key, default, convert):
     value = obj.get(key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError("scenario key %r: cannot read %r: %s"
                             % (key, value, exc)) from None
 
 
+def positive_ints(values):
+    """A list of integers >= 1; 2.5, "8" and null are not integers."""
+    out = tuple(operator.index(v) for v in values)
+    if min(out, default=1) < 1:
+        raise ValueError("entries must be >= 1")
+    return out
+
+
+def _code_entry(code):
+    """(name, params) of a code entry; params are integer keywords of the
+    named recipe."""
+    code = dict(code or {})
+    name = code.get("name")
+    params = {k: operator.index(v)
+              for k, v in dict(code.get("params") or {}).items()}
+    if name in RECIPES:
+        inspect.signature(RECIPES[name]).bind(None, **params)
+    return name, params
+
+
 def load_scenario(path):
+    """Read a scenario file once. A network scenario is parsed and
+    validated; a bare solver-input file loads with net None."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ScenarioError("a scenario file must hold a JSON object")
+    experiment = scenario_value(obj, "experiment", "simulate", str)
+    if "nodes" not in obj:
+        return Scenario(net=None, experiment=experiment, extra=obj)
     net = parse_network(obj)
     diags = validate_spec(net)
     if diags:
         raise ScenarioError("; ".join(str(d) for d in diags))
-    code = obj.get("code") or {}
+    code_name, code_params = scenario_value(obj, "code", None, _code_entry)
     return Scenario(
         net=net,
-        experiment=obj.get("experiment", "simulate"),
-        code_name=code.get("name"),
-        code_params=code.get("params", {}),
+        experiment=experiment,
+        code_name=code_name,
+        code_params=code_params,
         trials=scenario_value(obj, "trials", 1000, int),
         seed=scenario_value(obj, "seed", 0, int),
         extra={k: v for k, v in obj.items() if k not in _KNOWN})
@@ -124,11 +160,3 @@ def write_json_atomic(obj, path):
         raise
     return path
 
-
-def dump_trace_csv(trace, edge_idx, path):
-    """Per-edge trace dump: columns t, x, y."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,x,y\n")
-        for t, (x, y) in enumerate(trace.edge_io[edge_idx]):
-            fh.write("%d,%s,%s\n" % (t, x, y))
-    return path

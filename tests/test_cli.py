@@ -1,20 +1,16 @@
+import argparse
 import csv
 import json
 import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from sepnet.cli import run_scenario
-from sepnet.experiments import (_map_indexed, emit_plotdata, worker_count)
+from sepnet.cli import EXPERIMENTS, build_parser, main, run_scenario
+from sepnet.experiments import emit_plotdata
 from sepnet.netmodel import BitPipe, DmcChannel
-from sepnet.probkit import Kernel, RngStream
-from sepnet.recipes import uncoded_relay
-from sepnet.netmodel import run_block
-from sepnet.scenario import (ScenarioError, dump_trace_csv, load_scenario,
-                             write_json_atomic)
+from sepnet.scenario import ScenarioError, load_scenario, write_json_atomic
 
 RELAY = {
     "nodes": [0, 1],
@@ -91,17 +87,16 @@ def test_write_json_atomic(tmp_path):
                 if f.endswith(".tmp")]
 
 
-def test_dump_trace_csv(tmp_path):
-    from sepnet.netmodel import Edge, IidJoint, NetworkSpec
-    net = NetworkSpec((0, 1), (Edge(0, 1, DmcChannel(Kernel.bsc(0.2))),),
-                      {(0, 1): np.array([[0.0, 1.0], [1.0, 0.0]])},
-                      IidJoint((2, 1), [0.5, 0.5]))
-    policy, params = uncoded_relay(net, L=5)
-    tr = run_block(net, policy, params, RngStream(0))
-    path = dump_trace_csv(tr, 0, str(tmp_path / "trace.csv"))
-    rows = list(csv.DictReader(open(path)))
-    assert len(rows) == 5
-    assert set(rows[0]) == {"t", "x", "y"}
+def test_load_scenario_bare_solver_file(tmp_path):
+    obj = {"kernel": [[0.89, 0.11], [0.11, 0.89]], "tol": 1e-9}
+    scn = load_scenario(write_scenario(tmp_path, obj))
+    assert scn.net is None
+    assert scn.extra == obj and scn.experiment == "simulate"
+
+
+def test_load_scenario_rejects_non_object(tmp_path):
+    with pytest.raises(ScenarioError, match="JSON object"):
+        load_scenario(write_scenario(tmp_path, [1, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +138,59 @@ def test_run_scenario_stack_check_n1_trivial(tmp_path):
     obj = dict(RELAY, experiment="stack-check", N=1, trials=20)
     res = run_scenario(write_scenario(tmp_path, obj))
     assert res["exact_match"] is True
+
+
+@pytest.mark.parametrize("command", ["simulate", "stack-check",
+                                     "chancode-sweep", "synth-sweep",
+                                     "lemma1", "separation"])
+def test_run_scenario_bare_file_needs_network(tmp_path, command):
+    path = write_scenario(tmp_path, {"kernel": [[0.89, 0.11], [0.11, 0.89]]})
+    with pytest.raises(ScenarioError, match="needs a network scenario"):
+        run_scenario(path, command)
+
+
+def test_run_scenario_looks_experiments_up_when_run(tmp_path, monkeypatch):
+    calls = []
+
+    def stub(net, code_name, code_params, N, trials, seed):
+        calls.append((code_name, code_params, N, trials, seed))
+        return {"experiment": "stack-check"}
+
+    monkeypatch.setattr("sepnet.cli.stack_check", stub)
+    path = write_scenario(tmp_path, dict(RELAY, N=3))
+    assert run_scenario(path, "stack-check", seed=5) == {
+        "experiment": "stack-check"}
+    assert calls == [("uncoded_relay", {"L": 4}, 3, 200, 5)]
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+# small enough for every command to run in well under a second
+TINY = dict(RELAY, trials=20, N=2, Ns=[8], batches=1, codebooks=1, samples=1,
+            n_times=2, target_d=0.11, quantizer_bits=[2])
+PLOT_FILES = {"chancode-sweep": "chancode_sweep.csv",
+              "synth-sweep": "synth_sweep.csv",
+              "separation": "separation.csv"}
+
+
+def test_parser_subcommands_are_the_table():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("command", list(EXPERIMENTS))
+def test_cli_out_writes_csv_exactly_with_plot_data(tmp_path, capsys,
+                                                   command):
+    outdir = tmp_path / "out"
+    argv = [command, "--scenario", write_scenario(tmp_path, TINY),
+            "--out", str(outdir)]
+    assert main(argv) == 0
+    expected = {command + ".json"} | ({PLOT_FILES[command]}
+                                      if command in PLOT_FILES else set())
+    assert set(os.listdir(outdir)) == expected
+    assert json.loads(capsys.readouterr().out)["experiment"] == command
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +281,17 @@ def test_cli_separation_rejects_bad_sizes(tmp_path, key, value, message):
     ("separation", "separation.json", "p", [0.1]),
     ("stack-check", "stack_check.json", "N", None),
     ("stack-check", "stack_check.json", "trials", None),
+    ("chancode-sweep", "stack_check.json", "Ns", [None]),
+    ("chancode-sweep", "stack_check.json", "Ns", ["a"]),
+    ("chancode-sweep", "stack_check.json", "Ns", [0]),
+    ("synth-sweep", "stack_check.json", "Ns", [None]),
+    ("stack-check", "stack_check.json", "code",
+     {"name": "uncoded_relay", "params": {"L": None}}),
+    ("stack-check", "stack_check.json", "code",
+     {"name": "uncoded_relay", "params": {"Q": 1}}),
+    ("stack-check", "stack_check.json", "code",
+     {"name": "uncoded_relay", "params": [1]}),
+    ("stack-check", "stack_check.json", "N", float("inf")),
 ])
 def test_cli_unreadable_scenario_key_names_it(tmp_path, command, scenario,
                                                key, value):
@@ -244,6 +303,26 @@ def test_cli_unreadable_scenario_key_names_it(tmp_path, command, scenario,
     assert res.returncode == 2
     assert res.stderr.startswith("sepnet: error: scenario key %r" % key)
     assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command, scenario, key, message", [
+    ("chancode-sweep", "stack_check.json", "trials", "no values to average"),
+    ("separation", "separation.json", "trials", "no values to average"),
+    ("synth-sweep", "stack_check.json", "samples", "no values to average"),
+    ("synth-sweep", "stack_check.json", "codebooks", "no values to average"),
+    ("lemma1", "lemma1.json", "n_times", "n_times must be >= 1"),
+])
+def test_cli_zero_count_fails_cleanly(tmp_path, command, scenario, key,
+                                      message):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "scenarios", scenario)) as fh:
+        obj = json.load(fh)
+    obj[key] = 0
+    res = cli(command, "--scenario", write_scenario(tmp_path, obj))
+    assert res.returncode == 2
+    assert res.stderr.startswith("sepnet: error:")
+    assert message in res.stderr
     assert res.stdout == ""
 
 
@@ -263,43 +342,21 @@ def test_cli_reruns_bit_identically(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# plot data and workers
+# plot data
 
 def test_emit_plotdata_schemas(tmp_path):
-    res = {"experiment": "synth-sweep",
-           "rows": [{"N": 8, "R": 0.6, "tv_mean": 0.2, "tv_stderr": 0.01,
-                     "seed_batch": 0}]}
-    path = emit_plotdata(res, str(tmp_path))
+    fname, cols = EXPERIMENTS["synth-sweep"][1]
+    rows = [{"N": 8, "R": 0.6, "tv_mean": 0.2, "tv_stderr": 0.01,
+             "seed_batch": 0}]
+    path = emit_plotdata(rows, str(tmp_path / fname), cols)
     rows = list(csv.DictReader(open(path)))
     assert rows[0]["N"] == "8" and rows[0]["tv_mean"] == "0.2"
 
 
 def test_emit_plotdata_empty_and_unknown(tmp_path):
-    path = emit_plotdata({"experiment": "chancode-sweep", "rows": []},
-                         str(tmp_path))
+    cols = ["N", "R", "pe_mean", "pe_stderr", "seed_batch"]
+    path = emit_plotdata([], str(tmp_path / "chancode_sweep.csv"), cols)
     lines = open(path).read().splitlines()
     assert lines == ["N,R,pe_mean,pe_stderr,seed_batch"]
     with pytest.raises(KeyError):
-        emit_plotdata({"experiment": "mystery"}, str(tmp_path))
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("SEPNET_WORKERS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("SEPNET_WORKERS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("SEPNET_WORKERS", "junk")
-    assert worker_count() == 1
-
-
-def _square(x):
-    return x * x
-
-
-def test_map_indexed_order_stable(monkeypatch):
-    args = list(range(12))
-    monkeypatch.setenv("SEPNET_WORKERS", "1")
-    serial = _map_indexed(_square, args)
-    monkeypatch.setenv("SEPNET_WORKERS", "3")
-    parallel = _map_indexed(_square, args)
-    assert serial == parallel == [x * x for x in args]
+        emit_plotdata([{"N": 8}], str(tmp_path / "short.csv"), cols)

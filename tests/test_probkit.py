@@ -269,6 +269,8 @@ def test_mean_stderr():
     mean, se = mean_stderr([0.0, 1.0, 1.0, 0.0])
     assert mean == 0.5
     assert se == pytest.approx(np.std([0, 1, 1, 0], ddof=1) / 2)
+    with pytest.raises(ValueError, match="no values"):
+        mean_stderr([])
 
 
 def test_sample_many_frequencies():
