@@ -305,6 +305,8 @@ def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
         raise ValueError("trials must be >= 1")
     if n_times < 1:
         raise ValueError("n_times must be >= 1")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     p = ProbVector.uniform(channel.input_size)
     bits = synthesis_code_bits(p, channel, N, R)
     m = 2 ** bits
@@ -454,6 +456,9 @@ def separation_experiment(p=0.11, kappa=1.0, quantizer_bits=(6, 8, 10),
                           trials=10000, seed=0, link_rate=0.4):
     """The separated scheme (random quantizer + link transport) over the
     true BSC(p) with a channel code versus over a capacity bit-pipe."""
+    if not (np.isfinite(kappa) and kappa > 0):
+        raise ValueError("kappa must be finite and positive, got %r"
+                         % (kappa,))
     if not (np.isfinite(link_rate) and link_rate > 0):
         raise ValueError("link_rate must be finite and positive, got %r"
                          % (link_rate,))

@@ -46,6 +46,12 @@ def _relative_entropies(w, q):
     return terms.sum(axis=1)
 
 
+def _check_tol(tol):
+    """The one stopping-tolerance check of the solvers."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive, got %r" % (tol,))
+
+
 def blahut_capacity(channel, tol=1e-9, max_iters=100000):
     """Maximize I(X;Y) over the input law for a fixed kernel.
 
@@ -53,8 +59,9 @@ def blahut_capacity(channel, tol=1e-9, max_iters=100000):
     information and whose `gap` bounds the distance to the true maximum:
     I(r) <= C <= max_x D(p(.|x)||q).
     """
-    if tol <= 0 or max_iters < 1:
-        raise ValueError("tol and max_iters must be positive")
+    _check_tol(tol)
+    if max_iters < 1:
+        raise ValueError("max_iters must be positive")
     w = channel.matrix
     r = np.full(channel.input_size, 1.0 / channel.input_size)
     for iters in range(1, max_iters + 1):
@@ -135,8 +142,9 @@ def _slope_search(p, d, key, target, tol, max_iters=100000):
     return points[-1], s, sum(point[3] for point in points)
 
 
-def _rd_problem(source, distortion_fn, target):
+def _rd_problem(source, distortion_fn, target, tol):
     """Checked (p, d, d_min, d_floor); d_floor is the zero-rate distortion."""
+    _check_tol(tol)
     p = source.probs if isinstance(source, ProbVector) else ProbVector(source).probs
     d = np.asarray(distortion_fn, dtype=float)
     if d.ndim != 2 or d.shape[0] != p.size:
@@ -152,7 +160,7 @@ def blahut_rate_distortion(source, distortion_fn, target_d, tol=1e-9,
                            max_iters=100000):
     """R(D) for a finite source at a target expected distortion, by the
     slope search on the distortion."""
-    p, d, d_min, d_floor = _rd_problem(source, distortion_fn, target_d)
+    p, d, d_min, d_floor = _rd_problem(source, distortion_fn, target_d, tol)
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
     if target_d < d_min - tol or target_d > d.max() + tol:
@@ -173,7 +181,8 @@ def blahut_rate_distortion(source, distortion_fn, target_d, tol=1e-9,
 
 def invert_rate_distortion(source, distortion_fn, target_rate, tol=1e-9):
     """Distortion D with R(D) = target_rate, by slope search on the rate."""
-    p, d, d_min, d_floor = _rd_problem(source, distortion_fn, target_rate)
+    p, d, d_min, d_floor = _rd_problem(source, distortion_fn, target_rate,
+                                       tol)
     if target_rate <= 0:
         return d_floor
     push = p @ np.eye(d.shape[1])[d.argmin(axis=1)]

@@ -39,6 +39,8 @@ def _log_kernel(matrix):
 def codebook_bits(N, R, cap_bits=CODEBOOK_CAP_BITS):
     """Index bits ceil(N*R) of a blocklength-N, rate-R codebook, checked
     against the cap before any codebook is drawn."""
+    if not (np.isfinite(R) and R >= 0):
+        raise RateOutOfRange("R must be finite and >= 0, got %r" % (R,))
     bits = int(np.ceil(N * R - 1e-12))
     if bits > cap_bits:
         raise CodebookCapExceeded("ceil(N*R)=%d exceeds cap %d" % (bits, cap_bits))

@@ -391,11 +391,18 @@ def sample(dist, rng):
 
 
 def sample_many(p, uniforms):
-    """Vectorized inverse-cdf sampling given precomputed uniforms in [0,1)."""
-    p = _as_prob_array(p)
-    cum = np.cumsum(p)
-    idx = np.searchsorted(cum, np.asarray(uniforms) * cum[-1], side="right")
-    return np.minimum(idx, p.size - 1)
+    """Vectorized inverse-cdf sampling given precomputed uniforms in [0,1).
+
+    Each draw is the count of the K - 1 inner cumulative weights <= u * total,
+    as in sample_rows: the same integer as searchsorted(side="right") clipped
+    to K - 1, since cumulative sums of nonnegative weights never decrease.
+    The result has the shape of uniforms (a scalar for a scalar)."""
+    cum = np.cumsum(_as_prob_array(p))
+    v = np.asarray(uniforms) * cum[-1]
+    idx = np.zeros(v.shape, dtype=np.intp)
+    for c in cum[:-1]:
+        idx += c <= v
+    return idx[()]
 
 
 def sample_rows(cums, u):

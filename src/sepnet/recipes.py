@@ -1,9 +1,10 @@
 """Named coding-policy constructors referenced by scenario files.
 
-Encoders here are deterministic functions of (time, source block, history);
-any randomized recipe must derive per-time children from the rng it is
-handed so repeated evaluation replays identically (the de-stacking transform
-re-evaluates encoders).
+Encoders here are deterministic functions of (time, source block, history).
+The de-stacking transform evaluates each stacked emission once per period,
+but encoders must still be deterministic given the rng they are handed (any
+randomized recipe derives per-time children from it), so that a stacked run
+and its de-stacked equivalent agree.
 """
 
 import numpy as np
@@ -136,5 +137,5 @@ RECIPES = {
 
 def build_recipe(name, net, **params):
     if name not in RECIPES:
-        raise KeyError("unknown code recipe %r" % name)
+        raise ValueError("unknown code recipe %r" % (name,))
     return RECIPES[name](net, **params)

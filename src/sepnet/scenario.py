@@ -127,7 +127,11 @@ def load_scenario(path):
     experiment = scenario_value(obj, "experiment", "simulate", str)
     if "nodes" not in obj:
         return Scenario(net=None, experiment=experiment, extra=obj)
-    net = parse_network(obj)
+    try:
+        net = parse_network(obj)
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ScenarioError("malformed network section: %s %s"
+                            % (type(exc).__name__, exc)) from None
     diags = validate_spec(net)
     if diags:
         raise ScenarioError("; ".join(str(d) for d in diags))

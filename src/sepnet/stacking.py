@@ -15,7 +15,8 @@ of child("edge", e, t) at stacked time t, and a plain single-layer run is the
 N = 1 case. The de-stacked link draws uniform(N) from each period's stream
 once, at the period's first use, and keeps it for the period's later
 layers, so coupled seeds reproduce the stacked run's channel realizations bit
-for bit. All three runs go through the one step loop, netmodel.run_steps; a
+for bit. A de-stacked encoder keeps its period's stacked emission the same
+way. All three runs go through the one step loop, netmodel.run_steps; a
 de-stacked block is a run_block of the de-stacked policy, whose schedule
 gives N.
 """
@@ -212,20 +213,25 @@ def _regroup(received_single, N, periods):
 class DestackedEncoder:
     """Replays layer-l stacked-time-t emissions at single-layer time t*N+l.
 
-    Outputs observed during the current period are buffered but never read;
-    the stacked encoder only ever sees full earlier periods, which is what
-    makes the interleaving legal.
+    The stacked encoder only ever sees full earlier periods, which is what
+    makes the interleaving legal, so its period-t emission is already fixed
+    at the period's first time t*N. It is evaluated there once and kept for
+    the period's later layers; outputs observed during the period are
+    buffered but never read. The encoder object is reused across blocks, so
+    every period's first time evaluates afresh.
     """
 
     def __init__(self, stacked_enc, schedule):
         self.enc = stacked_enc
         self.sched = schedule
+        self._em = None   # the current period's stacked emission
 
     def emit(self, tau, u_full, received_single, rng):
         t, layer = self.sched.to_stacked(tau)
-        em = self.enc.emit(t, u_full,
-                           _regroup(received_single, self.sched.N, t), rng)
-        return {e: v[layer] for e, v in em.items()}
+        if layer == 0:
+            self._em = self.enc.emit(
+                t, u_full, _regroup(received_single, self.sched.N, t), rng)
+        return {e: v[layer] for e, v in self._em.items()}
 
 
 class DestackedDecoder:

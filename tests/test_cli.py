@@ -4,8 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepnet.cli import EXPERIMENTS, build_parser, main, run_scenario
 from sepnet.experiments import emit_plotdata
@@ -262,6 +265,9 @@ def test_cli_stack_check_zero_trials_fails_cleanly():
     ("link_rate", 0, "link_rate must be finite and positive"),
     ("link_rate", float("nan"), "link_rate must be finite and positive"),
     ("quantizer_bits", [6, 23], "ceil(N*R)=23 exceeds cap 22"),
+    ("kappa", float("nan"), "kappa must be finite and positive"),
+    ("kappa", float("inf"), "kappa must be finite and positive"),
+    ("kappa", -1.0, "kappa must be finite and positive"),
 ])
 def test_cli_separation_rejects_bad_sizes(tmp_path, key, value, message):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -312,6 +318,9 @@ def test_cli_unreadable_scenario_key_names_it(tmp_path, command, scenario,
     ("synth-sweep", "stack_check.json", "samples", "no values to average"),
     ("synth-sweep", "stack_check.json", "codebooks", "no values to average"),
     ("lemma1", "lemma1.json", "n_times", "n_times must be >= 1"),
+    ("lemma1", "lemma1.json", "N", "N must be >= 1"),
+    ("separation", "separation.json", "kappa",
+     "kappa must be finite and positive"),
 ])
 def test_cli_zero_count_fails_cleanly(tmp_path, command, scenario, key,
                                       message):
@@ -360,3 +369,44 @@ def test_emit_plotdata_empty_and_unknown(tmp_path):
     assert lines == ["N,R,pe_mean,pe_stderr,seed_batch"]
     with pytest.raises(KeyError):
         emit_plotdata([{"N": 8}], str(tmp_path / "short.csv"), cols)
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("capacity", "bsc_capacity.json"), ("rd", "binary_rd.json")])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_cli_solver_rejects_bad_tol(tmp_path, command, scenario, tol):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "scenarios", scenario)) as fh:
+        obj = json.load(fh)
+    obj["tol"] = tol
+    res = cli(command, "--scenario", write_scenario(tmp_path, obj))
+    assert res.returncode == 2
+    assert res.stderr.startswith("sepnet: error: tol must be finite and "
+                                 "positive")
+    assert res.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# parser robustness
+
+# the tiny scenario's keys and the optional keys the commands read
+MUTABLE_KEYS = sorted(set(TINY) | {"R", "p", "kappa", "link_rate", "tol",
+                                   "pipe_delay", "input_law"})
+BAD_VALUES = [0, -1, float("nan"), float("inf"), float("-inf"), None, "a"]
+
+
+@pytest.mark.parametrize("command", list(EXPERIMENTS))
+@settings(max_examples=50, deadline=timedelta(seconds=10))
+@given(key=st.sampled_from(MUTABLE_KEYS), value=st.sampled_from(BAD_VALUES))
+def test_mutated_scenario_ends_in_result_or_diagnostic(tmp_path_factory,
+                                                       command, key, value):
+    """One key of the tiny scenario set to a bad value: the command returns
+    a strict-JSON result or raises a diagnostic, each within the deadline."""
+    path = write_scenario(tmp_path_factory.getbasetemp(),
+                          dict(TINY, **{key: value}), "mutated.json")
+    try:
+        result = run_scenario(path, command)
+    except (ScenarioError, ValueError):
+        return
+    assert result["experiment"] == command
+    json.dumps(result, allow_nan=False)

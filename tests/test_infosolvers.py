@@ -259,3 +259,14 @@ def test_rd_is_unchanged_by_a_distortion_offset():
     assert invert_rate_distortion(UNIFORM2, HAMMING + 200.0, 0.5) == \
         pytest.approx(200.0 + invert_rate_distortion(UNIFORM2, HAMMING, 0.5),
                       abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("solve", [
+    lambda tol: blahut_capacity(Kernel.bsc(0.11), tol=tol),
+    lambda tol: blahut_rate_distortion(UNIFORM2, HAMMING, 0.11, tol=tol),
+    lambda tol: invert_rate_distortion(UNIFORM2, HAMMING, 0.5, tol=tol),
+], ids=["capacity", "rd", "invert"])
+def test_solvers_share_the_tolerance_check(solve, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve(tol)

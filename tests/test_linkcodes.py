@@ -252,6 +252,21 @@ def test_lemma1_samples_rejects_zero_trials():
         lemma1_samples(Kernel.bsc(0.2), 8, 0.8, 0, 0)
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_lemma1_rejects_empty_blocks(N):
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        lemma1_samples(Kernel.bsc(0.2), N, 0.8, 10, 0)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        experiments.verify_lemma1(Kernel.bsc(0.2), N=N, trials=10)
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan"), float("inf")])
+def test_separation_rejects_bad_kappa(kappa, monkeypatch):
+    monkeypatch.setattr(experiments, "blahut_capacity", None)  # no work
+    with pytest.raises(ValueError, match="kappa must be finite and positive"):
+        experiments.separation_experiment(kappa=kappa, trials=10)
+
+
 def test_lemma1_samples_rate_guards():
     with pytest.raises(RateOutOfRange):
         lemma1_samples(Kernel.bsc(0.2), 8, 0.2, 10, 0)

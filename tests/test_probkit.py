@@ -250,6 +250,40 @@ def test_sample_matches_sample_many():
     assert np.array_equal(singles, sample_many(p.probs, u))
 
 
+def _searchsorted_draws(p, u):
+    """The binary-search inverse cdf: searchsorted(side="right") of u * total
+    in the cumulative weights, clipped to K - 1."""
+    cum = np.cumsum(p)
+    idx = np.searchsorted(cum, np.asarray(u) * cum[-1], side="right")
+    return np.minimum(idx, len(p) - 1)
+
+
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1,
+                max_size=6).filter(has_mass),
+       st.booleans(),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=6))
+@example([1.0], False, [])
+@example([0.25, 0.0, 0.25, 0.5], False, [0.5])
+@example([0.0, 0.5, 0.5, 0.0, 0.0], True, [0.5])
+@settings(max_examples=100)
+def test_sample_many_equals_searchsorted(w, normalize, us):
+    """Bit for bit, in value, dtype and shape, for scalar, 1-d and 4-d
+    uniforms, at u = 0, at every u whose u * total is a cumulative weight
+    exactly, and at u = 1, where the draw is clipped to K - 1."""
+    p = np.asarray(w) / (sum(w) if normalize else 1.0)
+    cum = np.cumsum(p)
+    hits = [c / cum[-1] for c in cum if (c / cum[-1]) * cum[-1] == c]
+    u = np.array([0.0] + hits + us)
+    for given_u in [*u, *map(float, u), u, np.stack([u, u[::-1]] * 3)
+                    .reshape(2, 3, 1, -1)]:
+        got, want = sample_many(p, given_u), _searchsorted_draws(p, given_u)
+        assert type(got) is type(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert np.array_equal(sample_many(ProbVector(p / p.sum()), u),
+                          _searchsorted_draws(p / p.sum(), u))
+
+
 def test_sample_rows_matches_searchsorted():
     """Row-wise inverse cdf equals searchsorted(side="right"), clipped."""
     rng = RngStream(31)

@@ -5,8 +5,8 @@ from sepnet.netmodel import (ArityMismatch, DmcChannel, Edge, IidJoint,
                              MarkovJoint, NetworkSpec, validate_spec)
 from sepnet.probkit import Kernel, RngStream
 from sepnet.recipes import adaptive_feedback, uncoded_relay
-from sepnet.stacking import (InterleaveSchedule, StackedConfig, destack_code,
-                             even_odd_split, lift_code,
+from sepnet.stacking import (InterleaveSchedule, LiftedEncoder, StackedConfig,
+                             destack_code, even_odd_split, lift_code,
                              parity_class_dependence_tv, run_destacked_block,
                              run_stacked_block, stack_network, traces_match)
 
@@ -115,6 +115,46 @@ def test_destacked_link_seeds_each_period_stream_once(monkeypatch):
     edge_streams = [s for s in seeded if s[:1] == ("edge",)]
     assert sorted(edge_streams) == [("edge", 0, t) for t in range(params.n)]
     assert traces_match(tr_s, tr_d, InterleaveSchedule(N, params.n))
+
+
+@pytest.mark.parametrize("L", [1, 3])
+@pytest.mark.parametrize("recipe,net", [
+    (uncoded_relay, relay_net()),
+    (adaptive_feedback, feedback_net()),
+])
+def test_destacked_encoder_runs_each_stacked_emission_once(recipe, net, L,
+                                                           monkeypatch):
+    """A de-stacked N = 8 block calls each node's stacked encoder once per
+    period and still matches the stacked run; one policy reused over trials
+    gives the traces of a fresh policy per trial."""
+    policy, params = recipe(net, L=L)
+    N = 8
+    stacked = lift_code(policy, params, N)
+    destacked, dparams = destack_code(stacked)
+    node_of = {id(enc): a for a, enc in stacked.encoders.items()}
+    calls = []
+    emit = LiftedEncoder.emit
+
+    def counting(enc, t, *args):
+        calls.append((node_of[id(enc)], t))
+        return emit(enc, t, *args)
+
+    for j in range(4):
+        rng = RngStream(60 + j)
+        tr_s = run_stacked_block(StackedConfig(net, N), stacked, rng)
+        del calls[:]
+        monkeypatch.setattr(LiftedEncoder, "emit", counting)
+        tr_d = run_destacked_block(net, destacked, dparams, rng)
+        monkeypatch.undo()
+        assert calls == [(a, t) for t in range(params.n) for a in net.nodes
+                         if a in stacked.encoders]
+        assert traces_match(tr_s, tr_d, InterleaveSchedule(N, params.n))
+        fresh, _ = destack_code(lift_code(*recipe(net, L=L), N))
+        tr_f = run_destacked_block(net, fresh, dparams, rng)
+        assert tr_f.edge_io == tr_d.edge_io
+        assert tr_f.distortion == tr_d.distortion
+        for key, recon in tr_f.recon.items():
+            assert np.array_equal(recon, tr_d.recon[key])
 
 
 def test_destack_preserves_kappa():
