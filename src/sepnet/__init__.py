@@ -17,8 +17,8 @@ from .netmodel import (BitPipe, CodeParameters, CodingPolicy, DmcChannel,
                        DistortionMatrix, Edge, IidJoint, MarkovJoint,
                        NetworkSpec, TraceRecord, estimate_distortion,
                        run_block, validate_spec)
-from .probkit import (JointPmf, Kernel, ProbVector, RngStream, entropy,
-                      mutual_information, tv_distance)
+from .probkit import (JointPmf, Kernel, ProbVector, RngBatch, RngStream,
+                      entropy, mutual_information, tv_distance)
 from .stacking import (InterleaveSchedule, StackedConfig, destack_code,
                        even_odd_split, lift_code, run_destacked_block,
                        run_stacked_block, stack_network, traces_match)
@@ -36,8 +36,8 @@ __all__ = [
     "BitPipe", "CapacityResult", "ChannelCode", "CodeParameters",
     "CodingPolicy", "DistortionMatrix", "DmcChannel", "Edge", "IidJoint",
     "InfeasibleTarget", "InterleaveSchedule", "JointPmf", "Kernel",
-    "LinkCodeReport", "MarkovJoint", "NetworkSpec", "ProbVector",
-    "RdResult", "RngStream", "Scenario", "StackedConfig", "SynthesisCode",
+    "LinkCodeReport", "MarkovJoint", "NetworkSpec", "ProbVector", "RdResult",
+    "RngBatch", "RngStream", "Scenario", "StackedConfig", "SynthesisCode",
     "TraceRecord", "blahut_capacity", "blahut_rate_distortion",
     "build_channel_code", "build_synthesis_code", "capacity_report",
     "chancode_sweep", "destack_code", "emit_plotdata", "entropy",

@@ -19,7 +19,8 @@ from .linkcodes import (CHUNK_ELEMENTS, AggregatePipeBehavior,
                         likelihood_weights, log_posterior, output_marginal,
                         synthesis_code_bits, synthesized_type_tv)
 from .netmodel import (BitPipe, CodeParameters, DmcChannel, Edge, IidJoint,
-                       MarkovJoint, NetworkSpec, estimate_distortion)
+                       MarkovJoint, NetworkSpec, estimate_distortion,
+                       trial_batches, trial_elements)
 from .probkit import (Kernel, ProbVector, RngStream, mean_stderr,
                       sample_many, sample_rows, uniform_streams)
 from .recipes import build_recipe
@@ -64,26 +65,25 @@ def stack_check(net, code_name, code_params, N, trials, seed):
     """Layered-equivalence check: lifted N-layer run vs its de-stacked single-layer
     equivalent under coupled seeding; exact_match demands bit equality of
     every per-edge (x, y) sequence, schedule-permuted."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if N < 1:
+        raise ValueError("N must be >= 1, got %r" % (N,))
     policy, params = build_recipe(code_name, net, **code_params)
     stacked = lift_code(policy, params, N)
     destacked, dparams = destack_code(stacked)
     sched = InterleaveSchedule(N, params.n)
     sched.check()
     cfg = StackedConfig(net, N)
-    rng = RngStream(seed)
     exact = True
     s_vals, d_vals = [], []
     key = next(iter(net.demands))
-    for j in range(trials):
-        r = rng.child("trial", j)
+    for r in trial_batches(RngStream(seed), trials,
+                           trial_elements(net, params.n, N * params.L, N)):
         tr_s = run_stacked_block(cfg, stacked, r)
         tr_d = run_destacked_block(net, destacked, dparams, r)
-        exact = exact and traces_match(tr_s, tr_d, sched)
+        exact = exact and bool(traces_match(tr_s, tr_d, sched).all())
         s_vals.append(tr_s.distortion[key])
         d_vals.append(tr_d.distortion[key])
-    s_arr, d_arr = np.asarray(s_vals), np.asarray(d_vals)
+    s_arr, d_arr = np.concatenate(s_vals), np.concatenate(d_vals)
     se = float(np.sqrt(s_arr.var(ddof=1) + d_arr.var(ddof=1)) /
                np.sqrt(trials)) if trials > 1 else 0.0
     return {"experiment": "stack-check", "N": N, "trials": trials,
@@ -98,7 +98,8 @@ def stack_check(net, code_name, code_params, N, trials, seed):
 
 class BitChunkEncoder:
     """Sends consecutive chunks of the node's source bits over one virtual
-    bit-pipe edge, per_use bits per stacked use."""
+    bit-pipe edge, per_use bits per stacked use. Like the relay and sink
+    below, it acts on a batch of trials: every payload is (T, k)."""
 
     def __init__(self, edge, total_bits, per_use):
         self.edge = edge
@@ -108,7 +109,7 @@ class BitChunkEncoder:
     def emit(self, t, u_full, received_all, rng):
         lo = min(t * self.per_use, self.total)
         hi = min(lo + self.per_use, self.total)
-        return {self.edge: tuple(int(b) for b in u_full[lo:hi])}
+        return {self.edge: u_full[:, lo:hi]}
 
 
 class BitRelayEncoder:
@@ -123,16 +124,15 @@ class BitRelayEncoder:
         rx = received_all.get(self.in_edge, [])
         cum = [0]
         for payload in rx:
-            cum.append(cum[-1] + len(payload))
+            cum.append(cum[-1] + payload.shape[1])
         # bits forwarded before t are a pure function of the history, so
         # recompute rather than keeping state across emits
         sent = 0
         for tp in range(min(t, len(cum) - 1)):
             sent += max(0, min(self.per_use, cum[tp] - sent))
-        avail_now = cum[-1]
-        flat = [b for payload in rx for b in payload]
-        chunk = flat[sent:min(sent + self.per_use, avail_now)]
-        return {self.out_edge: tuple(chunk)}
+        flat = np.concatenate([u_full[:, :0]] + rx, axis=1)
+        return {self.out_edge: flat[:, sent:min(sent + self.per_use,
+                                                cum[-1])]}
 
 
 class BitSinkDecoder:
@@ -141,12 +141,9 @@ class BitSinkDecoder:
         self.total = total_bits
 
     def decode(self, u_full_b, received_all, rng):
-        bits = []
-        for payload in received_all[self.edge]:
-            bits.extend(payload)
-        bits = bits[:self.total]
-        bits += [0] * (self.total - len(bits))
-        return np.asarray(bits, dtype=np.int64)
+        bits = np.concatenate([u_full_b[:, :0]] + received_all[self.edge],
+                              axis=1)[:, :self.total]
+        return np.pad(bits, ((0, 0), (0, self.total - bits.shape[1])))
 
 
 def _line_network(channel_for_link):
@@ -217,7 +214,13 @@ def link_replacement_experiment(p=0.11, N=24, R=0.4, trials=10000, seed=0,
 # ---------------------------------------------------------------------------
 # sweeps
 
+def _check_batches(batches):
+    if batches < 1:
+        raise ValueError("batches must be >= 1, got %r" % (batches,))
+
+
 def chancode_sweep(channel, Ns, R, trials=10000, seed=0, batches=1):
+    _check_batches(batches)
     rows = []
     for b in range(batches):
         for N in Ns:
@@ -231,6 +234,7 @@ def chancode_sweep(channel, Ns, R, trials=10000, seed=0, batches=1):
 
 def synth_sweep(channel, input_law, Ns, R, batches=30, codebooks=8,
                 samples=16, seed=0, enforce_margin=True):
+    _check_batches(batches)
     rows = []
     for b in range(batches):
         for N in Ns:
@@ -296,11 +300,18 @@ def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
     Trial j draws its input from stream ("trial", j, "x"), and the code of
     key k (k = t, or 0 for every t under reuse) from ("trial", j, "code", k,
     "codebook") with its encoder uniform from ("trial", j, "w", k): the
-    streams build_synthesis_code and SynthesisCode.synthesize would use.
-    Each trial chunk draws them through uniform_streams, which equals these
-    per-trial streams bit for bit. Codebooks are sampled and encoded as
-    (trials, keys, 2^bits, N) arrays in trial chunks of at most
-    CHUNK_ELEMENTS codebook symbols."""
+    streams build_synthesis_code and SynthesisCode.synthesize would use."""
+    x0, y0 = _lemma1_draws(channel, N, R, trials, seed, n_times, reuse)
+    return _lemma1_records(x0, y0, n_times, reuse)
+
+
+def _lemma1_draws(channel, N, R, trials, seed, n_times, reuse):
+    """Layer-1 input x0 (trials,) and outputs y0 (trials, keys) of the codes
+    of keys 0..n_times-1 (key 0 alone under reuse), as lemma1_samples
+    describes. Each trial chunk draws its streams through uniform_streams,
+    which equals the per-trial streams bit for bit. Codebooks are sampled
+    and encoded as (trials, keys, 2^bits, N) arrays in trial chunks of at
+    most CHUNK_ELEMENTS codebook symbols."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n_times < 1:
@@ -313,7 +324,6 @@ def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
     q_y = output_marginal(p, channel)
     log_post = log_posterior(p, channel)
     keys = [0] if reuse else list(range(n_times))
-    key_of_time = [0 if reuse else t for t in range(n_times)]
     chunk = max(1, CHUNK_ELEMENTS // (len(keys) * m * N))
     x0 = np.empty(trials, dtype=np.int64)
     y0 = np.empty((trials, len(keys)), dtype=np.int64)
@@ -335,11 +345,17 @@ def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
         y0[js.start:js.stop] = np.take_along_axis(
             codebooks[..., 0], w[..., None], axis=-1)[..., 0]
         del u_cb, codebooks   # freed before the next chunk draws its own
+    return x0, y0
+
+
+def _lemma1_records(x0, y0, n_times, reuse):
+    """lemma1_samples' records from _lemma1_draws' output; under reuse
+    every time reads key 0, column 0 of y0."""
     records = {}
     for t in range(1, n_times):
-        prev, cur = y0[:, key_of_time[t - 1]], y0[:, key_of_time[t]]
-        records[t] = list(zip(x0.tolist(), prev.tolist(), x0.tolist(),
-                              cur.tolist()))
+        prev, cur = (0, 0) if reuse else (t - 1, t)
+        records[t] = list(zip(x0.tolist(), y0[:, prev].tolist(), x0.tolist(),
+                              y0[:, cur].tolist()))
     return records
 
 
@@ -385,13 +401,12 @@ def lemma1_report(records, out_size, min_cell=100, z_crit=2.58,
 
 def verify_lemma1(channel, N=8, R=0.8, trials=8000, seed=0, n_times=3):
     """Positive control (independent per-time codes) and negative control
-    (code randomness reused across times) under the same pass criterion."""
-    pos = lemma1_report(lemma1_samples(channel, N, R, trials, seed,
-                                       n_times, reuse=False),
-                        channel.output_size)
-    neg = lemma1_report(lemma1_samples(channel, N, R, trials, seed,
-                                       n_times, reuse=True),
-                        channel.output_size)
+    (code randomness reused across times) under the same pass criterion.
+    Both come from one draw: the negative control's streams are the
+    positive control's key-0 streams."""
+    x0, y0 = _lemma1_draws(channel, N, R, trials, seed, n_times, reuse=False)
+    pos, neg = (lemma1_report(_lemma1_records(x0, y0, n_times, reuse),
+                              channel.output_size) for reuse in (False, True))
     return {"experiment": "lemma1", "seed": seed, "N": N, "R": R,
             "trials": trials,
             "positive": pos.to_json(), "negative": neg.to_json(),
@@ -421,14 +436,16 @@ def two_step_induction(channel=None, N=24, R=0.6, trials=256, replicates=8,
 
     def tally(counts, x1, y1, x2, y2):
         flat = np.ravel_multi_index((x1, y1, x2, y2), shape)
-        counts += np.bincount(flat, minlength=counts.size)
+        counts += np.bincount(flat.reshape(-1), minlength=counts.size)
 
     for rep in range(replicates):
         r = rng.child("rep", rep)
         code1 = build_synthesis_code(p, channel, N, R, r.child("code", 0))
         code2 = build_synthesis_code(p, channel, N, R, r.child("code", 1))
-        for j in range(trials):
-            rj = r.child("trial", j)
+        # trial j reads streams r.child("trial", j, ...); a batch of trials
+        # is (T, N) words, scored by one likelihood_weights call per code,
+        # which holds about 4 float64 arrays of M codewords per trial
+        for rj in trial_batches(r, trials, 4 * len(code1.codebook)):
             x1 = sample_many(p.probs, rj.child("x").uniform(N))
             y1 = code1.synthesize(x1, rj.child("w", 0))
             x2 = (x1 + y1) % k
@@ -436,9 +453,9 @@ def two_step_induction(channel=None, N=24, R=0.6, trials=256, replicates=8,
             tally(synth_counts, x1, y1, x2, y2)
             # true network at matched sample count
             u = rj.child("true").uniform((2, N))
-            ty1 = sample_rows(cums[x1], u[0])
+            ty1 = sample_rows(cums[x1], u[:, 0])
             tx2 = (x1 + ty1) % k
-            ty2 = sample_rows(cums[tx2], u[1])
+            ty2 = sample_rows(cums[tx2], u[:, 1])
             tally(true_counts, x1, ty1, tx2, ty2)
 
     synth_law = synth_counts / synth_counts.sum()

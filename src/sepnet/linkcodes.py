@@ -2,6 +2,10 @@
 block channel codes that make a DMC emulate a bit-pipe, and likelihood-encoder
 channel synthesis that makes a bit-pipe emulate a DMC in empirical
 distribution.
+
+The link handlers act on all T trials of a batch per stacked use, like the
+raw links in netmodel: payloads are (T, k) bit arrays and synthesized inputs
+(T, N) symbol arrays.
 """
 
 from dataclasses import dataclass, field
@@ -10,17 +14,13 @@ from functools import cached_property
 import numpy as np
 
 from .infosolvers import blahut_capacity
-from .netmodel import BitPipe, DmcChannel
-from .probkit import (JointPmf, Kernel, ProbVector, empirical_type,
-                      mean_stderr, mutual_information, sample_many,
-                      sample_rows)
+from .netmodel import ArityMismatch, BitPipe, DmcChannel, as_payload
+from .probkit import (CHUNK_ELEMENTS, JointPmf, Kernel, ProbVector,
+                      empirical_type, mean_stderr, mutual_information,
+                      sample_many, sample_rows)
 
 CODEBOOK_CAP_BITS = 22
 DEFAULT_MARGIN = 0.05
-# elements per array in the batched kernels: codeword symbols per
-# TypeScorer.argmax chunk, codebook symbols per lemma-1 trial chunk (16 MiB of
-# float64)
-CHUNK_ELEMENTS = 2 ** 21
 
 
 class RateOutOfRange(ValueError):
@@ -96,15 +96,14 @@ class TypeScorer:
 
 
 def bits_to_index(bits):
-    """Pack a bit tuple big-endian into a message index."""
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | (int(b) & 1)
-    return idx
+    """Pack bits (..., k) big-endian into message indices (...)."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return ((bits & 1) << np.arange(bits.shape[-1] - 1, -1, -1)).sum(axis=-1)
 
 
 def index_to_bits(idx, width):
-    return tuple((idx >> (width - 1 - i)) & 1 for i in range(width))
+    """The big-endian bits (..., width) of message indices idx (...)."""
+    return (np.asarray(idx)[..., None] >> np.arange(width - 1, -1, -1)) & 1
 
 
 @dataclass
@@ -256,9 +255,11 @@ class SynthesisCode:
         return likelihood_weights(self.scorer, x)
 
     def encode(self, x, rng):
-        """Stochastic index selection; one uniform draw per call."""
-        cum = np.cumsum(self.encoder_weights(x))
-        return int(sample_rows(cum, rng.uniform()))
+        """Stochastic index selection, one uniform draw per stream: an index
+        for a word x (N,) and a stream, or (T,) indices for words (T, N)
+        and an RngBatch of T streams."""
+        cum = np.cumsum(self.encoder_weights(x), axis=-1)
+        return sample_rows(cum, rng.uniform())
 
     def synthesize(self, x, rng):
         """Map an input sequence to the selected codeword's output sequence."""
@@ -301,7 +302,8 @@ def synthesized_type_tv(code, rng, samples=64):
 
 class _CodedLinkHandler:
     """N DMC copies driven by a block channel code: the edge presents a
-    bit-pipe interface of payload_bits whole bits per stacked use."""
+    bit-pipe interface of payload_bits whole bits per stacked use. All
+    trials' words of a use are decoded in one decode_batch call."""
 
     def __init__(self, e_idx, edge, code):
         self.e = e_idx
@@ -309,18 +311,17 @@ class _CodedLinkHandler:
         self.cums = np.cumsum(code.channel.matrix, axis=1)
 
     def transmit(self, rng, t, payload):
-        bits = tuple(int(b) for b in (payload or ()))
-        if len(bits) > self.code.payload_bits:
+        bits = as_payload(payload, (len(rng),), self.e)
+        k = bits.shape[1]
+        if k > self.code.payload_bits:
             raise RateOutOfRange("payload of %d bits exceeds %d on edge %d"
-                                 % (len(bits), self.code.payload_bits, self.e))
-        if not bits:
-            return (), (), ()
-        msg = bits_to_index(bits)
-        x = self.code.encode(msg)
+                                 % (k, self.code.payload_bits, self.e))
+        if not k:
+            return bits, bits, bits
+        x = self.code.encode(bits_to_index(bits))
         y = sample_rows(self.cums[x],
                         rng.child("edge", self.e, t).uniform(self.code.N))
-        dec = self.code.decode(y)
-        out = index_to_bits(dec % (1 << len(bits)), len(bits))
+        out = index_to_bits(self.code.decode_batch(y) % (1 << k), k)
         return bits, out, out
 
 
@@ -356,8 +357,10 @@ class _SynthLinkHandler:
             raise RateOutOfRange("pipe rate %g cannot carry %d bits per use"
                                  % (self.pipe.rate, code.msg_bits))
         x = np.asarray(x_vec, dtype=np.int64)
-        w = code.encode(x, rng.child("synthenc", self.e, t))
-        y = code.codebook[w]
+        if x.shape != (len(rng), self.N):
+            raise ArityMismatch("synthesized edge %d expects %d layer inputs "
+                                "per trial" % (self.e, self.N))
+        y = code.synthesize(x, rng.child("synthenc", self.e, t))
         return x, y, y
 
 
@@ -392,8 +395,8 @@ class _AggregatePipeHandler:
         self.sent = 0
 
     def transmit(self, rng, t, payload):
-        bits = tuple(int(b) for b in (payload or ()))
-        self.sent += len(bits)
+        bits = as_payload(payload, (len(rng),), self.e)
+        self.sent += bits.shape[1]
         if self.sent > self.per_use * (t + 1):
             raise RateOutOfRange("aggregate pipe edge %d over budget at t=%d"
                                  % (self.e, t + 1))

@@ -8,15 +8,22 @@ simultaneously from outputs observed at strictly earlier steps. DMC outputs
 produced at step t become visible to encoders from step t+1 on. Bit-pipe
 payloads are delivered at the step they are sent (visible from t+1) unless
 pipe_delay=1, in which case they surface one step later.
+
+Trial axis: the engine runs a batch of T independent trials at once, one per
+stream of an RngBatch, and never loops over them. Every array it hands a
+policy or gets back carries the trials on its leading axis: source blocks are
+(T, L), a DMC use is (T,), a pipe payload (T, k) with one k per step, and a
+run with a single RngStream is the batch of one.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import reduce
 
-import networkx as nx
 import numpy as np
 
-from .probkit import (Kernel, ProbVector, mean_stderr, sample_many,
-                      sample_rows)
+from .probkit import (CHUNK_ELEMENTS, Kernel, ProbVector, mean_stderr,
+                      sample_many, sample_rows)
 
 
 class ArityMismatch(ValueError):
@@ -58,9 +65,10 @@ class IidJoint:
             raise ValueError("pmf size does not match product alphabet")
 
     def draw_block(self, length, rng):
-        u = rng.uniform(length)
-        joint = sample_many(self.pmf.probs, u)
-        return np.stack(np.unravel_index(joint, self.alphabet_sizes), axis=1)
+        """(length, nodes) symbols from a stream; (T, length, nodes) from an
+        RngBatch of T streams."""
+        joint = sample_many(self.pmf.probs, rng.uniform(length))
+        return np.stack(np.unravel_index(joint, self.alphabet_sizes), axis=-1)
 
 
 class MarkovJoint:
@@ -75,31 +83,38 @@ class MarkovJoint:
         if self.initial.size != k or self.transition.input_size != k \
                 or self.transition.output_size != k:
             raise ValueError("chain dimensions do not match product alphabet")
-        g = nx.DiGraph((i, j) for i in range(k) for j in range(k)
-                       if self.transition.matrix[i, j] > 0)
-        if g.number_of_nodes() < k or not nx.is_strongly_connected(g):
+        edges = [(i, j) for i in range(k) for j in range(k)
+                 if self.transition.matrix[i, j] > 0]
+        if not is_strongly_connected(range(k), edges):
             raise ValueError("transition matrix is not irreducible")
-        if not nx.is_aperiodic(g):
+        if not is_aperiodic(range(k), edges):
             raise ValueError("transition matrix is periodic")
+
+    def _chains(self, u):
+        """One chain per row of uniforms u (..., length); returns the
+        (..., length, num_nodes) coordinates."""
+        rows = u.reshape(-1, u.shape[-1])
+        cums = np.cumsum(self.transition.matrix, axis=1)
+        states = np.empty(rows.shape, dtype=np.int64)
+        s = sample_many(self.initial.probs, rows[:, 0])
+        states[:, 0] = s
+        for i in range(1, rows.shape[1]):
+            s = sample_rows(cums[s], rows[:, i])
+            states[:, i] = s
+        coords = np.unravel_index(states.reshape(-1), self.alphabet_sizes)
+        return np.stack(coords, axis=-1).reshape(u.shape + (-1,))
 
     def draw_many(self, length, count, rng):
         """count independent chains of the given length, vectorized.
 
         Returns an array of shape (count, length, num_nodes).
         """
-        u = rng.uniform((count, length))
-        cums = np.cumsum(self.transition.matrix, axis=1)
-        states = np.empty((count, length), dtype=np.int64)
-        s = sample_many(self.initial.probs, u[:, 0])
-        states[:, 0] = s
-        for i in range(1, length):
-            s = sample_rows(cums[s], u[:, i])
-            states[:, i] = s
-        coords = np.unravel_index(states.reshape(-1), self.alphabet_sizes)
-        return np.stack(coords, axis=1).reshape(count, length, -1)
+        return self._chains(rng.uniform((count, length)))
 
     def draw_block(self, length, rng):
-        return self.draw_many(length, 1, rng)[0]
+        """One chain per stream: (length, nodes) from a stream, (T, length,
+        nodes) from an RngBatch."""
+        return self._chains(rng.uniform(length))
 
 
 @dataclass(frozen=True)
@@ -118,12 +133,15 @@ class CodeParameters:
 
 @dataclass
 class CodingPolicy:
-    """Per-node encoders and per-demand decoders.
+    """Per-node encoders and per-demand decoders, acting on all trials of a
+    batch at once.
 
-    Encoders implement emit(t, u_block, received, rng) -> {edge_idx: symbol
-    or bit tuple}; decoders implement decode(u_block_b, received, rng) ->
-    reconstruction array of length L. `received` maps incoming edge index to
-    the list of outputs observed so far (engine-truncated for causality).
+    Encoders implement emit(t, u_block, received, rng) -> {edge_idx: (T,)
+    symbol array | (T, k) bit payload}; decoders implement decode(u_block_b,
+    received, rng) -> (T, L) reconstruction array. u_block is the node's
+    (T, L) source block, rng an RngBatch of the T trials' streams, and
+    `received` maps incoming edge index to the list over earlier steps of
+    per-step output arrays, each with the trials on its leading axis.
     """
     encoders: dict
     decoders: dict
@@ -181,9 +199,7 @@ def validate_spec(net):
                 out.append(Diagnostic("NonPositiveRate", {"edge": i}))
             elif not np.isfinite(e.channel.rate):
                 out.append(Diagnostic("NonFiniteRate", {"edge": i}))
-    g = nx.DiGraph()
-    g.add_nodes_from(net.nodes)
-    g.add_edges_from((e.tail, e.head) for e in net.edges)
+    arcs = [(e.tail, e.head) for e in net.edges]
     for (a, b), d in net.demands.items():
         d = np.asarray(d, dtype=float)
         if not np.all(np.isfinite(d)):
@@ -192,38 +208,102 @@ def validate_spec(net):
             out.append(Diagnostic("NegativeDistortion", {"demand": (a, b)}))
         if a not in ids or b not in ids:
             out.append(Diagnostic("BadEndpoint", {"demand": (a, b)}))
-        elif a != b and not nx.has_path(g, a, b):
+        elif a != b and b not in bfs_levels(arcs, a):
             out.append(Diagnostic("UnreachableDemand", {"a": a, "b": b}))
     return out
 
 
+def bfs_levels(arcs, start):
+    """Breadth-first distance from start to every node reachable along the
+    directed arcs (pairs (u, v)); start itself is at level 0."""
+    succ = {}
+    for u, v in arcs:
+        succ.setdefault(u, []).append(v)
+    level, frontier = {start: 0}, [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in succ.get(u, ()):
+                if v not in level:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return level
+
+
+def is_strongly_connected(nodes, arcs):
+    """Every node reaches the first one and is reached from it."""
+    nodes = list(nodes)
+    return all(set(nodes) <= bfs_levels(a, nodes[0]).keys()
+               for a in (arcs, [(v, u) for u, v in arcs]))
+
+
+def is_aperiodic(nodes, arcs):
+    """A strongly connected digraph is aperiodic iff the gcd of
+    level(u) + 1 - level(v) over its arcs is 1, with BFS levels from any
+    node."""
+    level = bfs_levels(arcs, next(iter(nodes)))
+    return reduce(math.gcd, (level[u] + 1 - level[v] for u, v in arcs),
+                  0) == 1
+
+
 @dataclass
 class TraceRecord:
-    u: dict                 # node id -> source block array
-    edge_io: dict           # edge idx -> list over t of (x, y)
-    recon: dict             # (a, b) -> reconstruction array
-    distortion: dict        # (a, b) -> per-block average distortion
+    """One batch of T trials of a block, each array with the trials on its
+    leading axis."""
+    u: dict                 # node id -> (T, L) source block
+    edge_io: dict           # edge idx -> list over t of (x, y) arrays
+    recon: dict             # (a, b) -> (T, L) reconstruction
+    distortion: dict        # (a, b) -> (T,) per-block average distortion
 
 
 def _block_distortion(d, u_block, recon):
+    """Each trial row's average distortion."""
     d = np.asarray(d, dtype=float)
-    return float(d[np.asarray(u_block), np.asarray(recon)].mean())
+    return d[u_block, recon].mean(axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # raw links: what an edge does when no link code replaces it
 #
-# A link presents transmit(rng, t, x) -> (x_rec, y_rec, delivered). A link
-# built with stacked=True carries N layer uses per call: t is the stacked
-# time and x one input per layer. Otherwise it carries one use per call of an
-# N-fold interleaved run (N = 1 for a plain single-layer run): t is the
-# single-layer time tau, which is layer tau % N at stacked time tau // N.
+# A link presents transmit(rng, t, x) -> (x_rec, y_rec, delivered) for all T
+# trials of a batch at once; rng is their RngBatch. A link built with
+# stacked=True carries N layer uses per call: t is the stacked time and x one
+# input per trial and layer, (T, N). Otherwise it carries one use per call of
+# an N-fold interleaved run (N = 1 for a plain single-layer run): t is the
+# single-layer time tau, which is layer tau % N at stacked time tau // N, and
+# x is (T,).
 #
 # Noise keying: layer l at stacked time t draws entry l of the stream
 # rng.child("edge", e, t), so a stacked run and its de-stacked equivalent see
 # the same channel realizations bit for bit. The stacked link draws all N
 # entries at once; the interleaved link draws them at the period's first use
 # and keeps them for its later layers.
+
+def as_payload(p, lead, e):
+    """A pipe payload as an int64 array of shape lead + (k,), one k for every
+    trial (and layer); no payload is k = 0. Any other shape, a ragged one
+    included, is an ArityMismatch."""
+    if p is None:
+        return np.zeros(lead + (0,), dtype=np.int64)
+    try:
+        p = np.asarray(p, dtype=np.int64)
+    except (ValueError, TypeError):
+        p = None
+    if p is None or p.shape[:-1] != lead or p.ndim != len(lead) + 1:
+        raise ArityMismatch("pipe edge %d expects payloads of shape %r + (k,)"
+                            % (e, lead))
+    return p
+
+
+def stack_arrays(arrays, axis, what):
+    """np.stack, with arrays of unequal shapes (or missing ones) an
+    ArityMismatch naming what they are."""
+    try:
+        return np.stack(arrays, axis=axis)
+    except (ValueError, TypeError):
+        raise ArityMismatch("%s differ in shape" % what) from None
+
 
 class DmcLink:
     def __init__(self, e_idx, kernel, N, stacked):
@@ -234,50 +314,42 @@ class DmcLink:
         self._period, self._u = None, None   # the kept draw of a period
 
     def transmit(self, rng, t, x):
+        if x is None:
+            raise ArityMismatch("no input for DMC edge %d at t=%d"
+                                % (self.e, t))
+        x = np.asarray(x, dtype=np.int64)
         if self.stacked:
-            x = np.asarray(x, dtype=np.int64)
-            if x.shape != (self.N,):
-                raise ArityMismatch("DMC edge %d expects %d layer inputs"
-                                    % (self.e, self.N))
+            if x.shape != (len(rng), self.N):
+                raise ArityMismatch("DMC edge %d expects %d layer inputs per "
+                                    "trial" % (self.e, self.N))
             y = sample_rows(self.cums[x],
                             rng.child("edge", self.e, t).uniform(self.N))
             return x, y, y
-        if x is None:
-            raise ArityMismatch("no input for DMC edge %d at t=%d" % (self.e, t))
+        if x.shape != (len(rng),):
+            raise ArityMismatch("DMC edge %d expects one input per trial"
+                                % self.e)
         period, layer = divmod(t, self.N)
         if period != self._period:
             self._period = period
             self._u = rng.child("edge", self.e, period).uniform(self.N)
-        y = int(sample_rows(self.cums[int(x)], self._u[layer]))
-        return int(x), y, y
+        y = sample_rows(self.cums[x], self._u[:, layer])
+        return x, y, y
 
 
 class PipeLink:
     def __init__(self, e_idx, pipe, N, stacked):
         self.e = e_idx
         self.pipe = pipe
-        self.stacked = stacked
-        self.sent = [0] * (N if stacked else 1)
+        self.layers = (N,) if stacked else ()
+        self.sent = 0   # bits per trial and layer so far
 
-    def transmit(self, rng, t, payloads):
-        if not self.stacked:
-            payloads = [payloads]
-        elif payloads is None:
-            payloads = [()] * len(self.sent)
-        if len(payloads) != len(self.sent):
-            raise ArityMismatch("pipe edge %d expects %d layer payloads"
-                                % (self.e, len(self.sent)))
-        out = []
-        for l, p in enumerate(payloads):
-            bits = tuple(int(b) for b in (p or ()))
-            self.sent[l] += len(bits)
-            if self.sent[l] > self.pipe.budget(t + 1):
-                raise BudgetOverflow("edge %d exceeded floor(t*rate) bits "
-                                     "by t=%d" % (self.e, t + 1))
-            out.append(bits)
-        if not self.stacked:
-            return out[0], out[0], out[0]
-        return out, list(out), list(out)
+    def transmit(self, rng, t, payload):
+        bits = as_payload(payload, (len(rng),) + self.layers, self.e)
+        self.sent += bits.shape[-1]
+        if self.sent > self.pipe.budget(t + 1):
+            raise BudgetOverflow("edge %d exceeded floor(t*rate) bits "
+                                 "by t=%d" % (self.e, t + 1))
+        return bits, bits, bits
 
 
 def raw_link(e_idx, edge, N, stacked):
@@ -289,21 +361,23 @@ def raw_link(e_idx, edge, N, stacked):
 # ---------------------------------------------------------------------------
 # the engine
 
-def run_steps(net, code, links, n, length, rng, pipe_delay=0, u_block=None,
-              idle=()):
+def run_steps(net, code, links, n, length, rng, pipe_delay=0, u_block=None):
     """The one step loop: n network uses of `code` over the per-edge `links`,
-    then decoding of source blocks of `length` symbols.
+    then decoding of source blocks of `length` symbols, for every trial of
+    the RngBatch rng at once.
 
     Single-layer, stacked and de-stacked blocks all run here; they differ
     only in the link objects and the block length. With pipe_delay, bit-pipe
-    deliveries surface one step late and `idle` stands in at the first step.
+    deliveries surface one step late and an empty payload stands in at the
+    first step.
     """
     if u_block is None:
         raw = net.sources.draw_block(length, rng.child("src"))
-        u_block = {a: raw[:, i].copy() for i, a in enumerate(net.nodes)}
+        u_block = {a: raw[..., i].copy() for i, a in enumerate(net.nodes)}
+    in_edges = {a: net.in_edges(a) for a in net.nodes}
     rx = {i: [] for i in range(len(net.edges))}   # receiver-visible outputs
     edge_io = {i: [] for i in range(len(net.edges))}
-    pending = {i: idle for i in range(len(net.edges))}  # delayed payloads
+    pending = {}   # delayed payloads
 
     for t in range(n):
         emissions = {}
@@ -311,7 +385,7 @@ def run_steps(net, code, links, n, length, rng, pipe_delay=0, u_block=None,
             enc = code.encoders.get(a)
             if enc is None:
                 continue
-            visible = {i: rx[i][:t] for i in net.in_edges(a)}
+            visible = {i: rx[i][:t] for i in in_edges[a]}
             em = enc.emit(t, u_block[a], visible, rng.child("node", a))
             for i in em:
                 if net.edges[i].tail != a:
@@ -323,17 +397,17 @@ def run_steps(net, code, links, n, length, rng, pipe_delay=0, u_block=None,
             x_rec, y_rec, delivered = links[i].transmit(rng, t, x)
             edge_io[i].append((x_rec, y_rec))
             if pipe_delay and isinstance(e.channel, BitPipe):
-                rx[i].append(pending[i])
+                rx[i].append(pending.get(i, delivered[..., :0]))
                 pending[i] = delivered
             else:
                 rx[i].append(delivered)
 
     recon, dist = {}, {}
     for (a, b), dec in code.decoders.items():
-        full = {i: list(rx[i]) for i in net.in_edges(b)}
+        full = {i: list(rx[i]) for i in in_edges[b]}
         recon[a, b] = np.asarray(dec.decode(u_block[b], full,
                                             rng.child("dec", a, b)))
-        if len(recon[a, b]) != length:
+        if recon[a, b].shape != (len(rng), length):
             raise ArityMismatch("decoder for %r returned wrong block length"
                                 % ((a, b),))
         dist[a, b] = _block_distortion(net.demands[(a, b)], u_block[a],
@@ -342,7 +416,8 @@ def run_steps(net, code, links, n, length, rng, pipe_delay=0, u_block=None,
 
 
 def run_block(net, code, params, rng, pipe_delay=0, u_block=None):
-    """Execute one single-layer coding block of n network uses and decode.
+    """Execute one single-layer coding block of n network uses and decode,
+    for every trial of an RngBatch (a single RngStream is a batch of one).
 
     A policy carrying an interleave `schedule` (the de-stacked form of an
     N-layer code) keys its channel noise to the stacked run's; any other
@@ -351,8 +426,25 @@ def run_block(net, code, params, rng, pipe_delay=0, u_block=None):
     schedule = getattr(code, "schedule", None)
     N = 1 if schedule is None else schedule.N
     links = [raw_link(i, e, N, False) for i, e in enumerate(net.edges)]
-    return run_steps(net, code, links, params.n, params.L, rng, pipe_delay,
-                     u_block)
+    return run_steps(net, code, links, params.n, params.L, rng.batch(),
+                     pipe_delay, u_block)
+
+
+def trial_elements(net, n, length, N=1):
+    """Array elements one trial of a block holds, about: a use of every edge
+    in every layer at every step, and the source block of every node."""
+    return n * N * len(net.edges) + length * len(net.nodes)
+
+
+def trial_batches(rng, trials, elements):
+    """The RngBatch of rng.child("trial", j) for j < trials, cut into
+    chunks of at most CHUNK_ELEMENTS // elements trials. Every trial keeps
+    its own streams, so results cannot depend on the cut."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    step = max(1, CHUNK_ELEMENTS // elements)
+    for lo in range(0, trials, step):
+        yield rng.children("trial", range(lo, min(lo + step, trials)))
 
 
 @dataclass
@@ -373,16 +465,15 @@ class DistortionMatrix:
                 "trials": self.trials}
 
 
-def estimate_trials(run, trials, rng):
+def estimate_trials(run, trials, rng, elements):
     """Per-demand mean and standard error of the block distortion over
-    independent trials; trial j runs run(rng.child("trial", j))."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    independent trials; trial j runs on stream rng.child("trial", j), and
+    run(batch) runs a whole trial_batches chunk of them at once."""
     per_trial = {}
-    for j in range(trials):
-        for k, v in run(rng.child("trial", j)).distortion.items():
+    for batch in trial_batches(rng, trials, elements):
+        for k, v in run(batch).distortion.items():
             per_trial.setdefault(k, []).append(v)
-    return {k: mean_stderr(v) for k, v in per_trial.items()}
+    return {k: mean_stderr(np.concatenate(v)) for k, v in per_trial.items()}
 
 
 def estimate_distortion(net, code, params, trials, rng, pipe_delay=0):
@@ -390,7 +481,7 @@ def estimate_distortion(net, code, params, trials, rng, pipe_delay=0):
     standard errors. Non-demanded pairs are identically zero."""
     est = estimate_trials(
         lambda r: run_block(net, code, params, r, pipe_delay=pipe_delay),
-        trials, rng)
+        trials, rng, trial_elements(net, params.n, params.L))
     m = len(net.nodes)
     mean, stderr = np.zeros((m, m)), np.zeros((m, m))
     for (a, b), (v, se) in est.items():

@@ -1,11 +1,16 @@
 """Finite-alphabet probability primitives: distributions, kernels, information
-measures in bits, empirical types, and hierarchically keyed RNG streams."""
+measures in bits, empirical types, and hierarchically keyed RNG streams, one
+at a time or a batch of trials at once."""
 
 import hashlib
 
 import numpy as np
 
 PROB_TOL = 1e-9
+# elements per array in the batched kernels: codeword symbols per
+# TypeScorer.argmax chunk, codebook symbols per lemma-1 trial chunk, and the
+# engine's trial chunks (16 MiB of float64)
+CHUNK_ELEMENTS = 2 ** 21
 
 
 class DimensionMismatch(ValueError):
@@ -286,6 +291,15 @@ class RngStream:
     def child(self, *labels):
         return RngStream(self.seed, self.stream_id + labels)
 
+    def children(self, label, indices):
+        """The batch of child(label, j) for j in indices."""
+        return RngBatch(self.seed, tuple(self.stream_id + (label, j)
+                                         for j in indices))
+
+    def batch(self):
+        """This stream as a batch of one."""
+        return RngBatch(self.seed, (self.stream_id,))
+
     def generator(self):
         if self._gen is None:
             ss = np.random.SeedSequence(
@@ -383,6 +397,37 @@ def uniform_streams(seed, stream_ids, size=None):
             np.random.Generator(np.random.PCG64(_SeedWords(words))).random(
                 out=row)
     return out
+
+
+class RngBatch:
+    """A batch of RngStreams with one seed, one per trial: stream j is
+    RngStream(seed, prefixes[j] + labels).
+
+    child(*labels) appends the labels to every stream; uniform(size) is
+    every stream's uniform(size) as one (len(batch),) + size array, bit for
+    bit, drawn through uniform_streams. Children only extend the labels, so
+    they are cheap to mint.
+    """
+
+    __slots__ = ("seed", "prefixes", "labels")
+
+    def __init__(self, seed, prefixes, labels=()):
+        self.seed = int(seed) & _SEED_MASK
+        self.prefixes = tuple(prefixes)
+        self.labels = tuple(labels)
+
+    def __len__(self):
+        return len(self.prefixes)
+
+    def child(self, *labels):
+        return RngBatch(self.seed, self.prefixes, self.labels + labels)
+
+    def batch(self):
+        return self
+
+    def uniform(self, size=None):
+        return uniform_streams(self.seed, (p + self.labels
+                                           for p in self.prefixes), size)
 
 
 def sample(dist, rng):

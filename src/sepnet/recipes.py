@@ -5,6 +5,10 @@ The de-stacking transform evaluates each stacked emission once per period,
 but encoders must still be deterministic given the rng they are handed (any
 randomized recipe derives per-time children from it), so that a stacked run
 and its de-stacked equivalent agree.
+
+Every encoder and decoder acts on a whole batch of trials at once (see
+netmodel.CodingPolicy): the source block is (T, L), each history entry a
+(T,) array of symbols, an emission a (T,) array and a reconstruction (T, L).
 """
 
 import numpy as np
@@ -19,7 +23,7 @@ class SendSourceSymbol:
         self.out_edges = list(out_edges)
 
     def emit(self, t, u_block, received, rng):
-        return {e: int(u_block[t]) for e in self.out_edges}
+        return {e: u_block[:, t] for e in self.out_edges}
 
 
 class EchoLastOutput:
@@ -32,7 +36,7 @@ class EchoLastOutput:
 
     def emit(self, t, u_block, received, rng):
         hist = received.get(self.listen, [])
-        sym = int(hist[-1]) if hist else self.idle
+        sym = hist[-1] if hist else np.full(len(u_block), self.idle)
         return {e: sym for e in self.out_edges}
 
 
@@ -49,8 +53,9 @@ class FeedbackXorEncoder:
         self.k = alphabet
 
     def emit(self, t, u_block, received, rng):
-        fb_sum = int(np.sum(received.get(self.fb, [])[:t])) if t else 0
-        sym = (int(u_block[t]) + fb_sum) % self.k
+        fb_sum = np.sum(received.get(self.fb, [])[:t], axis=0,
+                        dtype=np.int64) if t else 0
+        sym = (u_block[:, t] + fb_sum) % self.k
         return {e: sym for e in self.out_edges}
 
 
@@ -62,8 +67,7 @@ class ForwardDecoder:
         self.L = L
 
     def decode(self, u_block, received, rng):
-        hist = received[self.edge]
-        return np.asarray([int(s) for s in hist[:self.L]], dtype=np.int64)
+        return np.stack(received[self.edge][:self.L], axis=-1)
 
 
 class ConstantDecoder:
@@ -72,7 +76,7 @@ class ConstantDecoder:
         self.L = L
 
     def decode(self, u_block, received, rng):
-        return np.full(self.L, self.symbol, dtype=np.int64)
+        return np.full((len(u_block), self.L), self.symbol, dtype=np.int64)
 
 
 class DifferenceDecoder:
@@ -85,11 +89,12 @@ class DifferenceDecoder:
         self.k = alphabet
 
     def decode(self, u_block, received, rng):
-        hist = [int(s) for s in received[self.edge][:self.L]]
-        out = []
-        for t, y in enumerate(hist):
-            out.append((y - sum(hist[:max(t - 1, 0)])) % self.k)
-        return np.asarray(out, dtype=np.int64)
+        y = np.stack(received[self.edge][:self.L], axis=-1)
+        # echo sums: sums[:, j] is the sum of y[:, :j]
+        sums = np.concatenate([np.zeros((len(y), 1), dtype=y.dtype),
+                               np.cumsum(y, axis=1)], axis=1)
+        return (y - sums[:, np.maximum(np.arange(y.shape[1]) - 1, 0)]) \
+            % self.k
 
 
 def uncoded_relay(net, L=1, a=None, b=None):

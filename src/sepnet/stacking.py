@@ -19,6 +19,10 @@ for bit. A de-stacked encoder keeps its period's stacked emission the same
 way. All three runs go through the one step loop, netmodel.run_steps; a
 de-stacked block is a run_block of the de-stacked policy, whose schedule
 gives N.
+
+Every run carries a batch of T trials on the leading axis of its arrays (see
+netmodel): a stacked DMC use is (T, N), a stacked pipe payload (T, N, k), and
+the lifted, de-stacked and parity codes slice and stack layers along axis 1.
 """
 
 from dataclasses import dataclass
@@ -27,7 +31,7 @@ import numpy as np
 
 from .netmodel import (ArityMismatch, CodeParameters, CodingPolicy, Edge,
                        NetworkSpec, estimate_trials, raw_link, run_block,
-                       run_steps)
+                       run_steps, stack_arrays, trial_elements)
 
 
 @dataclass(frozen=True)
@@ -78,9 +82,10 @@ class StackedCode:
     times plus the full length-N*L source block; decoders see all layers.
 
     Stacked encoders implement emit(t, u_full, received_all, rng) ->
-    {edge_idx: length-N symbol vector | list of N bit payloads | payload},
-    where received_all[e] is the list over earlier stacked times of per-layer
-    output vectors. Decoders implement decode(u_full_b, received_all, rng).
+    {edge_idx: (T, N) symbols | (T, N, k) layer bit payloads | (T, k)
+    payload}, where u_full is the (T, N*L) source block and received_all[e]
+    the list over earlier stacked times of per-step output arrays. Decoders
+    implement decode(u_full_b, received_all, rng) -> (T, N*L).
     """
     encoders: dict
     decoders: dict
@@ -134,14 +139,16 @@ def run_stacked_block(config, code, rng, u_block=None):
         raise ArityMismatch("code has %d layers, config has %d" % (code.N, N))
     links = [config.handler(i) for i in range(len(config.net.edges))]
     return run_steps(config.net, code, links, code.params.n,
-                     N * code.params.L, rng, config.pipe_delay, u_block,
-                     idle=[()] * N)
+                     N * code.params.L, rng.batch(), config.pipe_delay,
+                     u_block)
 
 
 def estimate_stacked_distortion(config, code, trials, rng):
     """Per-demand (mean, stderr) of the stacked block distortion."""
-    return estimate_trials(lambda r: run_stacked_block(config, code, r),
-                           trials, rng)
+    return estimate_trials(
+        lambda r: run_stacked_block(config, code, r), trials, rng,
+        trial_elements(config.net, code.params.n,
+                       config.N * code.params.L, config.N))
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +161,10 @@ class _Lifted:
         self.N = N
 
     def layer_view(self, u_full, received_all, l):
-        """Layer l's source sub-block and its own history."""
-        return (u_full[l * self.L:(l + 1) * self.L],
-                {e: [obs[l] for obs in seq] for e, seq in received_all.items()})
+        """Layer l's (T, L) source sub-block and its own history."""
+        return (u_full[:, l * self.L:(l + 1) * self.L],
+                {e: [obs[:, l] for obs in seq]
+                 for e, seq in received_all.items()})
 
 
 class LiftedEncoder(_Lifted):
@@ -169,19 +177,16 @@ class LiftedEncoder(_Lifted):
                                 rng.child("layer", l))
             for e, v in em.items():
                 out.setdefault(e, [None] * self.N)[l] = v
-        return {e: (np.asarray(v) if np.all([isinstance(x, (int, np.integer))
-                                             for x in v]) else v)
+        return {e: stack_arrays(v, 1, "layer emissions on edge %d" % e)
                 for e, v in out.items()}
 
 
 class LiftedDecoder(_Lifted):
     def decode(self, u_full, received_all, rng):
-        recon = np.empty(self.N * self.L, dtype=np.int64)
-        for l in range(self.N):
-            recon[l * self.L:(l + 1) * self.L] = self.base.decode(
-                *self.layer_view(u_full, received_all, l),
-                rng.child("layer", l))
-        return recon
+        return np.concatenate(
+            [self.base.decode(*self.layer_view(u_full, received_all, l),
+                              rng.child("layer", l)) for l in range(self.N)],
+            axis=1)
 
 
 def lift_code(code, params, N):
@@ -200,14 +205,11 @@ def lift_code(code, params, N):
 
 def _regroup(received_single, N, periods):
     """Single-layer histories regrouped into the first `periods` stacked-time
-    vectors of N layer outputs each."""
-    out = {}
-    for e, seq in received_single.items():
-        chunks = [seq[t * N:(t + 1) * N] for t in range(periods)]
-        out[e] = [np.asarray(c, dtype=np.int64)
-                  if c and isinstance(c[0], (int, np.integer)) else list(c)
-                  for c in chunks]
-    return out
+    outputs, each stacking N layer outputs on axis 1."""
+    return {e: [stack_arrays(seq[t * N:(t + 1) * N], 1,
+                             "outputs of edge %d in period %d" % (e, t))
+                for t in range(periods)]
+            for e, seq in received_single.items()}
 
 
 class DestackedEncoder:
@@ -231,7 +233,7 @@ class DestackedEncoder:
         if layer == 0:
             self._em = self.enc.emit(
                 t, u_full, _regroup(received_single, self.sched.N, t), rng)
-        return {e: v[layer] for e, v in self._em.items()}
+        return {e: v[:, layer] for e, v in self._em.items()}
 
 
 class DestackedDecoder:
@@ -274,22 +276,24 @@ def run_destacked_block(net, policy, params, rng, pipe_delay=0, u_block=None):
     return run_block(net, policy, params, rng, pipe_delay, u_block)
 
 
-def _sym_equal(a, b):
-    if isinstance(a, (tuple, list)) or isinstance(b, (tuple, list)):
-        return tuple(a) == tuple(b)
-    return int(a) == int(b)
+def _rows_equal(a, b):
+    """Per trial row, whether a and b agree in shape and in every entry."""
+    if a.shape != b.shape:
+        return np.zeros(len(a), dtype=bool)
+    return (a == b).reshape(len(a), -1).all(axis=1)
 
 
 def traces_match(stacked_trace, single_trace, schedule):
-    """True iff per-edge (x, y) sequences agree exactly under the schedule."""
+    """Per trial row, True iff its per-edge (x, y) sequences agree exactly
+    under the schedule."""
+    ok = np.ones(len(next(iter(stacked_trace.u.values()))), dtype=bool)
     for e, seq in stacked_trace.edge_io.items():
         flat = single_trace.edge_io[e]
         for t, (xv, yv) in enumerate(seq):
             for l in range(schedule.N):
                 x1, y1 = flat[schedule.to_single(t, l)]
-                if not (_sym_equal(xv[l], x1) and _sym_equal(yv[l], y1)):
-                    return False
-    return True
+                ok &= _rows_equal(xv[:, l], x1) & _rows_equal(yv[:, l], y1)
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -301,39 +305,36 @@ class _Parity:
         self.L = L
         self.Ni = N_inner
 
-    def blocks(self, c):
-        """Source slices of the layers 2j + c of parity class c."""
-        return [slice((2 * j + c) * self.L, (2 * j + c + 1) * self.L)
-                for j in range(self.Ni)]
+    def interleave(self, classes):
+        """Class arrays (T, Ni, ...) merged so that layer 2j + c holds class
+        c's layer j: (T, 2 Ni, ...)."""
+        merged = stack_arrays(classes, 2, "parity class outputs")
+        return merged.reshape((len(merged), 2 * self.Ni) + merged.shape[3:])
 
     def class_view(self, u_full, received_all, c):
-        """Class c's source blocks and its own layers' history."""
-        return (np.concatenate([u_full[b] for b in self.blocks(c)]),
-                {e: [np.asarray(obs)[c::2] for obs in seq]
+        """Class c's source blocks (layers c, c + 2, ...) and its own
+        layers' history."""
+        u = u_full.reshape(len(u_full), self.Ni, 2, self.L)[:, :, c]
+        return (u.reshape(len(u_full), -1),
+                {e: [obs[:, c::2] for obs in seq]
                  for e, seq in received_all.items()})
 
 
 class _ParityEncoder(_Parity):
     def emit(self, t, u_full, received_all, rng):
-        out = {}
-        for c in (0, 1):
-            em = self.inner.emit(t, *self.class_view(u_full, received_all, c),
-                                 rng.child("class", c))
-            for e, v in em.items():
-                out.setdefault(e, [None] * (2 * self.Ni))[c::2] = \
-                    list(np.asarray(v))
-        return {e: np.asarray(v) for e, v in out.items()}
+        em = [self.inner.emit(t, *self.class_view(u_full, received_all, c),
+                              rng.child("class", c)) for c in (0, 1)]
+        return {e: self.interleave([em[0].get(e), em[1].get(e)])
+                for e in em[0].keys() | em[1].keys()}
 
 
 class _ParityDecoder(_Parity):
     def decode(self, u_full, received_all, rng):
-        recon = np.empty(2 * self.Ni * self.L, dtype=np.int64)
-        for c in (0, 1):
-            r_c = self.inner.decode(*self.class_view(u_full, received_all, c),
-                                    rng.child("class", c))
-            for j, b in enumerate(self.blocks(c)):
-                recon[b] = r_c[j * self.L:(j + 1) * self.L]
-        return recon
+        r = [self.inner.decode(*self.class_view(u_full, received_all, c),
+                               rng.child("class", c)).reshape(
+                                   len(u_full), self.Ni, self.L)
+             for c in (0, 1)]
+        return self.interleave(r).reshape(len(u_full), -1)
 
 
 def even_odd_split(stacked, source):

@@ -1,0 +1,152 @@
+"""The trial axis: a batch of T trials through the one engine equals T runs
+of a batch of one, row by row, and the same batch cut into chunks."""
+
+import numpy as np
+import pytest
+
+from sepnet import netmodel
+from sepnet.experiments import _bit_forward_code, _line_network
+from sepnet.linkcodes import (AggregatePipeBehavior, CodedLinkBehavior,
+                              build_channel_code)
+from sepnet.netmodel import (BitPipe, DmcChannel, Edge, IidJoint, MarkovJoint,
+                             NetworkSpec, estimate_distortion, run_block)
+from sepnet.probkit import Kernel, RngStream
+from sepnet.recipes import adaptive_feedback, constant_guess, uncoded_relay
+from sepnet.stacking import (StackedConfig, destack_code,
+                             estimate_stacked_distortion, even_odd_split,
+                             lift_code, run_destacked_block,
+                             run_stacked_block)
+
+HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
+T = 7
+
+RELAY_NET = NetworkSpec((0, 1), (Edge(0, 1, DmcChannel(Kernel.bsc(0.2))),),
+                        {(0, 1): HAMMING}, IidJoint((2, 1), [0.5, 0.5]))
+FEEDBACK_NET = NetworkSpec((0, 1),
+                           (Edge(0, 1, DmcChannel(Kernel.bsc(0.2))),
+                            Edge(1, 0, DmcChannel(Kernel.bsc(0.1)))),
+                           {(0, 1): HAMMING},
+                           IidJoint((2, 2), [0.25, 0.25, 0.25, 0.25]))
+MARKOV_NET = NetworkSpec((0, 1), (Edge(0, 1, DmcChannel(Kernel.bsc(0.2))),),
+                         {(0, 1): HAMMING},
+                         MarkovJoint((2, 1), [0.5, 0.5],
+                                     [[0.7, 0.3], [0.3, 0.7]]))
+RECIPES = [(uncoded_relay, RELAY_NET), (constant_guess, RELAY_NET),
+           (adaptive_feedback, FEEDBACK_NET), (uncoded_relay, MARKOV_NET)]
+RECIPE_IDS = ["relay", "constant", "feedback", "markov-relay"]
+
+
+def single(recipe, net):
+    policy, params = recipe(net, L=3)
+    return lambda r: run_block(net, policy, params, r)
+
+
+def stacked(recipe, net):
+    policy, params = recipe(net, L=3)
+    code = lift_code(policy, params, 4)
+    return lambda r: run_stacked_block(StackedConfig(net, 4), code, r)
+
+
+def destacked(recipe, net):
+    policy, params = recipe(net, L=3)
+    code, dparams = destack_code(lift_code(policy, params, 4))
+    return lambda r: run_destacked_block(net, code, dparams, r)
+
+
+def parity(recipe, net):
+    policy, params = recipe(net, L=2)
+    code = even_odd_split(lift_code(policy, params, 2), net.sources)
+    return lambda r: run_stacked_block(StackedConfig(net, 4), code, r)
+
+
+def link_configs():
+    """Link replacement's bit-forwarding scheme over coded BSC links and
+    over aggregate pipes, at N = 12, R = 0.4 (4 bits per use)."""
+    N, R, p = 12, 0.4, 0.11
+    codes = [build_channel_code(Kernel.bsc(p), N, R, RngStream(9).child(i))
+             for i in range(2)]
+    scheme = _bit_forward_code(N, 4, 4)
+    noisy = StackedConfig(_line_network(DmcChannel(Kernel.bsc(p))), N,
+                          {i: CodedLinkBehavior(c) for i, c in
+                           enumerate(codes)})
+    pipe = StackedConfig(_line_network(BitPipe(0.6)), N,
+                         {0: AggregatePipeBehavior(),
+                          1: AggregatePipeBehavior()})
+    return {name: (lambda r, cfg=cfg: run_stacked_block(cfg, scheme, r))
+            for name, cfg in (("coded", noisy), ("aggregate-pipe", pipe))}
+
+
+def rows(trace, lo, hi):
+    """Rows lo:hi of every array a TraceRecord holds."""
+    return {"u": {a: v[lo:hi] for a, v in trace.u.items()},
+            "io": {e: [(x[lo:hi], y[lo:hi]) for x, y in seq]
+                   for e, seq in trace.edge_io.items()},
+            "recon": {k: v[lo:hi] for k, v in trace.recon.items()},
+            "dist": {k: v[lo:hi] for k, v in trace.distortion.items()}}
+
+
+def assert_same(a, b):
+    for part in ("u", "recon", "dist"):
+        assert a[part].keys() == b[part].keys()
+        for k in a[part]:
+            assert np.array_equal(a[part][k], b[part][k]), (part, k)
+    assert a["io"].keys() == b["io"].keys()
+    for e in a["io"]:
+        assert len(a["io"][e]) == len(b["io"][e])
+        for (x, y), (x1, y1) in zip(a["io"][e], b["io"][e]):
+            assert x.shape == x1.shape and np.array_equal(x, x1)
+            assert y.shape == y1.shape and np.array_equal(y, y1)
+
+
+def check_batching(run, seed):
+    rng = RngStream(seed)
+    whole = run(rng.children("trial", range(T)))
+    for j in range(T):
+        one = run(rng.child("trial", j))
+        assert_same(rows(whole, j, j + 1), rows(one, 0, 1))
+    for lo, hi in ((0, 3), (3, 5), (5, T)):
+        part = run(rng.children("trial", range(lo, hi)))
+        assert_same(rows(whole, lo, hi), rows(part, 0, hi - lo))
+
+
+@pytest.mark.parametrize("form", [single, stacked, destacked, parity],
+                         ids=["single", "stacked", "destacked", "parity"])
+@pytest.mark.parametrize("recipe,net", RECIPES, ids=RECIPE_IDS)
+def test_batch_equals_batches_of_one(recipe, net, form):
+    check_batching(form(recipe, net), 31)
+
+
+@pytest.mark.parametrize("name", ["coded", "aggregate-pipe"])
+def test_link_configs_batch_equals_batches_of_one(name):
+    check_batching(link_configs()[name], 32)
+
+
+@pytest.mark.parametrize("recipe,net", RECIPES, ids=RECIPE_IDS)
+def test_estimates_do_not_depend_on_chunking(recipe, net, monkeypatch):
+    policy, params = recipe(net, L=3)
+    code = lift_code(policy, params, 4)
+    cfg = StackedConfig(net, 4)
+
+    def estimates():
+        return (estimate_distortion(net, policy, params, 11,
+                                    RngStream(5)).to_json(),
+                estimate_stacked_distortion(cfg, code, 11, RngStream(5)))
+
+    whole = estimates()
+    # 3-trial chunks of single-layer blocks, 1-trial chunks of stacked ones
+    monkeypatch.setattr(netmodel, "CHUNK_ELEMENTS",
+                        3 * netmodel.trial_elements(net, params.n, params.L))
+    assert estimates() == whole
+
+
+def test_ragged_payload_is_an_arity_mismatch():
+    class Ragged:
+        def emit(self, t, u_block, received, rng):
+            return {0: [[1, 0], [1]]}
+
+    net = NetworkSpec((0, 1), (Edge(0, 1, BitPipe(2.0)),), {(0, 1): HAMMING},
+                      IidJoint((2, 1), [0.5, 0.5]))
+    policy = netmodel.CodingPolicy(encoders={0: Ragged()}, decoders={})
+    with pytest.raises(netmodel.ArityMismatch):
+        run_block(net, policy, netmodel.CodeParameters(1, 1),
+                  RngStream(0).children("trial", range(2)))

@@ -321,6 +321,9 @@ def test_cli_unreadable_scenario_key_names_it(tmp_path, command, scenario,
     ("lemma1", "lemma1.json", "N", "N must be >= 1"),
     ("separation", "separation.json", "kappa",
      "kappa must be finite and positive"),
+    ("chancode-sweep", "stack_check.json", "batches", "batches must be >= 1"),
+    ("synth-sweep", "stack_check.json", "batches", "batches must be >= 1"),
+    ("stack-check", "stack_check.json", "N", "N must be >= 1"),
 ])
 def test_cli_zero_count_fails_cleanly(tmp_path, command, scenario, key,
                                       message):

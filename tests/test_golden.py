@@ -1,0 +1,66 @@
+"""Golden digests of small seeded runs.
+
+Each case pins the sha256 of json.dumps(result, sort_keys=True). A change
+that moves a random stream or a seeded number on purpose updates the digest
+here and says which numbers moved, and why, in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from sepnet.experiments import (link_replacement_experiment, simulate,
+                                stack_check, two_step_induction,
+                                verify_lemma1)
+from sepnet.netmodel import DmcChannel, Edge, IidJoint, NetworkSpec
+from sepnet.probkit import Kernel
+
+HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
+RELAY_NET = NetworkSpec((0, 1), (Edge(0, 1, DmcChannel(Kernel.bsc(0.11))),),
+                        {(0, 1): HAMMING}, IidJoint((2, 1), [0.5, 0.5]))
+FEEDBACK_NET = NetworkSpec((0, 1),
+                           (Edge(0, 1, DmcChannel(Kernel.bsc(0.11))),
+                            Edge(1, 0, DmcChannel(Kernel.bsc(0.1)))),
+                           {(0, 1): HAMMING},
+                           IidJoint((2, 2), [0.25, 0.25, 0.25, 0.25]))
+
+CASES = {
+    "stack_check_relay": (
+        lambda: stack_check(RELAY_NET, "uncoded_relay", {"L": 3}, 4, 40, 42),
+        "30a13e5946f0420a20335531c5be16b711a2d69ced4105da658e8f8a5c472d30"),
+    "stack_check_adaptive": (
+        lambda: stack_check(FEEDBACK_NET, "adaptive_feedback", {"L": 3}, 4,
+                            30, 43),
+        "fe04c51e76047b671ecb90ee3d8f5d8bd06a197085db59a026c46d98c316bb1f"),
+    "simulate_relay": (
+        lambda: simulate(RELAY_NET, "uncoded_relay", {"L": 4}, 200, 5),
+        "1268184ce7f9baf132da930c65ae6365a78c18a2f0477fb0276e6b10d495e879"),
+    "simulate_adaptive": (
+        lambda: simulate(FEEDBACK_NET, "adaptive_feedback", {"L": 3}, 100, 6),
+        "1ae5cd85e1e1aca48a986682c790e16a9683bd1433ed20d125a5cd79515a3556"),
+    "link_replacement": (
+        lambda: link_replacement_experiment(p=0.11, N=24, R=0.4, trials=40,
+                                            seed=3, pe_trials=200),
+        "b924c8978c1822886d5be53acdebdf5217e6658ed76e0e0d6efa68d0c644d90d"),
+    "two_step_induction": (
+        lambda: two_step_induction(channel=Kernel.bsc(0.2), N=12, R=0.6,
+                                   trials=12, replicates=2, seed=4),
+        "974a772de6c2204dff33539fa93b07536e6168f5acff4a2c5a0774f44754ef6d"),
+    "verify_lemma1": (
+        lambda: verify_lemma1(Kernel.bsc(0.2), N=8, R=0.8, trials=600,
+                              seed=1),
+        "8a021f7b97585d7f310f996c65d2b0a34f3564ab0e54ccba3c4226b9eda87903"),
+}
+
+
+def digest(result):
+    return hashlib.sha256(
+        json.dumps(result, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_seeded_run_matches_its_golden_digest(name):
+    run, want = CASES[name]
+    assert digest(run()) == want

@@ -23,7 +23,7 @@ from sepnet.probkit import (Kernel, ProbVector, RngStream, empirical_type,
 
 def test_bit_packing_round_trip():
     assert bits_to_index((1, 0, 1, 1)) == 11
-    assert index_to_bits(11, 4) == (1, 0, 1, 1)
+    assert tuple(index_to_bits(11, 4)) == (1, 0, 1, 1)
     for idx in range(32):
         assert bits_to_index(index_to_bits(idx, 5)) == idx
 
@@ -247,6 +247,25 @@ def test_lemma1_samples_match_per_trial_codes(reuse, monkeypatch):
     assert lemma1_samples(*args, reuse=reuse) == expected
 
 
+def test_negative_control_reuses_the_positive_draw(monkeypatch):
+    """Records built from the positive control's key-0 outputs are the
+    negative control's, and verify_lemma1 draws once for both."""
+    args = (Kernel.bsc(0.2), 8, 0.8, 60, 7, 3)
+    x0, y0 = experiments._lemma1_draws(*args, reuse=False)
+    assert experiments._lemma1_records(x0, y0, 3, reuse=True) == \
+        lemma1_samples(*args, reuse=True)
+    calls = []
+    draws = experiments._lemma1_draws
+
+    def counting(*a, **k):
+        calls.append(k.get("reuse"))
+        return draws(*a, **k)
+
+    monkeypatch.setattr(experiments, "_lemma1_draws", counting)
+    experiments.verify_lemma1(Kernel.bsc(0.2), N=8, R=0.8, trials=60, seed=7)
+    assert calls == [False]
+
+
 def test_lemma1_samples_rejects_zero_trials():
     with pytest.raises(ValueError, match="trials must be >= 1"):
         lemma1_samples(Kernel.bsc(0.2), 8, 0.8, 0, 0)
@@ -310,9 +329,10 @@ def test_coded_link_behavior_guards():
         beh.make_handler(0, dmc_edge, 16)
     h = beh.make_handler(0, dmc_edge, 24)
     with pytest.raises(RateOutOfRange):
-        h.transmit(RngStream(0), 0, tuple([1] * (code.payload_bits + 1)))
-    bits_in, bits_out, _ = h.transmit(RngStream(0), 0, (1, 0, 1))
-    assert bits_in == (1, 0, 1) and len(bits_out) == 3
+        h.transmit(RngStream(0).batch(), 0,
+                   np.ones((1, code.payload_bits + 1), dtype=np.int64))
+    bits_in, bits_out, _ = h.transmit(RngStream(0).batch(), 0, [[1, 0, 1]])
+    assert np.array_equal(bits_in, [[1, 0, 1]]) and bits_out.shape == (1, 3)
 
 
 def test_coded_link_noiseless_is_transparent():
@@ -320,9 +340,9 @@ def test_coded_link_noiseless_is_transparent():
     h = CodedLinkBehavior(code).make_handler(0, Edge(
         0, 1, DmcChannel(Kernel.identity(2))), 8)
     for t in range(10):
-        payload = index_to_bits(t, 4)
-        _, out, _ = h.transmit(RngStream(3), t, payload)
-        assert out == payload
+        payload = index_to_bits([t], 4)
+        _, out, _ = h.transmit(RngStream(3).batch(), t, payload)
+        assert np.array_equal(out, payload)
 
 
 def test_synth_link_audit_catches_code_reuse():
@@ -330,9 +350,10 @@ def test_synth_link_audit_catches_code_reuse():
                                 8, 0.8, RngStream(15))
     beh = SynthLinkBehavior(code_for_time=lambda t: code)
     h = beh.make_handler(0, Edge(0, 1, BitPipe(1.0)), 8)
-    h.transmit(RngStream(16), 0, np.zeros(8, dtype=np.int64))
+    h.transmit(RngStream(16).batch(), 0, np.zeros((1, 8), dtype=np.int64))
     with pytest.raises(RuntimeError):
-        h.transmit(RngStream(16), 1, np.zeros(8, dtype=np.int64))
+        h.transmit(RngStream(16).batch(), 1,
+                   np.zeros((1, 8), dtype=np.int64))
 
 
 def test_synth_link_pipe_rate_guard():
@@ -343,7 +364,8 @@ def test_synth_link_pipe_rate_guard():
     h = beh.make_handler(0, Edge(0, 1, BitPipe(0.5)), 8)
     with pytest.raises(RateOutOfRange):
         # ceil(8*0.8)=7 message bits do not fit floor(8*0.5)=4 pipe bits
-        h.transmit(RngStream(18), 0, np.zeros(8, dtype=np.int64))
+        h.transmit(RngStream(18).batch(), 0,
+                   np.zeros((1, 8), dtype=np.int64))
 
 
 def test_link_replacement_flushes_at_low_rate():

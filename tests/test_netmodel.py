@@ -1,16 +1,31 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepnet.netmodel import (ArityMismatch, BitPipe, BudgetOverflow,
                              CodeParameters, CodingPolicy, DmcChannel, Edge,
-                             IidJoint, MarkovJoint, NetworkSpec,
-                             estimate_distortion, run_block, validate_spec)
+                             IidJoint, MarkovJoint, NetworkSpec, bfs_levels,
+                             estimate_distortion, is_aperiodic,
+                             is_strongly_connected, run_block, validate_spec)
 from sepnet.probkit import Kernel, RngStream
 from sepnet.recipes import adaptive_feedback, build_recipe, uncoded_relay
 from sepnet.stacking import (StackedConfig, estimate_stacked_distortion,
                              lift_code, run_stacked_block)
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def same_io(io1, io2):
+    """Two TraceRecord.edge_io dicts hold equal (x, y) arrays."""
+    return io1.keys() == io2.keys() and all(
+        len(io1[e]) == len(io2[e]) and all(
+            np.array_equal(a, b) for p1, p2 in zip(io1[e], io2[e])
+            for a, b in zip(p1, p2))
+        for e in io1)
 
 
 def line_net(channel, nodes=(0, 1)):
@@ -94,6 +109,45 @@ def test_validate_spec_flags_non_finite_links():
         ("NonPositiveRate", {"edge": 2})]
 
 
+@st.composite
+def small_digraphs(draw):
+    k = draw(st.integers(1, 6))
+    arcs = draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                   st.integers(0, k - 1)),
+                         unique=True, max_size=k * k))
+    return k, arcs
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_digraphs(), st.data())
+def test_graph_checks_agree_with_networkx(graph, data):
+    nx = pytest.importorskip("networkx")
+    k, arcs = graph
+    g = nx.DiGraph()
+    g.add_nodes_from(range(k))
+    g.add_edges_from(arcs)
+    strong = is_strongly_connected(range(k), arcs)
+    assert strong == nx.is_strongly_connected(g)
+    if strong:
+        assert is_aperiodic(range(k), arcs) == nx.is_aperiodic(g)
+    a = data.draw(st.integers(0, k - 1))
+    b = data.draw(st.integers(0, k - 1))
+    assert (b in bfs_levels(arcs, a)) == nx.has_path(g, a, b)
+
+
+def test_cli_import_does_not_load_networkx():
+    code = "import sys, sepnet.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_markov_joint_rejects_periodic_chain():
+    with pytest.raises(ValueError, match="periodic"):
+        MarkovJoint((2,), [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+    MarkovJoint((2,), [0.5, 0.5], [[0.0, 1.0], [0.5, 0.5]])
+
+
 def test_d_max():
     net = line_net(DmcChannel(Kernel.bsc(0.1)))
     assert net.d_max == 1.0
@@ -133,7 +187,7 @@ def test_replay_is_bit_identical():
     policy, params = uncoded_relay(net, L=64)
     t1 = run_block(net, policy, params, RngStream(77))
     t2 = run_block(net, policy, params, RngStream(77))
-    assert t1.edge_io == t2.edge_io
+    assert same_io(t1.edge_io, t2.edge_io)
     assert np.array_equal(t1.recon[(0, 1)], t2.recon[(0, 1)])
 
 
@@ -143,11 +197,11 @@ def test_causality_encoder_sees_strict_past():
     class Probe:
         def emit(self, t, u_block, received, rng):
             seen.append(len(received[1]))
-            return {0: int(u_block[t])}
+            return {0: u_block[:, t]}
 
     class Sink:
         def decode(self, u_block, received, rng):
-            return np.zeros(4, dtype=np.int64)
+            return np.zeros((len(u_block), 4), dtype=np.int64)
 
     net = NetworkSpec((0, 1),
                       (Edge(0, 1, DmcChannel(Kernel.identity(2))),
@@ -156,7 +210,8 @@ def test_causality_encoder_sees_strict_past():
 
     class Echo:
         def emit(self, t, u_block, received, rng):
-            return {1: int(received[0][-1]) if received[0] else 0}
+            return {1: received[0][-1] if received[0]
+                    else np.zeros(len(u_block), dtype=np.int64)}
 
     policy = CodingPolicy(encoders={0: Probe(), 1: Echo()},
                           decoders={(0, 1): Sink()})
@@ -167,11 +222,12 @@ def test_causality_encoder_sees_strict_past():
 def test_edges_draw_independent_noise():
     class Both:
         def emit(self, t, u_block, received, rng):
-            return {0: 0, 1: 0}
+            zeros = np.zeros(len(u_block), dtype=np.int64)
+            return {0: zeros, 1: zeros}
 
     class Sink:
         def decode(self, u_block, received, rng):
-            return np.zeros(64, dtype=np.int64)
+            return np.zeros((len(u_block), 64), dtype=np.int64)
 
     net = NetworkSpec((0, 1),
                       (Edge(0, 1, DmcChannel(Kernel.bsc(0.5))),
@@ -179,9 +235,9 @@ def test_edges_draw_independent_noise():
                       {(0, 1): HAMMING}, IidJoint((2, 1), [0.5, 0.5]))
     policy = CodingPolicy(encoders={0: Both()}, decoders={(0, 1): Sink()})
     tr = run_block(net, policy, CodeParameters(64, 64), RngStream(8))
-    y0 = [y for _, y in tr.edge_io[0]]
-    y1 = [y for _, y in tr.edge_io[1]]
-    assert y0 != y1
+    y0 = np.stack([y for _, y in tr.edge_io[0]])
+    y1 = np.stack([y for _, y in tr.edge_io[1]])
+    assert not np.array_equal(y0, y1)
 
 
 def test_encoder_cannot_emit_on_foreign_edge():
@@ -226,7 +282,13 @@ class PipeTalker:
         self.k = bits_per_use
 
     def emit(self, t, u_block, received, rng):
-        return {0: tuple([1] * self.k)}
+        return {0: np.ones((len(u_block), self.k), dtype=np.int64)}
+
+
+def flat_bits(u_block, payloads, L):
+    """The first L bits of each trial's payloads, padded with 0."""
+    pad = np.zeros((len(u_block), L), dtype=np.int64)
+    return np.concatenate(payloads + [pad], axis=1)[:, :L]
 
 
 class PipeListener:
@@ -234,9 +296,7 @@ class PipeListener:
         self.L = L
 
     def decode(self, u_block, received, rng):
-        flat = [b for payload in received[0] for b in payload]
-        flat += [0] * self.L
-        return np.asarray(flat[:self.L], dtype=np.int64)
+        return flat_bits(u_block, received[0], self.L)
 
 
 def test_pipe_budget_is_cumulative_floor():
@@ -249,12 +309,12 @@ def test_pipe_budget_is_cumulative_floor():
 
     class HalfRate:
         def emit(self, t, u_block, received, rng):
-            return {0: (1,) if t % 2 else ()}
+            return {0: np.ones((len(u_block), t % 2), dtype=np.int64)}
 
     policy = CodingPolicy(encoders={0: HalfRate()},
                           decoders={(0, 1): PipeListener(4)})
     tr = run_block(net, policy, CodeParameters(4, 8), RngStream(0))
-    assert sum(len(x) for x, _ in tr.edge_io[0]) == 4
+    assert sum(x.shape[1] for x, _ in tr.edge_io[0]) == 4
 
 
 def test_pipe_delivers_same_step_by_default():
@@ -262,7 +322,7 @@ def test_pipe_delivers_same_step_by_default():
     policy = CodingPolicy(encoders={0: PipeTalker(1)},
                           decoders={(0, 1): PipeListener(4)})
     tr = run_block(net, policy, CodeParameters(4, 4), RngStream(0))
-    assert np.array_equal(tr.recon[(0, 1)], [1, 1, 1, 1])
+    assert np.array_equal(tr.recon[(0, 1)], [[1, 1, 1, 1]])
 
 
 def test_pipe_delay_shifts_delivery():
@@ -280,15 +340,14 @@ def test_pipe_delay_shifts_delivery():
     # decode and check the delayed stream starts empty
     class TailListener:
         def decode(self, u_block, received, rng):
-            flat = [b for payload in received[0] for b in payload]
-            return np.asarray((flat + [0] * 4)[:4], dtype=np.int64)
+            return flat_bits(u_block, received[0], 4)
 
     policy = CodingPolicy(encoders={0: PipeTalker(1)},
                           decoders={(0, 1): TailListener()})
     tr = run_block(net, policy, CodeParameters(4, 4), RngStream(0),
                    pipe_delay=1)
     # 4 sends, but the last payload is still in flight at decode time
-    assert np.array_equal(tr.recon[(0, 1)], [1, 1, 1, 0])
+    assert np.array_equal(tr.recon[(0, 1)], [[1, 1, 1, 0]])
 
 
 def test_estimate_distortion_rejects_zero_trials():
@@ -323,7 +382,8 @@ def test_run_block_is_the_one_layer_stacked_run(recipe, net):
         tr = run_block(net, policy, params, rng)
         tr_s = run_stacked_block(StackedConfig(net, 1), stacked, rng)
         for e, seq in tr_s.edge_io.items():
-            assert [(int(x[0]), int(y[0])) for x, y in seq] == tr.edge_io[e]
+            assert same_io({e: [(x[:, 0], y[:, 0]) for x, y in seq]},
+                           {e: tr.edge_io[e]})
         for k in net.demands:
             assert np.array_equal(tr.recon[k], tr_s.recon[k])
             assert tr.distortion[k] == tr_s.distortion[k]

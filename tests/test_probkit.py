@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from sepnet.probkit import (DimensionMismatch, EmpiricalJointType,
                             InvalidDistribution, JointPmf, Kernel, ProbVector,
-                            RngStream, _seed_words, empirical_type, entropy,
+                            RngBatch, RngStream, _seed_words,
+                            empirical_type, entropy,
                             l1_distance, mean_stderr, mutual_information,
                             sample, sample_many, sample_rows, tv_distance,
                             uniform_streams)
@@ -237,6 +238,26 @@ def test_uniform_streams_equal_per_stream_draws(seed, ids, size):
     assert got.shape == (len(ids),) + shape
     for row, want in zip(got, expected):
         assert np.array_equal(row, want)
+
+
+@given(st.integers(0, 2 ** 64 - 1), st.lists(labels, max_size=2).map(tuple),
+       st.integers(0, 5), st.lists(labels, max_size=3).map(tuple),
+       st.one_of(st.none(), st.integers(0, 3)))
+@settings(max_examples=40)
+def test_rng_batch_is_its_streams(seed, prefix, trials, labels_, size):
+    """Row j of a batch's draws is stream j's draws, for a batch of trial
+    children, its children, and a stream as a batch of one."""
+    root = RngStream(seed, prefix)
+    batch = root.children("trial", range(trials)).child(*labels_)
+    assert len(batch) == trials
+    got = batch.uniform(size)
+    for j, row in enumerate(got):
+        want = root.child("trial", j, *labels_).uniform(size)
+        assert np.array_equal(row, want)
+    one = root.child(*labels_)
+    assert np.array_equal(one.batch().uniform(size)[0],
+                          root.child(*labels_).uniform(size))
+    assert isinstance(batch.batch(), RngBatch) and batch.batch() is batch
 
 
 def test_sample_matches_sample_many():
