@@ -20,8 +20,8 @@ from .netmodel import (BitPipe, CodeParameters, CodingPolicy, DmcChannel,
 from .probkit import (JointPmf, Kernel, ProbVector, RngBatch, RngStream,
                       entropy, mutual_information, tv_distance)
 from .stacking import (InterleaveSchedule, StackedConfig, destack_code,
-                       even_odd_split, lift_code, run_destacked_block,
-                       run_stacked_block, stack_network, traces_match)
+                       even_odd_split, lift_code, run_stacked_block,
+                       traces_match)
 from .linkcodes import (ChannelCode, LinkCodeReport, SynthesisCode,
                         build_channel_code, build_synthesis_code)
 from .scenario import Scenario, load_scenario, write_json_atomic
@@ -43,8 +43,8 @@ __all__ = [
     "chancode_sweep", "destack_code", "emit_plotdata", "entropy",
     "estimate_distortion", "even_odd_split", "invert_rate_distortion",
     "lift_code", "load_scenario", "mixing_demo", "mutual_information",
-    "rd_report", "run_block", "run_destacked_block", "run_stacked_block",
-    "separation_experiment", "simulate", "stack_check", "stack_network",
-    "synth_sweep", "traces_match", "tv_distance", "two_step_induction",
-    "validate_spec", "verify_lemma1", "write_json_atomic",
+    "rd_report", "run_block", "run_stacked_block", "separation_experiment",
+    "simulate", "stack_check", "synth_sweep", "traces_match", "tv_distance",
+    "two_step_induction", "validate_spec", "verify_lemma1",
+    "write_json_atomic",
 ]

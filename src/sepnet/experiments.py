@@ -16,18 +16,17 @@ from .linkcodes import (CHUNK_ELEMENTS, AggregatePipeBehavior,
                         CodedLinkBehavior, LinkCodeReport, TypeScorer,
                         build_channel_code, build_synthesis_code,
                         codebook_bits, estimate_error_prob,
-                        likelihood_weights, log_posterior, output_marginal,
                         synthesis_code_bits, synthesized_type_tv)
 from .netmodel import (BitPipe, CodeParameters, DmcChannel, Edge, IidJoint,
                        MarkovJoint, NetworkSpec, estimate_distortion,
-                       trial_batches, trial_elements)
-from .probkit import (Kernel, ProbVector, RngStream, mean_stderr,
-                      sample_many, sample_rows, uniform_streams)
+                       run_block, trial_batches, trial_elements)
+from .probkit import (Kernel, ProbVector, RngBatch, RngStream, mean_stderr,
+                      sample_many, sample_rows)
 from .recipes import build_recipe
 from .stacking import (InterleaveSchedule, StackedCode, StackedConfig,
                        destack_code, estimate_stacked_distortion, lift_code,
-                       parity_class_dependence_tv, run_destacked_block,
-                       run_stacked_block, traces_match)
+                       parity_class_dependence_tv, run_stacked_block,
+                       traces_match)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +78,7 @@ def stack_check(net, code_name, code_params, N, trials, seed):
     for r in trial_batches(RngStream(seed), trials,
                            trial_elements(net, params.n, N * params.L, N)):
         tr_s = run_stacked_block(cfg, stacked, r)
-        tr_d = run_destacked_block(net, destacked, dparams, r)
+        tr_d = run_block(net, destacked, dparams, r)
         exact = exact and bool(traces_match(tr_s, tr_d, sched).all())
         s_vals.append(tr_s.distortion[key])
         d_vals.append(tr_d.distortion[key])
@@ -169,7 +168,7 @@ def link_replacement_experiment(p=0.11, N=24, R=0.4, trials=10000, seed=0,
     coding across the N layers of a BSC(p), and compare distortions against
     the |E| * P_e,max * d_max excess bound."""
     rng = RngStream(seed)
-    per_use = int(np.floor(N * R + 1e-12))
+    per_use = BitPipe(R).budget(N)
     if per_use < 1:
         raise ValueError("N * R must carry at least one whole bit per use")
     uses = -(-N // per_use)  # stacked uses that carry bits on each link
@@ -297,10 +296,10 @@ def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
     codes. The same input vector is re-sent at every time, so reusing the
     time-(t-1) code randomness at time t makes y_t collapse onto y_{t-1}.
 
-    Trial j draws its input from stream ("trial", j, "x"), and the code of
-    key k (k = t, or 0 for every t under reuse) from ("trial", j, "code", k,
-    "codebook") with its encoder uniform from ("trial", j, "w", k): the
-    streams build_synthesis_code and SynthesisCode.synthesize would use."""
+    Trial j draws its input from stream ("trial", j, "x"), and uses the
+    synthesis code of key k (k = t, or 0 for every t under reuse) that
+    build_synthesis_code draws from ("trial", j, "code", k), whose
+    synthesize call reads its encoder uniform from ("trial", j, "w", k)."""
     x0, y0 = _lemma1_draws(channel, N, R, trials, seed, n_times, reuse)
     return _lemma1_records(x0, y0, n_times, reuse)
 
@@ -308,10 +307,9 @@ def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
 def _lemma1_draws(channel, N, R, trials, seed, n_times, reuse):
     """Layer-1 input x0 (trials,) and outputs y0 (trials, keys) of the codes
     of keys 0..n_times-1 (key 0 alone under reuse), as lemma1_samples
-    describes. Each trial chunk draws its streams through uniform_streams,
-    which equals the per-trial streams bit for bit. Codebooks are sampled
-    and encoded as (trials, keys, 2^bits, N) arrays in trial chunks of at
-    most CHUNK_ELEMENTS codebook symbols."""
+    describes. Each trial chunk is one batched synthesis code, a codebook
+    per (trial, key), holding at most CHUNK_ELEMENTS codebook symbols; its
+    streams equal the per-trial streams bit for bit."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n_times < 1:
@@ -319,32 +317,23 @@ def _lemma1_draws(channel, N, R, trials, seed, n_times, reuse):
     if N < 1:
         raise ValueError("N must be >= 1")
     p = ProbVector.uniform(channel.input_size)
-    bits = synthesis_code_bits(p, channel, N, R)
-    m = 2 ** bits
-    q_y = output_marginal(p, channel)
-    log_post = log_posterior(p, channel)
+    m = 2 ** synthesis_code_bits(p, channel, N, R)
     keys = [0] if reuse else list(range(n_times))
     chunk = max(1, CHUNK_ELEMENTS // (len(keys) * m * N))
     x0 = np.empty(trials, dtype=np.int64)
     y0 = np.empty((trials, len(keys)), dtype=np.int64)
+    rng = RngStream(seed)
     for lo in range(0, trials, chunk):
         js = range(lo, min(lo + chunk, trials))
-        u_x = uniform_streams(seed, (("trial", j, "x") for j in js), N)
-        u_cb = uniform_streams(
-            seed, (("trial", j, "code", key, "codebook")
-                   for j in js for key in keys),
-            (m, N)).reshape(len(js), len(keys), m, N)
-        u_w = uniform_streams(seed, (("trial", j, "w", key) for j in js
-                                     for key in keys)).reshape(len(js), -1)
-        x = sample_many(p.probs, u_x)
-        codebooks = sample_many(q_y, u_cb)
-        weights = likelihood_weights(TypeScorer(log_post, codebooks),
-                                     x[:, None, :])
-        w = sample_rows(np.cumsum(weights, axis=-1), u_w)
+        x = sample_many(p.probs, rng.children("trial", js).child("x")
+                        .uniform(N))
+        code = build_synthesis_code(p, channel, N, R, RngBatch(
+            seed, [("trial", j, "code", key) for j in js for key in keys]))
+        y = code.synthesize(np.repeat(x, len(keys), axis=0), RngBatch(
+            seed, [("trial", j, "w", key) for j in js for key in keys]))
         x0[js.start:js.stop] = x[:, 0]
-        y0[js.start:js.stop] = np.take_along_axis(
-            codebooks[..., 0], w[..., None], axis=-1)[..., 0]
-        del u_cb, codebooks   # freed before the next chunk draws its own
+        y0[js.start:js.stop] = y[:, 0].reshape(len(js), len(keys))
+        del code   # freed before the next chunk draws its own
     return x0, y0
 
 

@@ -5,7 +5,10 @@ distribution.
 
 The link handlers act on all T trials of a batch per stacked use, like the
 raw links in netmodel: payloads are (T, k) bit arrays and synthesized inputs
-(T, N) symbol arrays.
+(T, N) symbol arrays. A synthesis code drawn from an RngBatch of B streams is
+B codebooks, one per stream, held as one (B, M, N) array; its encoder pairs
+word b with codebook b. This one code path serves the engine's synthesized
+links, the induction check, lemma 1 and soft covering.
 """
 
 from dataclasses import dataclass, field
@@ -16,8 +19,8 @@ import numpy as np
 from .infosolvers import blahut_capacity
 from .netmodel import ArityMismatch, BitPipe, DmcChannel, as_payload
 from .probkit import (CHUNK_ELEMENTS, JointPmf, Kernel, ProbVector,
-                      empirical_type, mean_stderr, mutual_information,
-                      sample_many, sample_rows)
+                      mean_stderr, mutual_information, sample_many,
+                      sample_rows)
 
 CODEBOOK_CAP_BITS = 22
 DEFAULT_MARGIN = 0.05
@@ -75,7 +78,7 @@ class TypeScorer:
         r = np.moveaxis(self._diff[:, y], (0, -1), (-2, -3)).reshape(*lead, d)
         if self._onehot.ndim == 2:   # one codebook: one matmul for all words
             counts = (r.reshape(int(np.prod(lead)), d)
-                      @ self._onehot.T).reshape(*lead, -1)
+                      @ self._onehot.T).reshape(*lead, len(self._onehot))
         else:
             counts = r @ np.swapaxes(self._onehot, -1, -2)
         counts += self._zero[y].sum(axis=-2)[..., None]
@@ -117,12 +120,12 @@ class ChannelCode:
 
     @property
     def msg_bits(self):
-        return int(np.ceil(self.N * self.rate - 1e-12))
+        return codebook_bits(self.N, self.rate, np.inf)
 
     @property
     def payload_bits(self):
         """Whole bits per stacked use a rate-R pipe would carry."""
-        return int(np.floor(self.N * self.rate + 1e-12))
+        return BitPipe(self.rate).budget(self.N)
 
     def encode(self, msg):
         return self.codebook[msg]
@@ -230,17 +233,18 @@ class SynthesisCode:
 
     Codewords are output sequences drawn i.i.d. from the target output
     marginal; the encoder picks index w with probability proportional to
-    prod_i P(x_i | y_i(w)).
+    prod_i P(x_i | y_i(w)). A batched code holds B codebooks (B, M, N), one
+    per stream of the RngBatch it was drawn from.
     """
     N: int
     rate: float
-    codebook: np.ndarray           # 2^ceil(N*rate) x N output symbols
+    codebook: np.ndarray           # ([B,] 2^ceil(N*rate), N) output symbols
     target_input: ProbVector
     channel: Kernel
 
     @property
     def msg_bits(self):
-        return int(np.ceil(self.N * self.rate - 1e-12))
+        return codebook_bits(self.N, self.rate, np.inf)
 
     def target_joint(self):
         return JointPmf.from_input_channel(self.target_input, self.channel)
@@ -257,19 +261,27 @@ class SynthesisCode:
     def encode(self, x, rng):
         """Stochastic index selection, one uniform draw per stream: an index
         for a word x (N,) and a stream, or (T,) indices for words (T, N)
-        and an RngBatch of T streams."""
+        and an RngBatch of T streams. A batched code of B codebooks takes
+        words (B, N), word b scored against codebook b."""
         cum = np.cumsum(self.encoder_weights(x), axis=-1)
         return sample_rows(cum, rng.uniform())
 
     def synthesize(self, x, rng):
-        """Map an input sequence to the selected codeword's output sequence."""
-        return self.codebook[self.encode(x, rng)]
+        """Map input words to the selected codewords' output words: (N,) or
+        (T, N) as encode takes them; word b of a batched code selects from
+        codebook b."""
+        w = self.encode(x, rng)
+        if self.codebook.ndim == 2:
+            return self.codebook[w]
+        return self.codebook[np.arange(len(w)), w]
 
 
 def build_synthesis_code(target_input, channel, N, R, rng,
                          margin=DEFAULT_MARGIN, cap_bits=CODEBOOK_CAP_BITS,
                          enforce_margin=True):
-    """Codebook drawn i.i.d. from the output marginal of the target joint.
+    """Codebook drawn i.i.d. from the output marginal of the target joint,
+    from stream rng.child("codebook"). An RngBatch of B streams draws B
+    codebooks, each the one its stream alone would draw, as a batched code.
 
     enforce_margin=False permits deliberately undersized rates for converse
     (below-mutual-information) experiments.
@@ -278,22 +290,29 @@ def build_synthesis_code(target_input, channel, N, R, rng,
                                enforce_margin)
     u = rng.child("codebook").uniform((2 ** bits, N))
     codebook = sample_many(output_marginal(target_input, channel), u) \
-        .astype(np.int64)
+        .astype(np.int64, copy=False)
     return SynthesisCode(N, R, codebook, target_input, channel)
 
 
 def synthesized_type_tv(code, rng, samples=64):
     """Mean TV between the synthesized empirical type and the target joint
-    over fresh i.i.d. input sequences."""
-    target = code.target_joint()
-    tvs = []
-    for j in range(samples):
-        r = rng.child("sample", j)
+    over fresh i.i.d. input sequences: sample j reads its input from stream
+    rng.child("sample", j, "x") and its encoder draw from ("sample", j, "w").
+    Samples are synthesized in one call and typed in one bincount per chunk;
+    a sample holds about 4 float64 arrays of M codewords while it is
+    scored, and a chunk at most CHUNK_ELEMENTS of their entries."""
+    target = code.target_joint().table
+    step = max(1, CHUNK_ELEMENTS // (4 * len(code.codebook)))
+    tvs = np.empty(max(samples, 0))
+    for lo in range(0, samples, step):
+        r = rng.children("sample", range(lo, min(lo + step, samples)))
         x = sample_many(code.target_input.probs, r.child("x").uniform(code.N))
         y = code.synthesize(x, r.child("w"))
-        et = empirical_type(np.stack([x, y], axis=1),
-                            shape=target.table.shape)
-        tvs.append(et.tv_to(target))
+        n = len(r)
+        cell = np.arange(n)[:, None] * target.size + x * target.shape[1] + y
+        counts = np.bincount(cell.reshape(-1), minlength=n * target.size)
+        tvs[lo:lo + n] = 0.5 * np.abs(counts.reshape(n, target.size) / code.N
+                                      - target.reshape(-1)).sum(axis=1)
     return mean_stderr(tvs)
 
 
@@ -353,7 +372,7 @@ class _SynthLinkHandler:
         code = self.code_for_time(t)
         if code.N != self.N:
             raise ValueError("synthesis code blocklength mismatch")
-        if code.msg_bits > int(np.floor(self.N * self.pipe.rate + 1e-12)):
+        if code.msg_bits > self.pipe.budget(self.N):
             raise RateOutOfRange("pipe rate %g cannot carry %d bits per use"
                                  % (self.pipe.rate, code.msg_bits))
         x = np.asarray(x_vec, dtype=np.int64)
@@ -391,7 +410,7 @@ class _AggregatePipeHandler:
 
     def __init__(self, e_idx, edge, N):
         self.e = e_idx
-        self.per_use = int(np.floor(N * edge.channel.rate + 1e-12))
+        self.per_use = edge.channel.budget(N)
         self.sent = 0
 
     def transmit(self, rng, t, payload):
@@ -409,12 +428,3 @@ class AggregatePipeBehavior:
         if not isinstance(edge.channel, BitPipe):
             raise ValueError("aggregate pipe behavior needs a BitPipe edge")
         return _AggregatePipeHandler(e_idx, edge, N)
-
-
-def combine_reports(reports, d_max):
-    p_e = {}
-    se = {}
-    for r in reports:
-        p_e.update(r.p_e)
-        se.update(r.p_e_stderr)
-    return LinkCodeReport(p_e, se, n_edges=len(p_e), d_max=d_max)

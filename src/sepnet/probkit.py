@@ -1,6 +1,6 @@
 """Finite-alphabet probability primitives: distributions, kernels, information
-measures in bits, empirical types, and hierarchically keyed RNG streams, one
-at a time or a batch of trials at once."""
+measures in bits, and hierarchically keyed RNG streams, one at a time or a
+batch of trials at once."""
 
 import hashlib
 
@@ -80,6 +80,8 @@ class Kernel:
     __slots__ = ("matrix",)
 
     def __init__(self, rows):
+        if len(rows) == 0:
+            raise DimensionMismatch("kernel needs at least one row")
         if isinstance(rows, np.ndarray) and rows.ndim == 2:
             m = np.array(rows, dtype=float)
             for r in m:
@@ -160,62 +162,8 @@ class JointPmf:
             raise DimensionMismatch("input law does not match kernel rows")
         return cls(p[:, None] * channel.matrix)
 
-    def marginal_x(self):
-        return ProbVector(self.table.sum(axis=1))
-
     def marginal_y(self):
         return ProbVector(self.table.sum(axis=0))
-
-    def tv_to(self, other):
-        if self.table.shape != other.table.shape:
-            raise DimensionMismatch("joint tables have different shapes")
-        return 0.5 * float(np.abs(self.table - other.table).sum())
-
-
-class EmpiricalJointType:
-    """Counts of (x, y) pairs across layers; the normalized counts form a
-    JointPmf (the empirical type)."""
-
-    __slots__ = ("counts", "total")
-
-    def __init__(self, counts, total):
-        c = np.array(counts, dtype=np.int64)
-        if c.ndim != 2 or np.any(c < 0):
-            raise ValueError("counts must be a nonnegative integer matrix")
-        if int(c.sum()) != int(total):
-            raise ValueError("counts do not sum to total")
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "total", int(total))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EmpiricalJointType is immutable")
-
-    def pmf(self):
-        return JointPmf(self.counts / self.total)
-
-    def tv_to(self, joint):
-        return self.pmf().tv_to(joint)
-
-
-def empirical_type(pairs, shape=None):
-    """Tabulate (x, y) symbol pairs into an EmpiricalJointType.
-
-    shape defaults to (max x + 1, max y + 1) over the observed pairs.
-    """
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if pairs.size == 0:
-        raise ValueError("empty pair sequence")
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("expected a sequence of (x, y) pairs")
-    xs, ys = pairs[:, 0], pairs[:, 1]
-    if shape is None:
-        shape = (int(xs.max()) + 1, int(ys.max()) + 1)
-    if np.any(xs < 0) or np.any(ys < 0) or xs.max() >= shape[0] or ys.max() >= shape[1]:
-        raise ValueError("symbol out of alphabet range")
-    counts = np.zeros(shape, dtype=np.int64)
-    np.add.at(counts, (xs, ys), 1)
-    return EmpiricalJointType(counts, pairs.shape[0])
 
 
 def l1_distance(a, b):
@@ -428,11 +376,6 @@ class RngBatch:
     def uniform(self, size=None):
         return uniform_streams(self.seed, (p + self.labels
                                            for p in self.prefixes), size)
-
-
-def sample(dist, rng):
-    """Draw one symbol index from a distribution using the given stream."""
-    return int(sample_many(dist, rng.uniform()))
 
 
 def sample_many(p, uniforms):

@@ -1,7 +1,7 @@
-"""Stacked-network machinery: build the N-fold network, run stacked codes,
-lift a single-layer code to N independent layers, de-stack an N-layer code
-into an interleaved single-layer equivalent, and the even/odd layer split
-for sources with memory.
+"""Stacked-network machinery: run stacked codes, lift a single-layer code to
+N independent layers, de-stack an N-layer code into an interleaved
+single-layer equivalent, and the even/odd layer split for sources with
+memory.
 
 Layer/time indexing is 0-based throughout. The interleaving schedule maps
 (layer l, stacked time t) to single-layer time tau = t*N + l, so every
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import (ArityMismatch, CodeParameters, CodingPolicy, Edge,
-                       NetworkSpec, estimate_trials, raw_link, run_block,
-                       run_steps, stack_arrays, trial_elements)
+from .netmodel import (ArityMismatch, CodeParameters, CodingPolicy,
+                       NetworkSpec, estimate_trials, raw_link, run_steps,
+                       stack_arrays, trial_elements)
 
 
 @dataclass(frozen=True)
@@ -91,22 +91,6 @@ class StackedCode:
     decoders: dict
     N: int
     params: CodeParameters  # per-layer block parameters
-
-
-def stack_network(net, N):
-    """N copies of the network: every node and edge replicated N times.
-
-    Nodes are relabeled (node_id, layer); replicated edges are independent
-    channel instances. Mostly useful for structural checks; the stacked
-    execution engine keeps the per-layer structure implicit.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    nodes = tuple((a, l) for a in net.nodes for l in range(N))
-    edges = tuple(Edge((e.tail, l), (e.head, l), e.channel)
-                  for e in net.edges for l in range(N))
-    demands = {((a, 0), (b, 0)): d for (a, b), d in net.demands.items()}
-    return NetworkSpec(nodes, edges, demands, net.sources)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +239,8 @@ def destack_code(stacked):
     """The interleaved single-layer equivalent of an N-layer code.
 
     Returns a policy over blocks of N*L source symbols and N*n channel uses;
-    kappa is preserved exactly. Run it through run_destacked_block so channel
-    noise streams couple with the stacked run.
+    kappa is preserved exactly. Run it through run_block with the stacked
+    run's streams so channel noise couples with the stacked run.
     """
     sched = InterleaveSchedule(stacked.N, stacked.params.n)
     policy = DestackedPolicy(
@@ -268,12 +252,6 @@ def destack_code(stacked):
     params = CodeParameters(stacked.N * stacked.params.L,
                             stacked.N * stacked.params.n)
     return policy, params
-
-
-def run_destacked_block(net, policy, params, rng, pipe_delay=0, u_block=None):
-    """Execute one de-stacked block: N*n single-layer uses whose noise is
-    keyed to the stacked run's (see the module docstring)."""
-    return run_block(net, policy, params, rng, pipe_delay, u_block)
 
 
 def _rows_equal(a, b):

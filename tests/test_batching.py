@@ -14,8 +14,7 @@ from sepnet.probkit import Kernel, RngStream
 from sepnet.recipes import adaptive_feedback, constant_guess, uncoded_relay
 from sepnet.stacking import (StackedConfig, destack_code,
                              estimate_stacked_distortion, even_odd_split,
-                             lift_code, run_destacked_block,
-                             run_stacked_block)
+                             lift_code, run_stacked_block)
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 T = 7
@@ -50,7 +49,7 @@ def stacked(recipe, net):
 def destacked(recipe, net):
     policy, params = recipe(net, L=3)
     code, dparams = destack_code(lift_code(policy, params, 4))
-    return lambda r: run_destacked_block(net, code, dparams, r)
+    return lambda r: run_block(net, code, dparams, r)
 
 
 def parity(recipe, net):

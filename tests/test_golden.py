@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from sepnet.experiments import (link_replacement_experiment, simulate,
-                                stack_check, two_step_induction,
+                                stack_check, synth_sweep, two_step_induction,
                                 verify_lemma1)
 from sepnet.netmodel import DmcChannel, Edge, IidJoint, NetworkSpec
-from sepnet.probkit import Kernel
+from sepnet.probkit import Kernel, ProbVector
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 RELAY_NET = NetworkSpec((0, 1), (Edge(0, 1, DmcChannel(Kernel.bsc(0.11))),),
@@ -52,6 +52,14 @@ CASES = {
         lambda: verify_lemma1(Kernel.bsc(0.2), N=8, R=0.8, trials=600,
                               seed=1),
         "8a021f7b97585d7f310f996c65d2b0a34f3564ab0e54ccba3c4226b9eda87903"),
+    "synth_sweep_bsc": (
+        lambda: synth_sweep(Kernel.bsc(0.11), ProbVector([0.5, 0.5]), (8, 12),
+                            0.8, batches=2, codebooks=3, samples=5, seed=7),
+        "cce778ecb11b72aaad9fd53fd0ddca4fcf3684a40e8c9f8d538403515ad19d78"),
+    "synth_sweep_bec": (
+        lambda: synth_sweep(Kernel.bec(0.2), ProbVector([0.4, 0.6]), (6,),
+                            0.95, batches=1, codebooks=2, samples=4, seed=8),
+        "af9cab8190e8599b249a9dfad6e10afac352d370ff68d782509f6b5701067260"),
 }
 
 

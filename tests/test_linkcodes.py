@@ -3,19 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepnet import experiments
+from sepnet import experiments, linkcodes
 from sepnet.experiments import (lemma1_report, lemma1_samples,
                                 link_replacement_experiment)
 from sepnet.linkcodes import (ChannelCode, CodebookCapExceeded,
                               CodedLinkBehavior, LinkCodeReport,
                               RateOutOfRange, SynthLinkBehavior, TypeScorer,
                               bits_to_index, build_channel_code,
-                              build_synthesis_code, combine_reports,
-                              estimate_error_prob, index_to_bits,
+                              build_synthesis_code, estimate_error_prob,
+                              index_to_bits, likelihood_weights,
                               synthesized_type_tv)
 from sepnet.netmodel import BitPipe, DmcChannel, Edge
-from sepnet.probkit import (Kernel, ProbVector, RngStream, empirical_type,
-                            sample_many)
+from sepnet.probkit import (JointPmf, Kernel, ProbVector, RngBatch, RngStream,
+                            mean_stderr, sample_many)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +104,8 @@ def test_decoders_take_the_lowest_index_ml_codeword():
 def test_type_scorer_equals_the_gather_sum(k_in, k_out, zero_share, bec,
                                            seed):
     """Scores match table[codebook, y].sum over N for one codebook against
-    many words or one, and for lemma 1's (trials, keys, M, N) codebooks;
-    codewords of equal joint type with y score bitwise equal."""
+    many words or one, and for a (3, 2, M, N) stack of codebooks; codewords
+    of equal joint type with y score bitwise equal."""
     g = np.random.default_rng(seed)
     w = Kernel.bec(0.3).matrix if bec else \
         g.random((k_in, k_out)) * (g.random((k_in, k_out)) >= zero_share)
@@ -134,6 +134,16 @@ def test_type_scorer_equals_the_gather_sum(k_in, k_out, zero_share, bec,
     assert s[0] == s[1]
 
 
+def test_type_scorer_takes_an_empty_batch():
+    """No words give no scores, indices or weights, not a reshape error."""
+    codebook = RngStream(15).generator().integers(0, 2, size=(8, 6))
+    scorer = TypeScorer(np.log(Kernel.bsc(0.2).matrix), codebook)
+    empty = np.zeros((0, 6), dtype=np.int64)
+    assert scorer.scores(empty).shape == (0, 8)
+    assert scorer.argmax(empty).shape == (0,)
+    assert likelihood_weights(scorer, empty).shape == (0, 8)
+
+
 def test_decode_returns_a_maximum_likelihood_int():
     code = build_channel_code(Kernel.bsc(0.2), 12, 0.2, RngStream(4))
     logw = np.log(code.channel.matrix)
@@ -152,14 +162,6 @@ def test_report_excess_bound_recomputed():
     j = rep.to_json()
     assert j["excess_bound"] == pytest.approx(
         j["n_edges"] * j["p_e_max"] * j["d_max"])
-
-
-def test_combine_reports():
-    a = LinkCodeReport({0: 0.02}, {0: 0.001}, 1, 1.0)
-    b = LinkCodeReport({1: 0.05}, {1: 0.002}, 1, 1.0)
-    both = combine_reports([a, b], d_max=1.0)
-    assert both.n_edges == 2
-    assert both.excess_bound == pytest.approx(2 * 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +184,28 @@ def test_synthesis_preserves_input_marginal():
                                 16, 0.6, RngStream(8))
     x = sample_many([0.5, 0.5], RngStream(9).uniform(16))
     y = code.synthesize(x, RngStream(10))
-    et = empirical_type(np.stack([x, y], axis=1), shape=(2, 2))
-    x_marg = et.counts.sum(axis=1)
+    counts = np.bincount(2 * x + y, minlength=4).reshape(2, 2)
+    x_marg = counts.sum(axis=1)
     assert np.array_equal(x_marg, np.bincount(x, minlength=2))
+
+
+def test_batched_synthesis_code_is_its_streams():
+    """A code drawn from an RngBatch holds, row for row, the codebook each
+    of its streams draws alone, and synthesizes word b as stream b's own
+    code would."""
+    p, channel = ProbVector([0.4, 0.6]), Kernel.bec(0.2)
+    ids = [("trial", j, "code", k) for j in range(4) for k in range(2)]
+    code = build_synthesis_code(p, channel, 6, 0.95, RngBatch(21, ids))
+    assert code.codebook.shape == (len(ids), 2 ** 6, 6)
+    xs = sample_many(p.probs, RngStream(22).children("x", range(len(ids)))
+                     .uniform(6))
+    ys = code.synthesize(xs, RngStream(23).children("w", range(len(ids))))
+    for b, stream_id in enumerate(ids):
+        one = build_synthesis_code(p, channel, 6, 0.95,
+                                   RngStream(21, stream_id))
+        assert np.array_equal(code.codebook[b], one.codebook)
+        assert np.array_equal(
+            ys[b], one.synthesize(xs[b], RngStream(23).child("w", b)))
 
 
 def test_synthesis_rate_guards():
@@ -304,6 +325,35 @@ def test_lemma1_report_lists_the_cells_it_drops():
     assert out["dropped"] == {repr((1, 0, 2, 0)): {"samples": 40,
                                                     "rest": 350}}
     assert out["num_z"] == 4 and not out["inconclusive"]
+
+
+def _type_tv_one_sample_at_a_time(code, rng, samples):
+    target = JointPmf.from_input_channel(code.target_input,
+                                         code.channel).table
+    tvs = []
+    for j in range(samples):
+        r = rng.child("sample", j)
+        x = sample_many(code.target_input.probs, r.child("x").uniform(code.N))
+        y = code.synthesize(x, r.child("w"))
+        counts = np.zeros(target.shape, dtype=np.int64)
+        np.add.at(counts, (x, y), 1)
+        tvs.append(0.5 * float(np.abs(counts / code.N - target).sum()))
+    return mean_stderr(tvs)
+
+
+@pytest.mark.parametrize("p,channel,N,R", [
+    ([0.5, 0.5], Kernel.bsc(0.2), 12, 0.6),
+    ([0.4, 0.6], Kernel.bec(0.2), 6, 0.95),
+])
+def test_synthesized_type_tv_is_the_per_sample_loop(p, channel, N, R,
+                                                    monkeypatch):
+    code = build_synthesis_code(ProbVector(p), channel, N, R, RngStream(16))
+    want = _type_tv_one_sample_at_a_time(code, RngStream(17), 12)
+    assert synthesized_type_tv(code, RngStream(17), samples=12) == want
+    # 5-sample chunks: 12 samples span a ragged final chunk
+    monkeypatch.setattr(linkcodes, "CHUNK_ELEMENTS",
+                        5 * 4 * len(code.codebook))
+    assert synthesized_type_tv(code, RngStream(17), samples=12) == want
 
 
 def test_synthesized_tv_decreasing_in_blocklength():

@@ -3,13 +3,13 @@ import pytest
 
 from sepnet import probkit
 from sepnet.netmodel import (ArityMismatch, DmcChannel, Edge, IidJoint,
-                             MarkovJoint, NetworkSpec, validate_spec)
+                             MarkovJoint, NetworkSpec, run_block)
 from sepnet.probkit import Kernel, RngStream
 from sepnet.recipes import adaptive_feedback, uncoded_relay
 from sepnet.stacking import (InterleaveSchedule, LiftedEncoder, StackedConfig,
                              destack_code, even_odd_split, lift_code,
-                             parity_class_dependence_tv, run_destacked_block,
-                             run_stacked_block, stack_network, traces_match)
+                             parity_class_dependence_tv, run_stacked_block,
+                             traces_match)
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -66,20 +66,6 @@ def test_schedule_preserves_period_ordering():
 
 
 # ---------------------------------------------------------------------------
-# stacked network construction
-
-def test_stack_network_structure():
-    net = relay_net()
-    stacked = stack_network(net, 4)
-    assert len(stacked.nodes) == 8
-    assert len(stacked.edges) == 4
-    assert ((0, 0), (1, 0)) in stacked.demands
-    assert validate_spec(stacked) == []
-    with pytest.raises(ValueError):
-        stack_network(net, 0)
-
-
-# ---------------------------------------------------------------------------
 # lift / destack exact equivalence
 
 @pytest.mark.parametrize("recipe,net", [
@@ -96,7 +82,7 @@ def test_destack_reproduces_stacked_traces(recipe, net):
     for j in range(25):
         rng = RngStream(100 + j)
         tr_s = run_stacked_block(cfg, stacked, rng)
-        tr_d = run_destacked_block(net, destacked, dparams, rng)
+        tr_d = run_block(net, destacked, dparams, rng)
         assert traces_match(tr_s, tr_d, sched)
         key = next(iter(net.demands))
         assert tr_s.distortion[key] == tr_d.distortion[key]
@@ -120,7 +106,7 @@ def test_destacked_link_seeds_each_period_stream_once(monkeypatch):
     rng = RngStream(5)
     tr_s = run_stacked_block(StackedConfig(net, N), stacked, rng)
     monkeypatch.setattr(probkit, "uniform_streams", counting)
-    tr_d = run_destacked_block(net, destacked, dparams, rng)
+    tr_d = run_block(net, destacked, dparams, rng)
     monkeypatch.undo()
     edge_streams = [s for s in seeded if s[:1] == ("edge",)]
     assert sorted(edge_streams) == [("edge", 0, t) for t in range(params.n)]
@@ -154,13 +140,13 @@ def test_destacked_encoder_runs_each_stacked_emission_once(recipe, net, L,
         tr_s = run_stacked_block(StackedConfig(net, N), stacked, rng)
         del calls[:]
         monkeypatch.setattr(LiftedEncoder, "emit", counting)
-        tr_d = run_destacked_block(net, destacked, dparams, rng)
+        tr_d = run_block(net, destacked, dparams, rng)
         monkeypatch.undo()
         assert calls == [(a, t) for t in range(params.n) for a in net.nodes
                          if a in stacked.encoders]
         assert traces_match(tr_s, tr_d, InterleaveSchedule(N, params.n))
         fresh, _ = destack_code(lift_code(*recipe(net, L=L), N))
-        tr_f = run_destacked_block(net, fresh, dparams, rng)
+        tr_f = run_block(net, fresh, dparams, rng)
         assert same_io(tr_f.edge_io, tr_d.edge_io)
         assert tr_f.distortion.keys() == tr_d.distortion.keys()
         for key, d in tr_f.distortion.items():
@@ -184,7 +170,7 @@ def test_destack_trivial_single_layer():
     destacked, dparams = destack_code(stacked)
     rng = RngStream(3)
     tr_s = run_stacked_block(StackedConfig(net, 1), stacked, rng)
-    tr_d = run_destacked_block(net, destacked, dparams, rng)
+    tr_d = run_block(net, destacked, dparams, rng)
     assert traces_match(tr_s, tr_d, InterleaveSchedule(1, params.n))
 
 
