@@ -19,9 +19,8 @@ from .netmodel import (BitPipe, CodeParameters, CodingPolicy, DmcChannel,
                        run_block, validate_spec)
 from .probkit import (JointPmf, Kernel, ProbVector, RngBatch, RngStream,
                       entropy, mutual_information, tv_distance)
-from .stacking import (InterleaveSchedule, StackedConfig, destack_code,
-                       even_odd_split, lift_code, run_stacked_block,
-                       traces_match)
+from .stacking import (InterleaveSchedule, destack_code, even_odd_split,
+                       lift_code, run_stacked_block, traces_match)
 from .linkcodes import (ChannelCode, LinkCodeReport, SynthesisCode,
                         build_channel_code, build_synthesis_code)
 from .scenario import Scenario, load_scenario, write_json_atomic
@@ -37,7 +36,7 @@ __all__ = [
     "CodingPolicy", "DistortionMatrix", "DmcChannel", "Edge", "IidJoint",
     "InfeasibleTarget", "InterleaveSchedule", "JointPmf", "Kernel",
     "LinkCodeReport", "MarkovJoint", "NetworkSpec", "ProbVector", "RdResult",
-    "RngBatch", "RngStream", "Scenario", "StackedConfig", "SynthesisCode",
+    "RngBatch", "RngStream", "Scenario", "SynthesisCode",
     "TraceRecord", "blahut_capacity", "blahut_rate_distortion",
     "build_channel_code", "build_synthesis_code", "capacity_report",
     "chancode_sweep", "destack_code", "emit_plotdata", "entropy",

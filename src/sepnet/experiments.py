@@ -23,8 +23,8 @@ from .netmodel import (BitPipe, CodeParameters, DmcChannel, Edge, IidJoint,
 from .probkit import (Kernel, ProbVector, RngBatch, RngStream, mean_stderr,
                       sample_many, sample_rows)
 from .recipes import build_recipe
-from .stacking import (InterleaveSchedule, StackedCode, StackedConfig,
-                       destack_code, estimate_stacked_distortion, lift_code,
+from .stacking import (InterleaveSchedule, StackedCode, destack_code,
+                       estimate_stacked_distortion, lift_code,
                        parity_class_dependence_tv, run_stacked_block,
                        traces_match)
 
@@ -71,13 +71,12 @@ def stack_check(net, code_name, code_params, N, trials, seed):
     destacked, dparams = destack_code(stacked)
     sched = InterleaveSchedule(N, params.n)
     sched.check()
-    cfg = StackedConfig(net, N)
     exact = True
     s_vals, d_vals = [], []
     key = next(iter(net.demands))
     for r in trial_batches(RngStream(seed), trials,
                            trial_elements(net, params.n, N * params.L, N)):
-        tr_s = run_stacked_block(cfg, stacked, r)
+        tr_s = run_stacked_block(net, stacked, r)
         tr_d = run_block(net, destacked, dparams, r)
         exact = exact and bool(traces_match(tr_s, tr_d, sched).all())
         s_vals.append(tr_s.distortion[key])
@@ -181,16 +180,12 @@ def link_replacement_experiment(p=0.11, N=24, R=0.4, trials=10000, seed=0,
     net_pipe = _line_network(BitPipe(cap))
 
     scheme = _bit_forward_code(N, per_use, n)
-    cfg_noisy = StackedConfig(net_noisy, N,
-                              {0: CodedLinkBehavior(code_tx),
-                               1: CodedLinkBehavior(code_rx)})
-    cfg_pipe = StackedConfig(net_pipe, N, {0: AggregatePipeBehavior(),
-                                           1: AggregatePipeBehavior()})
-
-    d_noisy = estimate_stacked_distortion(cfg_noisy, scheme, trials,
-                                          rng.child("noisy"))[(0, 2)]
-    d_pipe = estimate_stacked_distortion(cfg_pipe, scheme, trials,
-                                         rng.child("pipe"))[(0, 2)]
+    d_noisy = estimate_stacked_distortion(
+        net_noisy, scheme, trials, rng.child("noisy"),
+        {0: CodedLinkBehavior(code_tx), 1: CodedLinkBehavior(code_rx)})[(0, 2)]
+    d_pipe = estimate_stacked_distortion(
+        net_pipe, scheme, trials, rng.child("pipe"),
+        {0: AggregatePipeBehavior(), 1: AggregatePipeBehavior()})[(0, 2)]
 
     # per-link block error probability: any of its codeword uses failing
     pe0, se0 = estimate_error_prob(code_tx, pe_trials, rng.child("pe", 0))

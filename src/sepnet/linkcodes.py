@@ -3,12 +3,14 @@ block channel codes that make a DMC emulate a bit-pipe, and likelihood-encoder
 channel synthesis that makes a bit-pipe emulate a DMC in empirical
 distribution.
 
-The link handlers act on all T trials of a batch per stacked use, like the
-raw links in netmodel: payloads are (T, k) bit arrays and synthesized inputs
-(T, N) symbol arrays. A synthesis code drawn from an RngBatch of B streams is
-B codebooks, one per stream, held as one (B, M, N) array; its encoder pairs
-word b with codebook b. This one code path serves the engine's synthesized
-links, the induction check, lemma 1 and soft covering.
+Link behaviors fill the behaviors map of stacking.run_stacked_block. Their
+handlers act on all T trials of a batch per stacked use, on netmodel's raw
+links where one fits (a coded link sends its codewords through a stacked
+DmcLink, an aggregate pipe is a PipeLink): payloads are (T, k) bit arrays and
+synthesized inputs (T, N) symbol arrays. A synthesis code drawn from an
+RngBatch of B streams is B codebooks, one per stream, held as one (B, M, N)
+array; its encoder pairs word b with codebook b. This one code path serves the
+engine's synthesized links, the induction check, lemma 1 and soft covering.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .infosolvers import blahut_capacity
-from .netmodel import ArityMismatch, BitPipe, DmcChannel, as_payload
+from .netmodel import (ArityMismatch, BitPipe, DmcChannel, DmcLink, PipeLink,
+                       as_payload)
 from .probkit import (CHUNK_ELEMENTS, JointPmf, Kernel, ProbVector,
                       mean_stderr, mutual_information, sample_many,
                       sample_rows)
@@ -143,15 +146,14 @@ class ChannelCode:
         return self.scorer.argmax(ys)
 
 
-def build_channel_code(channel, N, R, rng, margin=DEFAULT_MARGIN,
-                       cap_bits=CODEBOOK_CAP_BITS):
+def build_channel_code(channel, N, R, rng):
     """Codewords drawn i.i.d. per symbol from the capacity-achieving input
-    law; requires R below capacity by the declared margin."""
+    law; requires R below capacity by DEFAULT_MARGIN."""
     cap = blahut_capacity(channel, tol=1e-9)
-    if R > cap.capacity - margin:
+    if R > cap.capacity - DEFAULT_MARGIN:
         raise RateOutOfRange("R=%g above capacity %.6f minus margin %g"
-                             % (R, cap.capacity, margin))
-    m = 2 ** codebook_bits(N, R, cap_bits)
+                             % (R, cap.capacity, DEFAULT_MARGIN))
+    m = 2 ** codebook_bits(N, R)
     u = rng.child("codebook").uniform((m, N))
     codebook = sample_many(cap.optimal_input.probs, u.reshape(-1)) \
         .reshape(m, N).astype(np.int64)
@@ -191,15 +193,14 @@ class LinkCodeReport:
                 "d_max": self.d_max, "excess_bound": self.excess_bound}
 
 
-def synthesis_code_bits(target_input, channel, N, R, margin=DEFAULT_MARGIN,
-                        cap_bits=CODEBOOK_CAP_BITS, enforce_margin=True):
+def synthesis_code_bits(target_input, channel, N, R, enforce_margin=True):
     """Index bits ceil(N*R) of a synthesis codebook, after the rate-margin
-    and codebook-cap checks."""
+    (DEFAULT_MARGIN above the mutual information) and codebook-cap checks."""
     mi = mutual_information(target_input, channel)
-    if enforce_margin and R < mi + margin:
+    if enforce_margin and R < mi + DEFAULT_MARGIN:
         raise RateOutOfRange("R=%g below I=%.6f plus margin %g"
-                             % (R, mi, margin))
-    return codebook_bits(N, R, cap_bits)
+                             % (R, mi, DEFAULT_MARGIN))
+    return codebook_bits(N, R)
 
 
 def output_marginal(target_input, channel):
@@ -277,7 +278,6 @@ class SynthesisCode:
 
 
 def build_synthesis_code(target_input, channel, N, R, rng,
-                         margin=DEFAULT_MARGIN, cap_bits=CODEBOOK_CAP_BITS,
                          enforce_margin=True):
     """Codebook drawn i.i.d. from the output marginal of the target joint,
     from stream rng.child("codebook"). An RngBatch of B streams draws B
@@ -286,8 +286,7 @@ def build_synthesis_code(target_input, channel, N, R, rng,
     enforce_margin=False permits deliberately undersized rates for converse
     (below-mutual-information) experiments.
     """
-    bits = synthesis_code_bits(target_input, channel, N, R, margin, cap_bits,
-                               enforce_margin)
+    bits = synthesis_code_bits(target_input, channel, N, R, enforce_margin)
     u = rng.child("codebook").uniform((2 ** bits, N))
     codebook = sample_many(output_marginal(target_input, channel), u) \
         .astype(np.int64, copy=False)
@@ -320,14 +319,13 @@ def synthesized_type_tv(code, rng, samples=64):
 # stacked-engine link behaviors
 
 class _CodedLinkHandler:
-    """N DMC copies driven by a block channel code: the edge presents a
-    bit-pipe interface of payload_bits whole bits per stacked use. All
-    trials' words of a use are decoded in one decode_batch call."""
+    """A block channel code over N DMC copies: a bit-pipe of payload_bits
+    bits per stacked use, all trials' words of a use decoded in one call."""
 
-    def __init__(self, e_idx, edge, code):
+    def __init__(self, e_idx, code):
         self.e = e_idx
         self.code = code
-        self.cums = np.cumsum(code.channel.matrix, axis=1)
+        self.link = DmcLink(e_idx, code.channel, code.N, True)
 
     def transmit(self, rng, t, payload):
         bits = as_payload(payload, (len(rng),), self.e)
@@ -337,9 +335,8 @@ class _CodedLinkHandler:
                                  % (k, self.code.payload_bits, self.e))
         if not k:
             return bits, bits, bits
-        x = self.code.encode(bits_to_index(bits))
-        y = sample_rows(self.cums[x],
-                        rng.child("edge", self.e, t).uniform(self.code.N))
+        _, y, _ = self.link.transmit(rng, t,
+                                     self.code.encode(bits_to_index(bits)))
         out = index_to_bits(self.code.decode_batch(y) % (1 << k), k)
         return bits, out, out
 
@@ -354,7 +351,7 @@ class CodedLinkBehavior:
         if self.code.N != N:
             raise ValueError("code blocklength %d != layer count %d"
                              % (self.code.N, N))
-        return _CodedLinkHandler(e_idx, edge, self.code)
+        return _CodedLinkHandler(e_idx, self.code)
 
 
 class _SynthLinkHandler:
@@ -388,7 +385,7 @@ class SynthLinkBehavior:
     """code_for_time maps stacked time t to the SynthesisCode used at t;
     audit maps id(code) to the first stacked time it served."""
     code_for_time: object
-    audit: dict = field(default_factory=dict)
+    audit: dict = field(init=False, default_factory=dict)
 
     def make_handler(self, e_idx, edge, N):
         if not isinstance(edge.channel, BitPipe):
@@ -404,27 +401,12 @@ class SynthLinkBehavior:
         return code
 
 
-class _AggregatePipeHandler:
-    """N rate-R pipe copies presented as one noiseless floor(N*R)-bits-per-use
-    interface, the same surface a coded DMC link exposes."""
-
-    def __init__(self, e_idx, edge, N):
-        self.e = e_idx
-        self.per_use = edge.channel.budget(N)
-        self.sent = 0
-
-    def transmit(self, rng, t, payload):
-        bits = as_payload(payload, (len(rng),), self.e)
-        self.sent += bits.shape[1]
-        if self.sent > self.per_use * (t + 1):
-            raise RateOutOfRange("aggregate pipe edge %d over budget at t=%d"
-                                 % (self.e, t + 1))
-        return bits, bits, bits
-
-
 @dataclass
 class AggregatePipeBehavior:
+    """N rate-R pipe copies presented as one noiseless floor(N*R)-bits-per-use
+    pipe, the same surface a coded DMC link exposes."""
+
     def make_handler(self, e_idx, edge, N):
         if not isinstance(edge.channel, BitPipe):
             raise ValueError("aggregate pipe behavior needs a BitPipe edge")
-        return _AggregatePipeHandler(e_idx, edge, N)
+        return PipeLink(e_idx, BitPipe(edge.channel.budget(N)), 1, False)

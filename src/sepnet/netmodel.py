@@ -6,8 +6,8 @@ estimation.
 Timing model: at each step t (0-based) every node computes its channel inputs
 simultaneously from outputs observed at strictly earlier steps. DMC outputs
 produced at step t become visible to encoders from step t+1 on. Bit-pipe
-payloads are delivered at the step they are sent (visible from t+1) unless
-pipe_delay=1, in which case they surface one step later.
+payloads are delivered at the step they are sent (visible from t+1) unless a
+single-layer run sets pipe_delay=1, in which case they surface one step later.
 
 Trial axis: the engine runs a batch of T independent trials at once, one per
 stream of an RngBatch, and never loops over them. Every array it hands a
@@ -278,7 +278,8 @@ def _block_distortion(d, u_block, recon):
 # rng.child("edge", e, t), so a stacked run and its de-stacked equivalent see
 # the same channel realizations bit for bit. The stacked link draws all N
 # entries at once; the interleaved link draws them at the period's first use
-# and keeps them for its later layers.
+# and keeps them for its later layers. The link codes in linkcodes are built
+# on these links, so the ("edge", e, t) key is read only here.
 
 def as_payload(p, lead, e):
     """A pipe payload as an int64 array of shape lead + (k,), one k for every
@@ -361,7 +362,7 @@ def raw_link(e_idx, edge, N, stacked):
 # ---------------------------------------------------------------------------
 # the engine
 
-def run_steps(net, code, links, n, length, rng, pipe_delay=0, u_block=None):
+def run_steps(net, code, links, n, length, rng, pipe_delay=0):
     """The one step loop: n network uses of `code` over the per-edge `links`,
     then decoding of source blocks of `length` symbols, for every trial of
     the RngBatch rng at once.
@@ -371,9 +372,8 @@ def run_steps(net, code, links, n, length, rng, pipe_delay=0, u_block=None):
     deliveries surface one step late and an empty payload stands in at the
     first step.
     """
-    if u_block is None:
-        raw = net.sources.draw_block(length, rng.child("src"))
-        u_block = {a: raw[..., i].copy() for i, a in enumerate(net.nodes)}
+    raw = net.sources.draw_block(length, rng.child("src"))
+    u_block = {a: raw[..., i].copy() for i, a in enumerate(net.nodes)}
     in_edges = {a: net.in_edges(a) for a in net.nodes}
     rx = {i: [] for i in range(len(net.edges))}   # receiver-visible outputs
     edge_io = {i: [] for i in range(len(net.edges))}
@@ -415,7 +415,7 @@ def run_steps(net, code, links, n, length, rng, pipe_delay=0, u_block=None):
     return TraceRecord(u_block, edge_io, recon, dist)
 
 
-def run_block(net, code, params, rng, pipe_delay=0, u_block=None):
+def run_block(net, code, params, rng, pipe_delay=0):
     """Execute one single-layer coding block of n network uses and decode,
     for every trial of an RngBatch (a single RngStream is a batch of one).
 
@@ -427,7 +427,7 @@ def run_block(net, code, params, rng, pipe_delay=0, u_block=None):
     N = 1 if schedule is None else schedule.N
     links = [raw_link(i, e, N, False) for i, e in enumerate(net.edges)]
     return run_steps(net, code, links, params.n, params.L, rng.batch(),
-                     pipe_delay, u_block)
+                     pipe_delay)
 
 
 def trial_elements(net, n, length, N=1):

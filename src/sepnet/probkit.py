@@ -108,9 +108,6 @@ class Kernel:
     def output_size(self):
         return self.matrix.shape[1]
 
-    def row(self, x):
-        return ProbVector(self.matrix[x])
-
     def __repr__(self):
         return "Kernel(%s)" % np.array2string(self.matrix, separator=", ")
 

@@ -29,14 +29,13 @@ class SendSourceSymbol:
 class EchoLastOutput:
     """Transmit the most recent symbol observed on a chosen incoming edge."""
 
-    def __init__(self, out_edges, listen_edge, idle=0):
+    def __init__(self, out_edges, listen_edge):
         self.out_edges = list(out_edges)
         self.listen = listen_edge
-        self.idle = idle
 
     def emit(self, t, u_block, received, rng):
         hist = received.get(self.listen, [])
-        sym = hist[-1] if hist else np.full(len(u_block), self.idle)
+        sym = hist[-1] if hist else np.zeros(len(u_block), dtype=np.int64)
         return {e: sym for e in self.out_edges}
 
 

@@ -16,9 +16,10 @@ N = 1 case. The de-stacked link draws uniform(N) from each period's stream
 once, at the period's first use, and keeps it for the period's later
 layers, so coupled seeds reproduce the stacked run's channel realizations bit
 for bit. A de-stacked encoder keeps its period's stacked emission the same
-way. All three runs go through the one step loop, netmodel.run_steps; a
-de-stacked block is a run_block of the de-stacked policy, whose schedule
-gives N.
+way. All three runs go through the one step loop, netmodel.run_steps. A
+stacked block, run_stacked_block(net, code, rng, behaviors), takes N from
+code.N and swaps the edges named in behaviors for link codes; a de-stacked
+block is a run_block of the de-stacked policy, whose schedule gives N.
 
 Every run carries a batch of T trials on the leading axis of its arrays (see
 netmodel): a stacked DMC use is (T, N), a stacked pipe payload (T, N, k), and
@@ -29,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import (ArityMismatch, CodeParameters, CodingPolicy,
-                       NetworkSpec, estimate_trials, raw_link, run_steps,
-                       stack_arrays, trial_elements)
+from .netmodel import (CodeParameters, CodingPolicy, estimate_trials,
+                       raw_link, run_steps, stack_arrays, trial_elements)
 
 
 @dataclass(frozen=True)
@@ -96,43 +96,24 @@ class StackedCode:
 # ---------------------------------------------------------------------------
 # stacked execution
 
-@dataclass
-class StackedConfig:
-    """A base network, layer count, and per-edge link behaviors.
+def run_stacked_block(net, code, rng, behaviors=None):
+    """Execute one stacked coding block: n uses of the code.N-layer network.
 
     behaviors maps edge index to an object exposing make_handler(e_idx,
     edge, N); missing entries get the raw per-layer channel.
     """
-    net: NetworkSpec
-    N: int
-    behaviors: dict = None
-    pipe_delay: int = 0
-
-    def handler(self, e_idx):
-        beh = (self.behaviors or {}).get(e_idx)
-        edge = self.net.edges[e_idx]
-        if beh is None:
-            return raw_link(e_idx, edge, self.N, True)
-        return beh.make_handler(e_idx, edge, self.N)
+    N, behaviors = code.N, behaviors or {}
+    links = [behaviors[i].make_handler(i, e, N) if i in behaviors
+             else raw_link(i, e, N, True) for i, e in enumerate(net.edges)]
+    return run_steps(net, code, links, code.params.n, N * code.params.L,
+                     rng.batch())
 
 
-def run_stacked_block(config, code, rng, u_block=None):
-    """Execute one stacked coding block: n uses of the N-layer network."""
-    N = config.N
-    if code.N != N:
-        raise ArityMismatch("code has %d layers, config has %d" % (code.N, N))
-    links = [config.handler(i) for i in range(len(config.net.edges))]
-    return run_steps(config.net, code, links, code.params.n,
-                     N * code.params.L, rng.batch(), config.pipe_delay,
-                     u_block)
-
-
-def estimate_stacked_distortion(config, code, trials, rng):
+def estimate_stacked_distortion(net, code, trials, rng, behaviors=None):
     """Per-demand (mean, stderr) of the stacked block distortion."""
     return estimate_trials(
-        lambda r: run_stacked_block(config, code, r), trials, rng,
-        trial_elements(config.net, code.params.n,
-                       config.N * code.params.L, config.N))
+        lambda r: run_stacked_block(net, code, r, behaviors), trials, rng,
+        trial_elements(net, code.params.n, code.N * code.params.L, code.N))
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +315,10 @@ def even_odd_split(stacked, source):
         N=2 * Ni, params=stacked.params)
 
 
-def parity_class_dependence_tv(source, L, num_blocks=4, samples=20000,
-                               rng=None, node=0):
+def parity_class_dependence_tv(source, L, rng, num_blocks=4, samples=20000):
     """Dependence left inside one parity class, as a total variation.
 
-    Takes the first source symbol of each of `num_blocks` consecutive
+    Takes node 0's first source symbol in each of `num_blocks` consecutive
     even-class blocks (blocks 0, 2, 4, ...), estimates their joint law by
     Monte Carlo, and returns its TV distance to the product of the estimated
     marginals. Near 0 when blocks of length L have mixed; large when L is
@@ -347,8 +327,8 @@ def parity_class_dependence_tv(source, L, num_blocks=4, samples=20000,
     length = (2 * (num_blocks - 1)) * L + 1
     draws = source.draw_many(length, samples, rng.child("mixing"))
     positions = [2 * j * L for j in range(num_blocks)]
-    symbols = draws[:, positions, node]  # (samples, num_blocks)
-    k = source.alphabet_sizes[node]
+    symbols = draws[:, positions, 0]  # (samples, num_blocks)
+    k = source.alphabet_sizes[0]
     flat = np.ravel_multi_index(tuple(symbols.T), (k,) * num_blocks)
     joint = np.bincount(flat, minlength=k ** num_blocks) / samples
     marg = [np.bincount(symbols[:, j], minlength=k) / samples

@@ -12,9 +12,8 @@ from sepnet.netmodel import (BitPipe, DmcChannel, Edge, IidJoint, MarkovJoint,
                              NetworkSpec, estimate_distortion, run_block)
 from sepnet.probkit import Kernel, RngStream
 from sepnet.recipes import adaptive_feedback, constant_guess, uncoded_relay
-from sepnet.stacking import (StackedConfig, destack_code,
-                             estimate_stacked_distortion, even_odd_split,
-                             lift_code, run_stacked_block)
+from sepnet.stacking import (destack_code, estimate_stacked_distortion,
+                             even_odd_split, lift_code, run_stacked_block)
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 T = 7
@@ -43,7 +42,7 @@ def single(recipe, net):
 def stacked(recipe, net):
     policy, params = recipe(net, L=3)
     code = lift_code(policy, params, 4)
-    return lambda r: run_stacked_block(StackedConfig(net, 4), code, r)
+    return lambda r: run_stacked_block(net, code, r)
 
 
 def destacked(recipe, net):
@@ -55,7 +54,7 @@ def destacked(recipe, net):
 def parity(recipe, net):
     policy, params = recipe(net, L=2)
     code = even_odd_split(lift_code(policy, params, 2), net.sources)
-    return lambda r: run_stacked_block(StackedConfig(net, 4), code, r)
+    return lambda r: run_stacked_block(net, code, r)
 
 
 def link_configs():
@@ -65,14 +64,14 @@ def link_configs():
     codes = [build_channel_code(Kernel.bsc(p), N, R, RngStream(9).child(i))
              for i in range(2)]
     scheme = _bit_forward_code(N, 4, 4)
-    noisy = StackedConfig(_line_network(DmcChannel(Kernel.bsc(p))), N,
-                          {i: CodedLinkBehavior(c) for i, c in
-                           enumerate(codes)})
-    pipe = StackedConfig(_line_network(BitPipe(0.6)), N,
-                         {0: AggregatePipeBehavior(),
-                          1: AggregatePipeBehavior()})
-    return {name: (lambda r, cfg=cfg: run_stacked_block(cfg, scheme, r))
-            for name, cfg in (("coded", noisy), ("aggregate-pipe", pipe))}
+    noisy = (_line_network(DmcChannel(Kernel.bsc(p))),
+             {i: CodedLinkBehavior(c) for i, c in enumerate(codes)})
+    pipe = (_line_network(BitPipe(0.6)),
+            {0: AggregatePipeBehavior(), 1: AggregatePipeBehavior()})
+    return {name: (lambda r, net=net, beh=beh:
+                   run_stacked_block(net, scheme, r, beh))
+            for name, (net, beh) in (("coded", noisy),
+                                     ("aggregate-pipe", pipe))}
 
 
 def rows(trace, lo, hi):
@@ -124,12 +123,11 @@ def test_link_configs_batch_equals_batches_of_one(name):
 def test_estimates_do_not_depend_on_chunking(recipe, net, monkeypatch):
     policy, params = recipe(net, L=3)
     code = lift_code(policy, params, 4)
-    cfg = StackedConfig(net, 4)
 
     def estimates():
         return (estimate_distortion(net, policy, params, 11,
                                     RngStream(5)).to_json(),
-                estimate_stacked_distortion(cfg, code, 11, RngStream(5)))
+                estimate_stacked_distortion(net, code, 11, RngStream(5)))
 
     whole = estimates()
     # 3-trial chunks of single-layer blocks, 1-trial chunks of stacked ones

@@ -14,8 +14,11 @@ import pytest
 from sepnet.experiments import (link_replacement_experiment, simulate,
                                 stack_check, synth_sweep, two_step_induction,
                                 verify_lemma1)
-from sepnet.netmodel import DmcChannel, Edge, IidJoint, NetworkSpec
-from sepnet.probkit import Kernel, ProbVector
+from sepnet.linkcodes import SynthLinkBehavior, build_synthesis_code
+from sepnet.netmodel import BitPipe, DmcChannel, Edge, IidJoint, NetworkSpec
+from sepnet.probkit import Kernel, ProbVector, RngStream
+from sepnet.recipes import uncoded_relay
+from sepnet.stacking import lift_code, run_stacked_block
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 RELAY_NET = NetworkSpec((0, 1), (Edge(0, 1, DmcChannel(Kernel.bsc(0.11))),),
@@ -25,6 +28,24 @@ FEEDBACK_NET = NetworkSpec((0, 1),
                             Edge(1, 0, DmcChannel(Kernel.bsc(0.1)))),
                            {(0, 1): HAMMING},
                            IidJoint((2, 2), [0.25, 0.25, 0.25, 0.25]))
+PIPE_NET = NetworkSpec((0, 1), (Edge(0, 1, BitPipe(1.0)),),
+                       {(0, 1): HAMMING}, IidJoint((2, 1), [0.5, 0.5]))
+
+
+def synth_link_run():
+    """Six trials of the 8-layer lifted relay over a rate-1 pipe that
+    synthesizes a BSC(0.11), with an independent code per stacked time."""
+    policy, params = uncoded_relay(PIPE_NET, L=3)
+    codes = {t: build_synthesis_code(ProbVector([0.5, 0.5]), Kernel.bsc(0.11),
+                                     8, 0.8, RngStream(10).child("code", t))
+             for t in range(params.n)}
+    tr = run_stacked_block(PIPE_NET, lift_code(policy, params, 8),
+                           RngStream(11).children("trial", range(6)),
+                           {0: SynthLinkBehavior(codes.get)})
+    return {"x": [x.tolist() for x, _ in tr.edge_io[0]],
+            "y": [y.tolist() for _, y in tr.edge_io[0]],
+            "distortion": tr.distortion[0, 1].tolist()}
+
 
 CASES = {
     "stack_check_relay": (
@@ -60,6 +81,9 @@ CASES = {
         lambda: synth_sweep(Kernel.bec(0.2), ProbVector([0.4, 0.6]), (6,),
                             0.95, batches=1, codebooks=2, samples=4, seed=8),
         "af9cab8190e8599b249a9dfad6e10afac352d370ff68d782509f6b5701067260"),
+    "synth_link_stacked": (
+        synth_link_run,
+        "97ca4585a4b15f7b655928c5a6aa8297a0d85e2e78c799fdbd41179f976a9a7b"),
 }
 
 

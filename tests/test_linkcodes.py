@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 from sepnet import experiments, linkcodes
 from sepnet.experiments import (lemma1_report, lemma1_samples,
                                 link_replacement_experiment)
-from sepnet.linkcodes import (ChannelCode, CodebookCapExceeded,
-                              CodedLinkBehavior, LinkCodeReport,
+from sepnet.linkcodes import (AggregatePipeBehavior, ChannelCode,
+                              CodebookCapExceeded, CodedLinkBehavior,
+                              LinkCodeReport,
                               RateOutOfRange, SynthLinkBehavior, TypeScorer,
                               bits_to_index, build_channel_code,
                               build_synthesis_code, estimate_error_prob,
                               index_to_bits, likelihood_weights,
                               synthesized_type_tv)
-from sepnet.netmodel import BitPipe, DmcChannel, Edge
+from sepnet.netmodel import BitPipe, BudgetOverflow, DmcChannel, Edge
 from sepnet.probkit import (JointPmf, Kernel, ProbVector, RngBatch, RngStream,
                             mean_stderr, sample_many)
 
@@ -224,7 +225,7 @@ def test_synthesis_rate_guards():
 def test_identity_channel_synthesis_is_near_lossless():
     """Rate above H(X) on a noiseless channel: y = x almost everywhere."""
     code = build_synthesis_code(ProbVector([0.5, 0.5]), Kernel.identity(2),
-                                16, 1.1, RngStream(11), cap_bits=22)
+                                16, 1.1, RngStream(11))
     agree = 0
     total = 0
     for j in range(40):
@@ -416,6 +417,21 @@ def test_synth_link_pipe_rate_guard():
         # ceil(8*0.8)=7 message bits do not fit floor(8*0.5)=4 pipe bits
         h.transmit(RngStream(18).batch(), 0,
                    np.zeros((1, 8), dtype=np.int64))
+
+
+def test_aggregate_pipe_overflow_is_a_budget_overflow():
+    """N = 12 copies of a rate-0.6 pipe carry floor(12 * 0.6) = 7 bits per
+    use, cumulatively: 7 bits by t = 0, 14 by t = 1, and no more."""
+    edge = Edge(0, 1, BitPipe(0.6))
+    h = AggregatePipeBehavior().make_handler(0, edge, 12)
+    rng = RngStream(0).batch()
+    bits = np.ones((1, 7), dtype=np.int64)
+    assert all(np.array_equal(v, bits) for v in h.transmit(rng, 0, bits))
+    with pytest.raises(BudgetOverflow):
+        h.transmit(rng, 1, np.ones((1, 8), dtype=np.int64))
+    with pytest.raises(BudgetOverflow):
+        AggregatePipeBehavior().make_handler(0, edge, 12).transmit(
+            rng, 0, np.ones((1, 8), dtype=np.int64))
 
 
 def test_link_replacement_flushes_at_low_rate():

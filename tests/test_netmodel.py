@@ -13,8 +13,8 @@ from sepnet.netmodel import (ArityMismatch, BitPipe, BudgetOverflow,
                              is_strongly_connected, run_block, validate_spec)
 from sepnet.probkit import Kernel, RngStream
 from sepnet.recipes import adaptive_feedback, build_recipe, uncoded_relay
-from sepnet.stacking import (StackedConfig, estimate_stacked_distortion,
-                             lift_code, run_stacked_block)
+from sepnet.stacking import (estimate_stacked_distortion, lift_code,
+                             run_stacked_block)
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -356,8 +356,7 @@ def test_estimate_distortion_rejects_zero_trials():
     with pytest.raises(ValueError):
         estimate_distortion(net, policy, params, 0, RngStream(0))
     with pytest.raises(ValueError):
-        estimate_stacked_distortion(StackedConfig(net, 2),
-                                    lift_code(policy, params, 2), 0,
+        estimate_stacked_distortion(net, lift_code(policy, params, 2), 0,
                                     RngStream(0))
 
 
@@ -380,7 +379,7 @@ def test_run_block_is_the_one_layer_stacked_run(recipe, net):
     for j in range(10):
         rng = RngStream(50 + j)
         tr = run_block(net, policy, params, rng)
-        tr_s = run_stacked_block(StackedConfig(net, 1), stacked, rng)
+        tr_s = run_stacked_block(net, stacked, rng)
         for e, seq in tr_s.edge_io.items():
             assert same_io({e: [(x[:, 0], y[:, 0]) for x, y in seq]},
                            {e: tr.edge_io[e]})

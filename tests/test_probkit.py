@@ -68,7 +68,6 @@ def test_probvector_immutable():
 def test_kernel_shapes_and_rows():
     k = Kernel.bsc(0.11)
     assert k.input_size == 2 and k.output_size == 2
-    assert k.row(0).to_json() == [0.89, 0.11]
     e = Kernel.bec(0.3)
     assert e.output_size == 3
     assert np.allclose(e.matrix.sum(axis=1), 1.0)

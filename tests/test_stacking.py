@@ -6,8 +6,8 @@ from sepnet.netmodel import (ArityMismatch, DmcChannel, Edge, IidJoint,
                              MarkovJoint, NetworkSpec, run_block)
 from sepnet.probkit import Kernel, RngStream
 from sepnet.recipes import adaptive_feedback, uncoded_relay
-from sepnet.stacking import (InterleaveSchedule, LiftedEncoder, StackedConfig,
-                             destack_code, even_odd_split, lift_code,
+from sepnet.stacking import (InterleaveSchedule, LiftedEncoder, destack_code,
+                             even_odd_split, lift_code,
                              parity_class_dependence_tv, run_stacked_block,
                              traces_match)
 
@@ -78,10 +78,9 @@ def test_destack_reproduces_stacked_traces(recipe, net):
     stacked = lift_code(policy, params, N)
     destacked, dparams = destack_code(stacked)
     sched = InterleaveSchedule(N, params.n)
-    cfg = StackedConfig(net, N)
     for j in range(25):
         rng = RngStream(100 + j)
-        tr_s = run_stacked_block(cfg, stacked, rng)
+        tr_s = run_stacked_block(net, stacked, rng)
         tr_d = run_block(net, destacked, dparams, rng)
         assert traces_match(tr_s, tr_d, sched)
         key = next(iter(net.demands))
@@ -104,7 +103,7 @@ def test_destacked_link_seeds_each_period_stream_once(monkeypatch):
     stacked = lift_code(policy, params, N)
     destacked, dparams = destack_code(stacked)
     rng = RngStream(5)
-    tr_s = run_stacked_block(StackedConfig(net, N), stacked, rng)
+    tr_s = run_stacked_block(net, stacked, rng)
     monkeypatch.setattr(probkit, "uniform_streams", counting)
     tr_d = run_block(net, destacked, dparams, rng)
     monkeypatch.undo()
@@ -137,7 +136,7 @@ def test_destacked_encoder_runs_each_stacked_emission_once(recipe, net, L,
 
     for j in range(4):
         rng = RngStream(60 + j)
-        tr_s = run_stacked_block(StackedConfig(net, N), stacked, rng)
+        tr_s = run_stacked_block(net, stacked, rng)
         del calls[:]
         monkeypatch.setattr(LiftedEncoder, "emit", counting)
         tr_d = run_block(net, destacked, dparams, rng)
@@ -169,17 +168,9 @@ def test_destack_trivial_single_layer():
     stacked = lift_code(policy, params, 1)
     destacked, dparams = destack_code(stacked)
     rng = RngStream(3)
-    tr_s = run_stacked_block(StackedConfig(net, 1), stacked, rng)
+    tr_s = run_stacked_block(net, stacked, rng)
     tr_d = run_block(net, destacked, dparams, rng)
     assert traces_match(tr_s, tr_d, InterleaveSchedule(1, params.n))
-
-
-def test_layer_count_mismatch_rejected():
-    net = relay_net()
-    policy, params = uncoded_relay(net, L=2)
-    stacked = lift_code(policy, params, 3)
-    with pytest.raises(ArityMismatch):
-        run_stacked_block(StackedConfig(net, 5), stacked, RngStream(0))
 
 
 def test_stacked_foreign_edge_emission_rejected():
@@ -194,7 +185,7 @@ def test_stacked_foreign_edge_emission_rejected():
     stacked = lift_code(policy, params, 2)
     stacked.encoders[1] = Meddler()  # node 1 feeds edge 1, not edge 0
     with pytest.raises(ArityMismatch):
-        run_stacked_block(StackedConfig(net, 2), stacked, RngStream(0))
+        run_stacked_block(net, stacked, RngStream(0))
 
 
 def test_schedule_check_raises_on_broken_schedule():
@@ -211,7 +202,7 @@ def test_lifted_layers_are_independent():
     net = relay_net(p=0.5)
     policy, params = uncoded_relay(net, L=16)
     stacked = lift_code(policy, params, 2)
-    tr = run_stacked_block(StackedConfig(net, 2), stacked, RngStream(11))
+    tr = run_stacked_block(net, stacked, RngStream(11))
     y0 = [int(yv[0, 0]) for _, yv in tr.edge_io[0]]
     y1 = [int(yv[0, 1]) for _, yv in tr.edge_io[0]]
     assert y0 != y1
@@ -229,7 +220,7 @@ def test_even_odd_split_doubles_layers_and_reconstructs():
     inner = lift_code(policy, params, 3)
     split = even_odd_split(inner, net.sources)
     assert split.N == 6
-    tr = run_stacked_block(StackedConfig(net, 6), split, RngStream(2))
+    tr = run_stacked_block(net, split, RngStream(2))
     assert tr.distortion[(0, 1)] == 0.0
     assert np.array_equal(tr.recon[(0, 1)], tr.u[0])
 
