@@ -19,8 +19,8 @@ from .netmodel import (BitPipe, CodeParameters, CodingPolicy, DmcChannel,
                        run_block, validate_spec)
 from .probkit import (JointPmf, Kernel, ProbVector, RngBatch, RngStream,
                       entropy, mutual_information, tv_distance)
-from .stacking import (InterleaveSchedule, destack_code, even_odd_split,
-                       lift_code, run_stacked_block, traces_match)
+from .stacking import (destack_code, even_odd_split, lift_code,
+                       run_stacked_block, traces_match)
 from .linkcodes import (ChannelCode, LinkCodeReport, SynthesisCode,
                         build_channel_code, build_synthesis_code)
 from .scenario import Scenario, load_scenario, write_json_atomic
@@ -34,16 +34,15 @@ __version__ = "0.1.0"
 __all__ = [
     "BitPipe", "CapacityResult", "ChannelCode", "CodeParameters",
     "CodingPolicy", "DistortionMatrix", "DmcChannel", "Edge", "IidJoint",
-    "InfeasibleTarget", "InterleaveSchedule", "JointPmf", "Kernel",
-    "LinkCodeReport", "MarkovJoint", "NetworkSpec", "ProbVector", "RdResult",
-    "RngBatch", "RngStream", "Scenario", "SynthesisCode",
-    "TraceRecord", "blahut_capacity", "blahut_rate_distortion",
-    "build_channel_code", "build_synthesis_code", "capacity_report",
-    "chancode_sweep", "destack_code", "emit_plotdata", "entropy",
-    "estimate_distortion", "even_odd_split", "invert_rate_distortion",
-    "lift_code", "load_scenario", "mixing_demo", "mutual_information",
-    "rd_report", "run_block", "run_stacked_block", "separation_experiment",
-    "simulate", "stack_check", "synth_sweep", "traces_match", "tv_distance",
-    "two_step_induction", "validate_spec", "verify_lemma1",
-    "write_json_atomic",
+    "InfeasibleTarget", "JointPmf", "Kernel", "LinkCodeReport", "MarkovJoint",
+    "NetworkSpec", "ProbVector", "RdResult", "RngBatch", "RngStream",
+    "Scenario", "SynthesisCode", "TraceRecord", "blahut_capacity",
+    "blahut_rate_distortion", "build_channel_code", "build_synthesis_code",
+    "capacity_report", "chancode_sweep", "destack_code", "emit_plotdata",
+    "entropy", "estimate_distortion", "even_odd_split",
+    "invert_rate_distortion", "lift_code", "load_scenario", "mixing_demo",
+    "mutual_information", "rd_report", "run_block", "run_stacked_block",
+    "separation_experiment", "simulate", "stack_check", "synth_sweep",
+    "traces_match", "tv_distance", "two_step_induction", "validate_spec",
+    "verify_lemma1", "write_json_atomic",
 ]

@@ -6,11 +6,12 @@ distribution.
 Link behaviors fill the behaviors map of stacking.run_stacked_block. Their
 handlers act on all T trials of a batch per stacked use, on netmodel's raw
 links where one fits (a coded link sends its codewords through a stacked
-DmcLink, an aggregate pipe is a PipeLink): payloads are (T, k) bit arrays and
-synthesized inputs (T, N) symbol arrays. A synthesis code drawn from an
-RngBatch of B streams is B codebooks, one per stream, held as one (B, M, N)
-array; its encoder pairs word b with codebook b. This one code path serves the
-engine's synthesized links, the induction check, lemma 1 and soft covering.
+DmcLink): payloads are (T, k) bit arrays, at most floor(N*R) bits per use on
+a coded link and an aggregate pipe alike, and synthesized inputs (T, N)
+symbol arrays. A synthesis code drawn from an RngBatch of B streams is B
+codebooks, one per stream, held as one (B, M, N) array; its encoder pairs
+word b with codebook b. This one code path serves the engine's synthesized
+links, the induction check, lemma 1 and soft covering.
 """
 
 from dataclasses import dataclass, field
@@ -19,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .infosolvers import blahut_capacity
-from .netmodel import (ArityMismatch, BitPipe, DmcChannel, DmcLink, PipeLink,
-                       as_payload)
+from .netmodel import (ArityMismatch, BitPipe, BudgetOverflow, DmcChannel,
+                       DmcLink, as_payload)
 from .probkit import (CHUNK_ELEMENTS, JointPmf, Kernel, ProbVector,
                       mean_stderr, mutual_information, sample_many,
                       sample_rows)
@@ -318,27 +319,41 @@ def synthesized_type_tv(code, rng, samples=64):
 # ---------------------------------------------------------------------------
 # stacked-engine link behaviors
 
-class _CodedLinkHandler:
-    """A block channel code over N DMC copies: a bit-pipe of payload_bits
-    bits per stacked use, all trials' words of a use decoded in one call."""
+class _PipeUseHandler:
+    """One stacked use of N rate-R pipe copies: a (T, k) payload of at most
+    cap = floor(N*R) bits, more being a BudgetOverflow on both sides of link
+    replacement. carry(rng, t, bits) delivers a non-empty payload."""
 
-    def __init__(self, e_idx, code):
-        self.e = e_idx
-        self.code = code
-        self.link = DmcLink(e_idx, code.channel, code.N, True)
+    def __init__(self, e_idx, cap):
+        self.e, self.cap = e_idx, cap
 
     def transmit(self, rng, t, payload):
         bits = as_payload(payload, (len(rng),), self.e)
+        if bits.shape[1] > self.cap:
+            raise BudgetOverflow("payload of %d bits exceeds %d per use on "
+                                 "edge %d at t=%d"
+                                 % (bits.shape[1], self.cap, self.e, t))
+        out = self.carry(rng, t, bits) if bits.shape[1] else bits
+        return bits, out, out
+
+    def carry(self, rng, t, bits):
+        return bits
+
+
+class _CodedLinkHandler(_PipeUseHandler):
+    """A block channel code over N DMC copies, carrying payload_bits bits
+    per stacked use; all trials' words of a use are decoded in one call."""
+
+    def __init__(self, e_idx, code):
+        super().__init__(e_idx, code.payload_bits)
+        self.code = code
+        self.link = DmcLink(e_idx, code.channel, code.N, True)
+
+    def carry(self, rng, t, bits):
         k = bits.shape[1]
-        if k > self.code.payload_bits:
-            raise RateOutOfRange("payload of %d bits exceeds %d on edge %d"
-                                 % (k, self.code.payload_bits, self.e))
-        if not k:
-            return bits, bits, bits
         _, y, _ = self.link.transmit(rng, t,
                                      self.code.encode(bits_to_index(bits)))
-        out = index_to_bits(self.code.decode_batch(y) % (1 << k), k)
-        return bits, out, out
+        return index_to_bits(self.code.decode_batch(y) % (1 << k), k)
 
 
 @dataclass
@@ -409,4 +424,4 @@ class AggregatePipeBehavior:
     def make_handler(self, e_idx, edge, N):
         if not isinstance(edge.channel, BitPipe):
             raise ValueError("aggregate pipe behavior needs a BitPipe edge")
-        return PipeLink(e_idx, BitPipe(edge.channel.budget(N)), 1, False)
+        return _PipeUseHandler(e_idx, edge.channel.budget(N))

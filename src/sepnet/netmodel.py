@@ -14,6 +14,11 @@ stream of an RngBatch, and never loops over them. Every array it hands a
 policy or gets back carries the trials on its leading axis: source blocks are
 (T, L), a DMC use is (T,), a pipe payload (T, k) with one k per step, and a
 run with a single RngStream is the batch of one.
+
+Interleaving: a single-layer run of a CodingPolicy with N > 1 is the
+de-stacked form of an N-layer code. Its step tau is layer tau % N of stacked
+time tau // N, and its DMC noise is keyed so that it matches the stacked run
+bit for bit (see the raw links below); a plain policy is N = 1.
 """
 
 import math
@@ -142,9 +147,12 @@ class CodingPolicy:
     (T, L) source block, rng an RngBatch of the T trials' streams, and
     `received` maps incoming edge index to the list over earlier steps of
     per-step output arrays, each with the trials on its leading axis.
+    N is the layer count of a de-stacked N-layer code (see Interleaving in
+    the module docstring) and 1 for any other policy.
     """
     encoders: dict
     decoders: dict
+    N: int = 1
 
 
 @dataclass(frozen=True)
@@ -418,14 +426,9 @@ def run_steps(net, code, links, n, length, rng, pipe_delay=0):
 def run_block(net, code, params, rng, pipe_delay=0):
     """Execute one single-layer coding block of n network uses and decode,
     for every trial of an RngBatch (a single RngStream is a batch of one).
-
-    A policy carrying an interleave `schedule` (the de-stacked form of an
-    N-layer code) keys its channel noise to the stacked run's; any other
-    policy is the N = 1 case.
+    The policy's N sets the interleaving its channel noise keys to.
     """
-    schedule = getattr(code, "schedule", None)
-    N = 1 if schedule is None else schedule.N
-    links = [raw_link(i, e, N, False) for i, e in enumerate(net.edges)]
+    links = [raw_link(i, e, code.N, False) for i, e in enumerate(net.edges)]
     return run_steps(net, code, links, params.n, params.L, rng.batch(),
                      pipe_delay)
 
@@ -453,10 +456,6 @@ class DistortionMatrix:
     stderr: np.ndarray
     trials: int
     nodes: tuple = field(default=())
-
-    def entry(self, a, b):
-        i, j = self.nodes.index(a), self.nodes.index(b)
-        return float(self.values[i, j]), float(self.stderr[i, j])
 
     def to_json(self):
         return {"nodes": list(self.nodes),

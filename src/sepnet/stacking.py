@@ -3,10 +3,13 @@ N independent layers, de-stack an N-layer code into an interleaved
 single-layer equivalent, and the even/odd layer split for sources with
 memory.
 
-Layer/time indexing is 0-based throughout. The interleaving schedule maps
-(layer l, stacked time t) to single-layer time tau = t*N + l, so every
-stacked-time-(t-1) observation lands strictly before every stacked-time-t
-emission.
+Layer/time indexing is 0-based throughout, and two rules carry the
+construction. Interleaving: layer l at stacked time t runs at single-layer
+time tau = t*N + l, so (t, l) = divmod(tau, N) and every stacked-time-(t-1)
+observation lands strictly before every stacked-time-t emission. Copies:
+lifting and the even/odd split both run independent copies of a code on
+groups of layers; lift_code gives copy l the layer l, even_odd_split gives
+class c the layers c, c + 2, ..., and one encoder/decoder pair serves both.
 
 Noise coupling: one keying rule covers every run. The use of a DMC edge e
 at single-layer time tau of an N-fold interleaved run reads entry tau mod N
@@ -19,11 +22,12 @@ for bit. A de-stacked encoder keeps its period's stacked emission the same
 way. All three runs go through the one step loop, netmodel.run_steps. A
 stacked block, run_stacked_block(net, code, rng, behaviors), takes N from
 code.N and swaps the edges named in behaviors for link codes; a de-stacked
-block is a run_block of the de-stacked policy, whose schedule gives N.
+block is a run_block of the de-stacked policy, a CodingPolicy whose N field
+is the layer count it interleaves.
 
 Every run carries a batch of T trials on the leading axis of its arrays (see
 netmodel): a stacked DMC use is (T, N), a stacked pipe payload (T, N, k), and
-the lifted, de-stacked and parity codes slice and stack layers along axis 1.
+the copies and de-stacked codes slice and stack layers along axis 1.
 """
 
 from dataclasses import dataclass
@@ -32,48 +36,6 @@ import numpy as np
 
 from .netmodel import (CodeParameters, CodingPolicy, estimate_trials,
                        raw_link, run_steps, stack_arrays, trial_elements)
-
-
-@dataclass(frozen=True)
-class InterleaveSchedule:
-    """Bijection between (layer, stacked time) and single-layer time."""
-    N: int
-    n: int
-
-    @property
-    def total_time(self):
-        return self.N * self.n
-
-    def to_single(self, t, layer):
-        if not (0 <= t < self.n and 0 <= layer < self.N):
-            raise ValueError("schedule index out of range")
-        return t * self.N + layer
-
-    def to_stacked(self, tau):
-        if not 0 <= tau < self.total_time:
-            raise ValueError("schedule index out of range")
-        return tau // self.N, tau % self.N
-
-    def check(self):
-        """Exhaustive bijectivity + dependency-preservation check."""
-        seen = set()
-        for t in range(self.n):
-            for l in range(self.N):
-                tau = self.to_single(t, l)
-                if self.to_stacked(tau) != (t, l):
-                    raise ValueError("schedule is not a bijection at "
-                                     "(t=%d, layer=%d)" % (t, l))
-                seen.add(tau)
-        if seen != set(range(self.total_time)):
-            raise ValueError("schedule does not cover every single-layer time")
-        # every period-(t-1) observation precedes every period-t emission
-        for t in range(1, self.n):
-            latest_obs = max(self.to_single(t - 1, l) for l in range(self.N))
-            earliest_em = min(self.to_single(t, l) for l in range(self.N))
-            if latest_obs >= earliest_em:
-                raise ValueError("period %d emits before period %d is "
-                                 "observed" % (t, t - 1))
-        return True
 
 
 @dataclass
@@ -117,202 +79,87 @@ def estimate_stacked_distortion(net, code, trials, rng, behaviors=None):
 
 
 # ---------------------------------------------------------------------------
-# lifting: one independent code copy per layer
+# independent copies on layer groups: lifting and the even/odd split
 
-class _Lifted:
-    def __init__(self, base, L, N):
-        self.base = base
-        self.L = L
-        self.N = N
+class _Copies:
+    """Independent copies of one encoder or decoder of a code, copy j on the
+    layers groups[j] of an N-layer block: one layer (an int), whose copy
+    sees single-layer arrays, or several (a slice), whose copy sees them as
+    its own layers. Copy j sees only its layers' source blocks and history
+    and draws from rng.child(label, j)."""
 
-    def layer_view(self, u_full, received_all, l):
-        """Layer l's (T, L) source sub-block and its own history."""
-        return (u_full[:, l * self.L:(l + 1) * self.L],
-                {e: [obs[:, l] for obs in seq]
+    def __init__(self, base, L, N, groups, label):
+        self.base, self.L, self.N, self.label = base, L, N, label
+        self.groups = list(groups)
+        layers = [np.arange(N)[g] for g in self.groups]
+        self.shape = np.shape(layers[0])   # a copy's layer axes: () or (k,)
+        # layer order of the copies' outputs stacked copy by copy
+        self.order = np.argsort(np.concatenate(layers, axis=None))
+
+    def view(self, u_full, received_all, j):
+        """Copy j's source blocks, (T, L) per layer in order, and history."""
+        g, T = self.groups[j], len(u_full)
+        return (u_full.reshape(T, self.N, self.L)[:, g].reshape(T, -1),
+                {e: [obs[:, g] for obs in seq]
                  for e, seq in received_all.items()})
 
+    def merge(self, parts, what):
+        """The copies' outputs, each (T,) + shape + rest, in layer order:
+        (T, N) + rest."""
+        merged = stack_arrays(parts, 1, what)
+        rest = merged.shape[2 + len(self.shape):]
+        return merged.reshape((len(merged), self.N) + rest)[:, self.order]
 
-class LiftedEncoder(_Lifted):
-    """Runs an independent copy of a single-layer encoder in each layer."""
 
+class CopiesEncoder(_Copies):
     def emit(self, t, u_full, received_all, rng):
-        out = {}
-        for l in range(self.N):
-            em = self.base.emit(t, *self.layer_view(u_full, received_all, l),
-                                rng.child("layer", l))
-            for e, v in em.items():
-                out.setdefault(e, [None] * self.N)[l] = v
-        return {e: stack_arrays(v, 1, "layer emissions on edge %d" % e)
-                for e, v in out.items()}
+        em = [self.base.emit(t, *self.view(u_full, received_all, j),
+                             rng.child(self.label, j))
+              for j in range(len(self.groups))]
+        return {e: self.merge([m.get(e) for m in em],
+                              "copy emissions on edge %d" % e)
+                for e in {e for m in em for e in m}}
 
 
-class LiftedDecoder(_Lifted):
+class CopiesDecoder(_Copies):
     def decode(self, u_full, received_all, rng):
-        return np.concatenate(
-            [self.base.decode(*self.layer_view(u_full, received_all, l),
-                              rng.child("layer", l)) for l in range(self.N)],
-            axis=1)
+        r = [self.base.decode(*self.view(u_full, received_all, j),
+                              rng.child(self.label, j))
+             for j in range(len(self.groups))]
+        merged = self.merge([np.reshape(x, (len(x),) + self.shape + (-1,))
+                             for x in r], "copy reconstructions")
+        return merged.reshape(len(merged), -1)
 
 
-def lift_code(code, params, N):
-    """Run the same single-layer code independently
-    in each of the N layers, on the l-th source sub-block."""
+def _copies(code, params, N, groups, label):
+    if N < 1:
+        raise ValueError("a stacked code needs at least one layer, got N=%r"
+                         % (N,))
     return StackedCode(
-        encoders={a: LiftedEncoder(enc, params.L, N)
+        encoders={a: CopiesEncoder(enc, params.L, N, groups, label)
                   for a, enc in code.encoders.items()},
-        decoders={k: LiftedDecoder(dec, params.L, N)
+        decoders={k: CopiesDecoder(dec, params.L, N, groups, label)
                   for k, dec in code.decoders.items()},
         N=N, params=params)
 
 
-# ---------------------------------------------------------------------------
-# de-stacking: the interleaved single-layer equivalent
-
-def _regroup(received_single, N, periods):
-    """Single-layer histories regrouped into the first `periods` stacked-time
-    outputs, each stacking N layer outputs on axis 1."""
-    return {e: [stack_arrays(seq[t * N:(t + 1) * N], 1,
-                             "outputs of edge %d in period %d" % (e, t))
-                for t in range(periods)]
-            for e, seq in received_single.items()}
+def lift_code(code, params, N):
+    """Run the same single-layer code independently in each of the N
+    layers, on the l-th source sub-block, from stream child("layer", l)."""
+    return _copies(code, params, N, range(N), "layer")
 
 
-class DestackedEncoder:
-    """Replays layer-l stacked-time-t emissions at single-layer time t*N+l.
-
-    The stacked encoder only ever sees full earlier periods, which is what
-    makes the interleaving legal, so its period-t emission is already fixed
-    at the period's first time t*N. It is evaluated there once and kept for
-    the period's later layers; outputs observed during the period are
-    buffered but never read. The encoder object is reused across blocks, so
-    every period's first time evaluates afresh.
-    """
-
-    def __init__(self, stacked_enc, schedule):
-        self.enc = stacked_enc
-        self.sched = schedule
-        self._em = None   # the current period's stacked emission
-
-    def emit(self, tau, u_full, received_single, rng):
-        t, layer = self.sched.to_stacked(tau)
-        if layer == 0:
-            self._em = self.enc.emit(
-                t, u_full, _regroup(received_single, self.sched.N, t), rng)
-        return {e: v[:, layer] for e, v in self._em.items()}
-
-
-class DestackedDecoder:
-    def __init__(self, stacked_dec, schedule):
-        self.dec = stacked_dec
-        self.sched = schedule
-
-    def decode(self, u_full, received_single, rng):
-        return self.dec.decode(
-            u_full, _regroup(received_single, self.sched.N, self.sched.n), rng)
-
-
-@dataclass
-class DestackedPolicy(CodingPolicy):
-    schedule: InterleaveSchedule = None
-
-
-def destack_code(stacked):
-    """The interleaved single-layer equivalent of an N-layer code.
-
-    Returns a policy over blocks of N*L source symbols and N*n channel uses;
-    kappa is preserved exactly. Run it through run_block with the stacked
-    run's streams so channel noise couples with the stacked run.
-    """
-    sched = InterleaveSchedule(stacked.N, stacked.params.n)
-    policy = DestackedPolicy(
-        encoders={a: DestackedEncoder(enc, sched)
-                  for a, enc in stacked.encoders.items()},
-        decoders={k: DestackedDecoder(dec, sched)
-                  for k, dec in stacked.decoders.items()},
-        schedule=sched)
-    params = CodeParameters(stacked.N * stacked.params.L,
-                            stacked.N * stacked.params.n)
-    return policy, params
-
-
-def _rows_equal(a, b):
-    """Per trial row, whether a and b agree in shape and in every entry."""
-    if a.shape != b.shape:
-        return np.zeros(len(a), dtype=bool)
-    return (a == b).reshape(len(a), -1).all(axis=1)
-
-
-def traces_match(stacked_trace, single_trace, schedule):
-    """Per trial row, True iff its per-edge (x, y) sequences agree exactly
-    under the schedule."""
-    ok = np.ones(len(next(iter(stacked_trace.u.values()))), dtype=bool)
-    for e, seq in stacked_trace.edge_io.items():
-        flat = single_trace.edge_io[e]
-        for t, (xv, yv) in enumerate(seq):
-            for l in range(schedule.N):
-                x1, y1 = flat[schedule.to_single(t, l)]
-                ok &= _rows_equal(xv[:, l], x1) & _rows_equal(yv[:, l], y1)
-    return ok
-
-
-# ---------------------------------------------------------------------------
-# even/odd layer split for mixing sources
-
-class _Parity:
-    def __init__(self, inner, L, N_inner):
-        self.inner = inner
-        self.L = L
-        self.Ni = N_inner
-
-    def interleave(self, classes):
-        """Class arrays (T, Ni, ...) merged so that layer 2j + c holds class
-        c's layer j: (T, 2 Ni, ...)."""
-        merged = stack_arrays(classes, 2, "parity class outputs")
-        return merged.reshape((len(merged), 2 * self.Ni) + merged.shape[3:])
-
-    def class_view(self, u_full, received_all, c):
-        """Class c's source blocks (layers c, c + 2, ...) and its own
-        layers' history."""
-        u = u_full.reshape(len(u_full), self.Ni, 2, self.L)[:, :, c]
-        return (u.reshape(len(u_full), -1),
-                {e: [obs[:, c::2] for obs in seq]
-                 for e, seq in received_all.items()})
-
-
-class _ParityEncoder(_Parity):
-    def emit(self, t, u_full, received_all, rng):
-        em = [self.inner.emit(t, *self.class_view(u_full, received_all, c),
-                              rng.child("class", c)) for c in (0, 1)]
-        return {e: self.interleave([em[0].get(e), em[1].get(e)])
-                for e in em[0].keys() | em[1].keys()}
-
-
-class _ParityDecoder(_Parity):
-    def decode(self, u_full, received_all, rng):
-        r = [self.inner.decode(*self.class_view(u_full, received_all, c),
-                               rng.child("class", c)).reshape(
-                                   len(u_full), self.Ni, self.L)
-             for c in (0, 1)]
-        return self.interleave(r).reshape(len(u_full), -1)
-
-
-def even_odd_split(stacked, source):
+def even_odd_split(stacked):
     """Code even-numbered layers together and odd-numbered layers together.
 
-    The given N-layer code is instantiated once per parity class; class c
-    carries source blocks c, c+2, c+4, ... and sees only its own layers'
-    history. Returns a 2N-layer code. Requires a source with memory (the
-    construction is the identity statistically for i.i.d. sources).
+    The given N-layer code runs once per parity class, from stream
+    child("class", c); class c carries source blocks c, c+2, c+4, ... as its
+    layers and sees only its own layers' history. Returns a 2N-layer code.
+    Meant for sources with memory (the construction is the identity
+    statistically for i.i.d. sources).
     """
-    if stacked.N < 1:
-        raise ValueError("need at least one layer per class")
-    L, Ni = stacked.params.L, stacked.N
-    return StackedCode(
-        encoders={a: _ParityEncoder(enc, L, Ni)
-                  for a, enc in stacked.encoders.items()},
-        decoders={k: _ParityDecoder(dec, L, Ni)
-                  for k, dec in stacked.decoders.items()},
-        N=2 * Ni, params=stacked.params)
+    return _copies(stacked, stacked.params, 2 * stacked.N,
+                   (slice(0, None, 2), slice(1, None, 2)), "class")
 
 
 def parity_class_dependence_tv(source, L, rng, num_blocks=4, samples=20000):
@@ -337,3 +184,85 @@ def parity_class_dependence_tv(source, L, rng, num_blocks=4, samples=20000):
     for mj in marg[1:]:
         prod = np.multiply.outer(prod, mj)
     return 0.5 * float(np.abs(joint - prod.reshape(-1)).sum())
+
+
+# ---------------------------------------------------------------------------
+# de-stacking: the interleaved single-layer equivalent
+
+def _regroup(received_single, N):
+    """Single-layer histories regrouped into their complete periods, each
+    stacking N layer outputs on axis 1."""
+    return {e: [stack_arrays(seq[t * N:(t + 1) * N], 1,
+                             "outputs of edge %d in period %d" % (e, t))
+                for t in range(len(seq) // N)]
+            for e, seq in received_single.items()}
+
+
+class DestackedEncoder:
+    """Replays layer-l stacked-time-t emissions at single-layer time t*N+l.
+
+    The stacked encoder only ever sees full earlier periods, which is what
+    makes the interleaving legal, so its period-t emission is already fixed
+    at the period's first time t*N. It is evaluated there once and kept for
+    the period's later layers; outputs observed during the period are
+    buffered but never read. The encoder object is reused across blocks, so
+    every period's first time evaluates afresh.
+    """
+
+    def __init__(self, stacked_enc, N):
+        self.enc, self.N = stacked_enc, N
+        self._em = None   # the current period's stacked emission
+
+    def emit(self, tau, u_full, received_single, rng):
+        t, layer = divmod(tau, self.N)
+        if layer == 0:
+            self._em = self.enc.emit(t, u_full,
+                                     _regroup(received_single, self.N), rng)
+        return {e: v[:, layer] for e, v in self._em.items()}
+
+
+class DestackedDecoder:
+    def __init__(self, stacked_dec, N):
+        self.dec, self.N = stacked_dec, N
+
+    def decode(self, u_full, received_single, rng):
+        return self.dec.decode(u_full, _regroup(received_single, self.N), rng)
+
+
+def destack_code(stacked):
+    """The interleaved single-layer equivalent of an N-layer code.
+
+    Returns a policy with that N over blocks of N*L source symbols and N*n
+    channel uses; kappa is preserved exactly. Run it through run_block with
+    the stacked run's streams so channel noise couples with the stacked run.
+    """
+    N = stacked.N
+    policy = CodingPolicy(
+        encoders={a: DestackedEncoder(enc, N)
+                  for a, enc in stacked.encoders.items()},
+        decoders={k: DestackedDecoder(dec, N)
+                  for k, dec in stacked.decoders.items()},
+        N=N)
+    return policy, CodeParameters(N * stacked.params.L, N * stacked.params.n)
+
+
+def _rows_equal(a, b):
+    """Per trial row, whether a and b agree in shape and in every entry."""
+    if a.shape != b.shape:
+        return np.zeros(len(a), dtype=bool)
+    return (a == b).reshape(len(a), -1).all(axis=1)
+
+
+def traces_match(stacked_trace, single_trace):
+    """Per trial row, True iff every per-edge (x, y) of layer l at stacked
+    time t equals the single-layer one at time t*N + l, N being the layer
+    axis (axis 1) of the stacked trace."""
+    ok = np.ones(len(next(iter(stacked_trace.u.values()))), dtype=bool)
+    for e, seq in stacked_trace.edge_io.items():
+        flat = single_trace.edge_io[e]
+        for t, (xv, yv) in enumerate(seq):
+            N = xv.shape[1]
+            for l in range(N):
+                x1, y1 = flat[t * N + l]
+                ok &= _rows_equal(xv[:, l], x1) & _rows_equal(yv[:, l], y1)
+    return ok

@@ -53,7 +53,7 @@ def destacked(recipe, net):
 
 def parity(recipe, net):
     policy, params = recipe(net, L=2)
-    code = even_odd_split(lift_code(policy, params, 2), net.sources)
+    code = even_odd_split(lift_code(policy, params, 2))
     return lambda r: run_stacked_block(net, code, r)
 
 

@@ -15,10 +15,12 @@ from sepnet.experiments import (link_replacement_experiment, simulate,
                                 stack_check, synth_sweep, two_step_induction,
                                 verify_lemma1)
 from sepnet.linkcodes import SynthLinkBehavior, build_synthesis_code
-from sepnet.netmodel import BitPipe, DmcChannel, Edge, IidJoint, NetworkSpec
+from sepnet.netmodel import (BitPipe, DmcChannel, Edge, IidJoint, MarkovJoint,
+                             NetworkSpec, run_block)
 from sepnet.probkit import Kernel, ProbVector, RngStream
-from sepnet.recipes import uncoded_relay
-from sepnet.stacking import lift_code, run_stacked_block
+from sepnet.recipes import adaptive_feedback, uncoded_relay
+from sepnet.stacking import (destack_code, even_odd_split, lift_code,
+                             run_stacked_block)
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 RELAY_NET = NetworkSpec((0, 1), (Edge(0, 1, DmcChannel(Kernel.bsc(0.11))),),
@@ -30,6 +32,38 @@ FEEDBACK_NET = NetworkSpec((0, 1),
                            IidJoint((2, 2), [0.25, 0.25, 0.25, 0.25]))
 PIPE_NET = NetworkSpec((0, 1), (Edge(0, 1, BitPipe(1.0)),),
                        {(0, 1): HAMMING}, IidJoint((2, 1), [0.5, 0.5]))
+MARKOV_FEEDBACK_NET = NetworkSpec(
+    (0, 1), FEEDBACK_NET.edges, {(0, 1): HAMMING},
+    MarkovJoint((2, 2), [0.25] * 4,
+                [[0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1],
+                 [0.1, 0.1, 0.7, 0.1], [0.1, 0.1, 0.1, 0.7]]))
+
+
+def trace_json(tr):
+    """Every array of a TraceRecord, under string keys."""
+    return {"u": {str(a): u.tolist() for a, u in tr.u.items()},
+            "edge_io": {str(e): [[x.tolist(), y.tolist()] for x, y in io]
+                        for e, io in tr.edge_io.items()},
+            "recon": {"%r,%r" % k: r.tolist() for k, r in tr.recon.items()},
+            "distortion": {"%r,%r" % k: d.tolist()
+                           for k, d in tr.distortion.items()}}
+
+
+def split_markov_run():
+    """Six trials of the even/odd split of the 2-layer lifted adaptive
+    feedback code (4 layers) on a Markov source."""
+    policy, params = adaptive_feedback(MARKOV_FEEDBACK_NET, L=3)
+    code = even_odd_split(lift_code(policy, params, 2))
+    return trace_json(run_stacked_block(
+        MARKOV_FEEDBACK_NET, code, RngStream(12).children("trial", range(6))))
+
+
+def destacked_adaptive_run():
+    """Five trials of the de-stacked 4-layer lifted adaptive feedback code."""
+    policy, params = adaptive_feedback(FEEDBACK_NET, L=3)
+    code, dparams = destack_code(lift_code(policy, params, 4))
+    return trace_json(run_block(FEEDBACK_NET, code, dparams,
+                                RngStream(13).children("trial", range(5))))
 
 
 def synth_link_run():
@@ -84,6 +118,12 @@ CASES = {
     "synth_link_stacked": (
         synth_link_run,
         "97ca4585a4b15f7b655928c5a6aa8297a0d85e2e78c799fdbd41179f976a9a7b"),
+    "split_markov_stacked": (
+        split_markov_run,
+        "cc58ca209679c5d79a5aeae2350a092bc9d6c085e70aaccd712c7c5c4120575f"),
+    "destacked_adaptive_trace": (
+        destacked_adaptive_run,
+        "62a06a4f2146faf48e8b6772a49b8ab9f662f2d6a3a71e42c74de5677d686bba"),
 }
 
 

@@ -379,7 +379,7 @@ def test_coded_link_behavior_guards():
     with pytest.raises(ValueError):
         beh.make_handler(0, dmc_edge, 16)
     h = beh.make_handler(0, dmc_edge, 24)
-    with pytest.raises(RateOutOfRange):
+    with pytest.raises(BudgetOverflow):
         h.transmit(RngStream(0).batch(), 0,
                    np.ones((1, code.payload_bits + 1), dtype=np.int64))
     bits_in, bits_out, _ = h.transmit(RngStream(0).batch(), 0, [[1, 0, 1]])
@@ -421,7 +421,7 @@ def test_synth_link_pipe_rate_guard():
 
 def test_aggregate_pipe_overflow_is_a_budget_overflow():
     """N = 12 copies of a rate-0.6 pipe carry floor(12 * 0.6) = 7 bits per
-    use, cumulatively: 7 bits by t = 0, 14 by t = 1, and no more."""
+    use, and no more at any use."""
     edge = Edge(0, 1, BitPipe(0.6))
     h = AggregatePipeBehavior().make_handler(0, edge, 12)
     rng = RngStream(0).batch()
@@ -432,6 +432,25 @@ def test_aggregate_pipe_overflow_is_a_budget_overflow():
     with pytest.raises(BudgetOverflow):
         AggregatePipeBehavior().make_handler(0, edge, 12).transmit(
             rng, 0, np.ones((1, 8), dtype=np.int64))
+
+
+def test_both_sides_of_link_replacement_cap_each_use():
+    """At N = 24, R = 0.4 a use carries floor(9.6) = 9 bits on the coded link
+    and on the aggregate pipe alike: 0 bits at t = 0 do not let 18 through
+    at t = 1 on either side."""
+    code = build_channel_code(Kernel.bsc(0.11), 24, 0.4, RngStream(1))
+    handlers = [
+        CodedLinkBehavior(code).make_handler(
+            0, Edge(0, 1, DmcChannel(Kernel.bsc(0.11))), 24),
+        AggregatePipeBehavior().make_handler(0, Edge(0, 1, BitPipe(0.4)), 24)]
+    rng = RngStream(4).batch()
+    for h in handlers:
+        empty, out, _ = h.transmit(rng, 0, np.zeros((1, 0), dtype=np.int64))
+        assert empty.shape == out.shape == (1, 0)
+        with pytest.raises(BudgetOverflow):
+            h.transmit(rng, 1, np.ones((1, 18), dtype=np.int64))
+        assert h.transmit(rng, 2, np.ones((1, 9), dtype=np.int64))[0].shape \
+            == (1, 9)
 
 
 def test_link_replacement_flushes_at_low_rate():

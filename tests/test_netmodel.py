@@ -168,16 +168,18 @@ def test_bsc_relay_matches_crossover():
     net = line_net(DmcChannel(Kernel.bsc(0.11)))
     policy, params = uncoded_relay(net, L=16)
     dm = estimate_distortion(net, policy, params, 3000, RngStream(1))
-    val, se = dm.entry(0, 1)
+    i, j = net.node_index(0), net.node_index(1)
+    val, se = dm.values[i, j], dm.stderr[i, j]
     assert abs(val - 0.11) <= 3 * se
-    assert dm.entry(1, 0) == (0.0, 0.0)
+    assert (dm.values[j, i], dm.stderr[j, i]) == (0.0, 0.0)
 
 
 def test_constant_decoder_analytic():
     net = line_net(DmcChannel(Kernel.bsc(0.11)))
     policy, params = build_recipe("constant_guess", net, L=16)
     dm = estimate_distortion(net, policy, params, 3000, RngStream(1))
-    val, se = dm.entry(0, 1)
+    i, j = net.node_index(0), net.node_index(1)
+    val, se = dm.values[i, j], dm.stderr[i, j]
     # guessing 0 against Bern(1/2): expected Hamming distortion 1/2
     assert abs(val - 0.5) <= 3 * se
 

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from sepnet import probkit
-from sepnet.netmodel import (ArityMismatch, DmcChannel, Edge, IidJoint,
+from sepnet.netmodel import (ArityMismatch, BitPipe, CodeParameters,
+                             CodingPolicy, DmcChannel, Edge, IidJoint,
                              MarkovJoint, NetworkSpec, run_block)
 from sepnet.probkit import Kernel, RngStream
 from sepnet.recipes import adaptive_feedback, uncoded_relay
-from sepnet.stacking import (InterleaveSchedule, LiftedEncoder, destack_code,
+from sepnet.stacking import (CopiesEncoder, StackedCode, destack_code,
                              even_odd_split, lift_code,
                              parity_class_dependence_tv, run_stacked_block,
                              traces_match)
@@ -36,33 +37,58 @@ def feedback_net(p=0.2):
                        IidJoint((2, 2), [0.25, 0.25, 0.25, 0.25]))
 
 
-# ---------------------------------------------------------------------------
-# schedule
+class CrossLayerEncoder:
+    """A stacked encoder on feedback_net's node 0 that is not a lift: at
+    stacked time t, layer l sends its source symbol t plus the last feedback
+    of layer l - 1 (layer 0 reads layer N - 1), so every layer reads another
+    layer's history."""
 
-def test_schedule_round_trip_and_check():
-    s = InterleaveSchedule(N=5, n=7)
-    assert s.total_time == 35
-    assert s.to_single(0, 0) == 0
-    assert s.to_single(2, 3) == 13
-    assert s.to_stacked(13) == (2, 3)
-    assert s.check() is True
+    def __init__(self, L):
+        self.L = L
 
-
-def test_schedule_range_errors():
-    s = InterleaveSchedule(N=3, n=4)
-    with pytest.raises(ValueError):
-        s.to_single(4, 0)
-    with pytest.raises(ValueError):
-        s.to_single(0, 3)
-    with pytest.raises(ValueError):
-        s.to_stacked(12)
+    def emit(self, t, u_full, received_all, rng):
+        u = u_full.reshape(len(u_full), -1, self.L)
+        fb = received_all[1]
+        last = fb[-1] if fb else np.zeros(u.shape[:2], dtype=np.int64)
+        return {0: (u[:, :, t] + np.roll(last, 1, axis=1)) % 2}
 
 
-def test_schedule_preserves_period_ordering():
-    s = InterleaveSchedule(N=8, n=3)
-    for t in range(1, 3):
-        assert max(s.to_single(t - 1, l) for l in range(8)) < \
-            min(s.to_single(t, l) for l in range(8))
+class StackedEcho:
+    """Node 1 echoes each layer's last output of edge 0 on edge 1."""
+
+    def __init__(self, L):
+        self.L = L
+
+    def emit(self, t, u_full, received_all, rng):
+        seen = received_all[0]
+        return {1: seen[-1] if seen else np.zeros(
+            (len(u_full), u_full.shape[1] // self.L), dtype=np.int64)}
+
+
+class StackedForward:
+    """Layer l's reconstruction is the symbols layer l received on edge 0."""
+
+    def __init__(self, L):
+        self.L = L
+
+    def decode(self, u_full, received_all, rng):
+        return np.stack(received_all[0][:self.L], axis=-1).reshape(
+            len(u_full), -1)
+
+
+def cross_layer_code(N, L):
+    return StackedCode({0: CrossLayerEncoder(L), 1: StackedEcho(L)},
+                       {(0, 1): StackedForward(L)}, N, CodeParameters(L, L))
+
+
+def assert_reads_layers(tr, L, source_layer):
+    """Every input layer g on edge 0 is its source symbol plus the last
+    feedback of layer source_layer[g], as CrossLayerEncoder sends it."""
+    u = tr.u[0].reshape(len(tr.u[0]), -1, L)
+    fb = [y for _, y in tr.edge_io[1]]
+    for t, (x, _) in enumerate(tr.edge_io[0]):
+        last = fb[t - 1] if t else np.zeros_like(x)
+        assert np.array_equal(x, (u[:, :, t] + last[:, source_layer]) % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -77,15 +103,31 @@ def test_destack_reproduces_stacked_traces(recipe, net):
     N = 4
     stacked = lift_code(policy, params, N)
     destacked, dparams = destack_code(stacked)
-    sched = InterleaveSchedule(N, params.n)
     for j in range(25):
         rng = RngStream(100 + j)
         tr_s = run_stacked_block(net, stacked, rng)
         tr_d = run_block(net, destacked, dparams, rng)
-        assert traces_match(tr_s, tr_d, sched)
+        assert traces_match(tr_s, tr_d)
         key = next(iter(net.demands))
         assert tr_s.distortion[key] == tr_d.distortion[key]
         assert np.array_equal(tr_s.recon[key], tr_d.recon[key])
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_destack_reproduces_a_cross_layer_code(N):
+    """De-stacking is exact for a code whose layers read each other's
+    history, not only for a lift."""
+    net, L = feedback_net(), 3
+    stacked = cross_layer_code(N, L)
+    destacked, dparams = destack_code(stacked)
+    for j in range(4):
+        rng = RngStream(200 + j).children("trial", range(5))
+        tr_s = run_stacked_block(net, stacked, rng)
+        assert_reads_layers(tr_s, L, np.roll(np.arange(N), 1))
+        tr_d = run_block(net, destacked, dparams, rng)
+        assert traces_match(tr_s, tr_d).all()
+        assert np.array_equal(tr_s.recon[0, 1], tr_d.recon[0, 1])
+        assert np.array_equal(tr_s.distortion[0, 1], tr_d.distortion[0, 1])
 
 
 def test_destacked_link_seeds_each_period_stream_once(monkeypatch):
@@ -109,7 +151,7 @@ def test_destacked_link_seeds_each_period_stream_once(monkeypatch):
     monkeypatch.undo()
     edge_streams = [s for s in seeded if s[:1] == ("edge",)]
     assert sorted(edge_streams) == [("edge", 0, t) for t in range(params.n)]
-    assert traces_match(tr_s, tr_d, InterleaveSchedule(N, params.n))
+    assert traces_match(tr_s, tr_d)
 
 
 @pytest.mark.parametrize("L", [1, 3])
@@ -128,7 +170,7 @@ def test_destacked_encoder_runs_each_stacked_emission_once(recipe, net, L,
     destacked, dparams = destack_code(stacked)
     node_of = {id(enc): a for a, enc in stacked.encoders.items()}
     calls = []
-    emit = LiftedEncoder.emit
+    emit = CopiesEncoder.emit
 
     def counting(enc, t, *args):
         calls.append((node_of[id(enc)], t))
@@ -138,12 +180,12 @@ def test_destacked_encoder_runs_each_stacked_emission_once(recipe, net, L,
         rng = RngStream(60 + j)
         tr_s = run_stacked_block(net, stacked, rng)
         del calls[:]
-        monkeypatch.setattr(LiftedEncoder, "emit", counting)
+        monkeypatch.setattr(CopiesEncoder, "emit", counting)
         tr_d = run_block(net, destacked, dparams, rng)
         monkeypatch.undo()
         assert calls == [(a, t) for t in range(params.n) for a in net.nodes
                          if a in stacked.encoders]
-        assert traces_match(tr_s, tr_d, InterleaveSchedule(N, params.n))
+        assert traces_match(tr_s, tr_d)
         fresh, _ = destack_code(lift_code(*recipe(net, L=L), N))
         tr_f = run_block(net, fresh, dparams, rng)
         assert same_io(tr_f.edge_io, tr_d.edge_io)
@@ -170,7 +212,7 @@ def test_destack_trivial_single_layer():
     rng = RngStream(3)
     tr_s = run_stacked_block(net, stacked, rng)
     tr_d = run_block(net, destacked, dparams, rng)
-    assert traces_match(tr_s, tr_d, InterleaveSchedule(1, params.n))
+    assert traces_match(tr_s, tr_d)
 
 
 def test_stacked_foreign_edge_emission_rejected():
@@ -188,13 +230,37 @@ def test_stacked_foreign_edge_emission_rejected():
         run_stacked_block(net, stacked, RngStream(0))
 
 
-def test_schedule_check_raises_on_broken_schedule():
-    class Reversed(InterleaveSchedule):
-        def to_single(self, t, layer):
-            return (self.n - 1 - t) * self.N + layer
+@pytest.mark.parametrize("missing", [False, True])
+@pytest.mark.parametrize("split", [False, True])
+def test_copies_reject_ragged_or_missing_emissions(split, missing):
+    """Copies whose payloads differ in width, or of which one emits nothing
+    on an edge another feeds, are an ArityMismatch under lift and split."""
+    class Uneven:
+        calls = 0
 
+        def emit(self, t, u_block, received, rng):
+            self.calls += 1
+            if missing and self.calls % 2 == 0:
+                return {}
+            width = 1 if missing else self.calls
+            return {0: np.zeros((len(u_block), width), dtype=np.int64)}
+
+    net = NetworkSpec((0, 1), (Edge(0, 1, BitPipe(8.0)),), {(0, 1): HAMMING},
+                      IidJoint((2, 1), [0.5, 0.5]))
+    params = CodeParameters(2, 2)
+    code = (even_odd_split(StackedCode({0: Uneven()}, {}, 1, params)) if split
+            else lift_code(CodingPolicy({0: Uneven()}, {}), params, 2))
+    with pytest.raises(ArityMismatch):
+        run_stacked_block(net, code, RngStream(0))
+
+
+def test_copies_need_at_least_one_layer():
+    policy, params = uncoded_relay(relay_net(), L=2)
     with pytest.raises(ValueError):
-        Reversed(N=2, n=3).check()
+        lift_code(policy, params, 0)
+    with pytest.raises(ValueError):
+        even_odd_split(StackedCode(policy.encoders, policy.decoders, 0,
+                                   params))
 
 
 def test_lifted_layers_are_independent():
@@ -218,11 +284,28 @@ def test_even_odd_split_doubles_layers_and_reconstructs():
                                   [[0.6, 0.4], [0.4, 0.6]]))
     policy, params = uncoded_relay(net, L=4)
     inner = lift_code(policy, params, 3)
-    split = even_odd_split(inner, net.sources)
+    split = even_odd_split(inner)
     assert split.N == 6
     tr = run_stacked_block(net, split, RngStream(2))
     assert tr.distortion[(0, 1)] == 0.0
     assert np.array_equal(tr.recon[(0, 1)], tr.u[0])
+
+
+def test_even_odd_split_keeps_class_histories_apart():
+    """Class c of the split runs the cross-layer code on layers c, c + 2,
+    ...: layer 2j + c reads the feedback of layer 2(j - 1 mod N) + c, never
+    one of the other class, and the split de-stacks exactly."""
+    net, L, Ni = feedback_net(), 2, 3
+    split = even_odd_split(cross_layer_code(Ni, L))
+    assert split.N == 2 * Ni
+    j, c = np.divmod(np.arange(2 * Ni), 2)
+    destacked, dparams = destack_code(split)
+    for seed in range(3):
+        rng = RngStream(300 + seed).children("trial", range(4))
+        tr_s = run_stacked_block(net, split, rng)
+        assert_reads_layers(tr_s, L, 2 * ((j - 1) % Ni) + c)
+        assert traces_match(tr_s, run_block(net, destacked, dparams,
+                                            rng)).all()
 
 
 def test_parity_class_dependence_shrinks_with_block_length():
