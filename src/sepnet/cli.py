@@ -69,8 +69,7 @@ EXPERIMENTS = {
     "capacity": (_capacity, None),
     "rd": (_rd, None),
     "simulate": (lambda scn: simulate(
-        scn.net, scn.code_name, scn.code_params, scn.trials, scn.seed,
-        pipe_delay=scn.value("pipe_delay", 0, int)), None),
+        scn.net, scn.code_name, scn.code_params, scn.trials, scn.seed), None),
     "stack-check": (lambda scn: stack_check(
         scn.net, scn.code_name, scn.code_params, scn.value("N", 4, int),
         scn.trials, scn.seed), None),

@@ -12,16 +12,16 @@ import numpy as np
 
 from .infosolvers import (blahut_capacity, blahut_rate_distortion,
                           invert_rate_distortion)
-from .linkcodes import (CHUNK_ELEMENTS, AggregatePipeBehavior,
-                        CodedLinkBehavior, LinkCodeReport, TypeScorer,
-                        build_channel_code, build_synthesis_code,
-                        codebook_bits, estimate_error_prob,
-                        synthesis_code_bits, synthesized_type_tv)
+from .linkcodes import (AggregatePipeBehavior, CodedLinkBehavior,
+                        LinkCodeReport, TypeScorer, build_channel_code,
+                        build_synthesis_code, codebook_bits,
+                        estimate_error_prob, synthesis_code_bits,
+                        synthesized_type_tv)
 from .netmodel import (BitPipe, CodeParameters, DmcChannel, Edge, IidJoint,
                        MarkovJoint, NetworkSpec, estimate_distortion,
                        run_block, trial_batches, trial_elements)
-from .probkit import (Kernel, ProbVector, RngBatch, RngStream, mean_stderr,
-                      sample_many, sample_rows)
+from .probkit import (Kernel, ProbVector, RngBatch, RngStream, check_counts,
+                      chunk_ranges, mean_stderr, sample_many, sample_rows)
 from .recipes import build_recipe
 from .stacking import (StackedCode, destack_code, estimate_stacked_distortion,
                        lift_code, parity_class_dependence_tv,
@@ -50,10 +50,9 @@ def rd_report(source, distortion_matrix, target_d, tol=1e-9):
 # ---------------------------------------------------------------------------
 # generic simulation + stack check
 
-def simulate(net, code_name, code_params, trials, seed, pipe_delay=0):
-    policy, params = build_recipe(code_name, net, **code_params)
-    dm = estimate_distortion(net, policy, params, trials, RngStream(seed),
-                             pipe_delay=pipe_delay)
+def simulate(net, code_name, code_params, trials, seed):
+    dm = estimate_distortion(net, build_recipe(code_name, net, **code_params),
+                             trials, RngStream(seed))
     out = dm.to_json()
     out.update({"experiment": "simulate", "seed": seed})
     return out
@@ -64,18 +63,16 @@ def stack_check(net, code_name, code_params, N, trials, seed):
     equivalent under coupled seeding; exact_match demands bit equality of
     every per-edge (x, y) sequence, layer l of stacked time t against
     single-layer time t*N + l."""
-    if N < 1:
-        raise ValueError("N must be >= 1, got %r" % (N,))
-    policy, params = build_recipe(code_name, net, **code_params)
-    stacked = lift_code(policy, params, N)
-    destacked, dparams = destack_code(stacked)
+    check_counts(N=N)
+    stacked = lift_code(build_recipe(code_name, net, **code_params), N)
+    destacked = destack_code(stacked)
     exact = True
     s_vals, d_vals = [], []
-    key = next(iter(net.demands))
+    key, p = next(iter(net.demands)), destacked.params
     for r in trial_batches(RngStream(seed), trials,
-                           trial_elements(net, params.n, N * params.L, N)):
+                           trial_elements(net, p.n, p.L)):
         tr_s = run_stacked_block(net, stacked, r)
-        tr_d = run_block(net, destacked, dparams, r)
+        tr_d = run_block(net, destacked, r)
         exact = exact and bool(traces_match(tr_s, tr_d).all())
         s_vals.append(tr_s.distortion[key])
         d_vals.append(tr_d.distortion[key])
@@ -206,13 +203,8 @@ def link_replacement_experiment(p=0.11, N=24, R=0.4, trials=10000, seed=0,
 # ---------------------------------------------------------------------------
 # sweeps
 
-def _check_batches(batches):
-    if batches < 1:
-        raise ValueError("batches must be >= 1, got %r" % (batches,))
-
-
 def chancode_sweep(channel, Ns, R, trials=10000, seed=0, batches=1):
-    _check_batches(batches)
+    check_counts(batches=batches)
     rows = []
     for b in range(batches):
         for N in Ns:
@@ -226,7 +218,7 @@ def chancode_sweep(channel, Ns, R, trials=10000, seed=0, batches=1):
 
 def synth_sweep(channel, input_law, Ns, R, batches=30, codebooks=8,
                 samples=16, seed=0, enforce_margin=True):
-    _check_batches(batches)
+    check_counts(batches=batches)
     rows = []
     for b in range(batches):
         for N in Ns:
@@ -248,18 +240,21 @@ def synth_sweep(channel, input_law, Ns, R, batches=30, codebooks=8,
 # ---------------------------------------------------------------------------
 # conditional-independence verifier (random codes at successive times)
 
+# lemma 1's pass rule, read by lemma1_report and Lemma1Report.passed
+LEMMA1_MIN_CELL = 100         # samples a cell needs, in it and outside it
+LEMMA1_Z_CRIT = 2.58          # a z-score above this in magnitude exceeds
+LEMMA1_SHARE_ALLOWED = 0.05   # share of z-scores that may exceed (>= 1)
+
+
 @dataclass
 class Lemma1Report:
     cells: dict                 # (x_prev, y_prev, x_cur) -> cell stats
     z_scores: list = field(default_factory=list)
-    min_cell_samples: int = 100
-    z_crit: float = 2.58
-    share_allowed: float = 0.05
     dropped: dict = field(default_factory=dict)  # cells left out, counts
 
     @property
     def exceedances(self):
-        return sum(1 for z in self.z_scores if abs(z) > self.z_crit)
+        return sum(1 for z in self.z_scores if abs(z) > LEMMA1_Z_CRIT)
 
     @property
     def inconclusive(self):
@@ -269,7 +264,7 @@ class Lemma1Report:
     def passed(self):
         if self.inconclusive:
             return False
-        allowed = max(1, int(np.floor(self.share_allowed
+        allowed = max(1, int(np.floor(LEMMA1_SHARE_ALLOWED
                                       * len(self.z_scores))))
         return self.exceedances <= allowed
 
@@ -283,56 +278,43 @@ class Lemma1Report:
                 "dropped": {repr(k): v for k, v in self.dropped.items()}}
 
 
-def lemma1_samples(channel, N, R, trials, seed, n_times=3, reuse=False):
-    """Layer-1 records (x_{t-1}, y_{t-1}, x_t, y_t) from a stacked
-    point-to-point link whose outputs are produced by per-time synthesis
-    codes. The same input vector is re-sent at every time, so reusing the
-    time-(t-1) code randomness at time t makes y_t collapse onto y_{t-1}.
+def _lemma1_draws(channel, N, R, trials, seed, n_times):
+    """Layer-1 input x0 (trials,) and outputs y0 (trials, n_times) of a
+    stacked point-to-point link whose outputs are produced by per-time
+    synthesis codes, one per key k < n_times. The same input vector is
+    re-sent at every time, so reusing the time-(t-1) code randomness at time
+    t makes y_t collapse onto y_{t-1}: key 0 at every time is the reuse
+    (negative) control.
 
     Trial j draws its input from stream ("trial", j, "x"), and uses the
-    synthesis code of key k (k = t, or 0 for every t under reuse) that
-    build_synthesis_code draws from ("trial", j, "code", k), whose
-    synthesize call reads its encoder uniform from ("trial", j, "w", k)."""
-    x0, y0 = _lemma1_draws(channel, N, R, trials, seed, n_times, reuse)
-    return _lemma1_records(x0, y0, n_times, reuse)
-
-
-def _lemma1_draws(channel, N, R, trials, seed, n_times, reuse):
-    """Layer-1 input x0 (trials,) and outputs y0 (trials, keys) of the codes
-    of keys 0..n_times-1 (key 0 alone under reuse), as lemma1_samples
-    describes. Each trial chunk is one batched synthesis code, a codebook
-    per (trial, key), holding at most CHUNK_ELEMENTS codebook symbols; its
-    streams equal the per-trial streams bit for bit."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if n_times < 1:
-        raise ValueError("n_times must be >= 1")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    synthesis code of key k that build_synthesis_code draws from ("trial",
+    j, "code", k), whose synthesize call reads its encoder uniform from
+    ("trial", j, "w", k). Each chunk_ranges trial chunk is one batched
+    synthesis code, a codebook per (trial, key); its streams equal the
+    per-trial streams bit for bit."""
+    check_counts(trials=trials, n_times=n_times, N=N)
     p = ProbVector.uniform(channel.input_size)
     m = 2 ** synthesis_code_bits(p, channel, N, R)
-    keys = [0] if reuse else list(range(n_times))
-    chunk = max(1, CHUNK_ELEMENTS // (len(keys) * m * N))
+    keys = range(n_times)
     x0 = np.empty(trials, dtype=np.int64)
-    y0 = np.empty((trials, len(keys)), dtype=np.int64)
+    y0 = np.empty((trials, n_times), dtype=np.int64)
     rng = RngStream(seed)
-    for lo in range(0, trials, chunk):
-        js = range(lo, min(lo + chunk, trials))
+    for js in chunk_ranges(trials, n_times * m * N):
         x = sample_many(p.probs, rng.children("trial", js).child("x")
                         .uniform(N))
         code = build_synthesis_code(p, channel, N, R, RngBatch(
             seed, [("trial", j, "code", key) for j in js for key in keys]))
-        y = code.synthesize(np.repeat(x, len(keys), axis=0), RngBatch(
+        y = code.synthesize(np.repeat(x, n_times, axis=0), RngBatch(
             seed, [("trial", j, "w", key) for j in js for key in keys]))
         x0[js.start:js.stop] = x[:, 0]
-        y0[js.start:js.stop] = y[:, 0].reshape(len(js), len(keys))
+        y0[js.start:js.stop] = y[:, 0].reshape(len(js), n_times)
         del code   # freed before the next chunk draws its own
     return x0, y0
 
 
 def _lemma1_records(x0, y0, n_times, reuse):
-    """lemma1_samples' records from _lemma1_draws' output; under reuse
-    every time reads key 0, column 0 of y0."""
+    """Per time t >= 1, the records (x_{t-1}, y_{t-1}, x_t, y_t) of
+    _lemma1_draws' output; under reuse every time reads y0's key-0 column."""
     records = {}
     for t in range(1, n_times):
         prev, cur = (0, 0) if reuse else (t - 1, t)
@@ -341,12 +323,11 @@ def _lemma1_records(x0, y0, n_times, reuse):
     return records
 
 
-def lemma1_report(records, out_size, min_cell=100, z_crit=2.58,
-                  share_allowed=0.05):
+def lemma1_report(records, out_size):
     """Compare, per conditioning cell, the conditional law of y_t against
     the law pooled from same-x_t samples outside the cell. A cell with
-    samples but fewer than min_cell of them, in the cell or outside it, is
-    not tested; it is listed in dropped with both counts."""
+    samples but fewer than LEMMA1_MIN_CELL of them, in the cell or outside
+    it, is not tested; it is listed in dropped with both counts."""
     cells = {}
     dropped = {}
     z_all = []
@@ -360,7 +341,7 @@ def lemma1_report(records, out_size, min_cell=100, z_crit=2.58,
                     rest = (arr[:, 2] == xc) & ~in_cell
                     n1, n2 = int(in_cell.sum()), int(rest.sum())
                     key = (t, int(xp), int(yp), int(xc))
-                    if n1 < min_cell or n2 < min_cell:
+                    if n1 < LEMMA1_MIN_CELL or n2 < LEMMA1_MIN_CELL:
                         if n1:
                             dropped[key] = {"samples": n1, "rest": n2}
                         continue
@@ -377,8 +358,7 @@ def lemma1_report(records, out_size, min_cell=100, z_crit=2.58,
                         "lhs": lhs.tolist(), "rhs": rhs.tolist(),
                         "samples": n1, "z": zs}
                     z_all.extend(zs)
-    return Lemma1Report(cells, z_all, min_cell, z_crit, share_allowed,
-                        dropped)
+    return Lemma1Report(cells, z_all, dropped)
 
 
 def verify_lemma1(channel, N=8, R=0.8, trials=8000, seed=0, n_times=3):
@@ -386,7 +366,7 @@ def verify_lemma1(channel, N=8, R=0.8, trials=8000, seed=0, n_times=3):
     (code randomness reused across times) under the same pass criterion.
     Both come from one draw: the negative control's streams are the
     positive control's key-0 streams."""
-    x0, y0 = _lemma1_draws(channel, N, R, trials, seed, n_times, reuse=False)
+    x0, y0 = _lemma1_draws(channel, N, R, trials, seed, n_times)
     pos, neg = (lemma1_report(_lemma1_records(x0, y0, n_times, reuse),
                               channel.output_size) for reuse in (False, True))
     return {"experiment": "lemma1", "seed": seed, "N": N, "R": R,
@@ -399,14 +379,13 @@ def verify_lemma1(channel, N=8, R=0.8, trials=8000, seed=0, n_times=3):
 # ---------------------------------------------------------------------------
 # two-step induction check (synthesis codes at successive times)
 
-def two_step_induction(channel=None, N=24, R=0.6, trials=256, replicates=8,
-                       seed=0):
+def two_step_induction(channel=Kernel.bsc(0.2), N=24, R=0.6, trials=256,
+                       replicates=8, seed=0):
     """n = 2 point-to-point scenario: x1 i.i.d. uniform, y1 from a synthesis
     code, x2 = x1 xor y1, y2 from an independent second synthesis code.
     Compares the pooled empirical law of (x1, y1, x2, y2) against the true
     network's Monte Carlo law at the same sample budget."""
-    if channel is None:
-        channel = Kernel.bsc(0.2)
+    check_counts(replicates=replicates)
     p = ProbVector.uniform(channel.input_size)
     rng = RngStream(seed)
     k = channel.input_size

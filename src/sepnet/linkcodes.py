@@ -22,7 +22,7 @@ import numpy as np
 from .infosolvers import blahut_capacity
 from .netmodel import (ArityMismatch, BitPipe, BudgetOverflow, DmcChannel,
                        DmcLink, as_payload)
-from .probkit import (CHUNK_ELEMENTS, JointPmf, Kernel, ProbVector,
+from .probkit import (JointPmf, Kernel, ProbVector, chunk_ranges,
                       mean_stderr, mutual_information, sample_many,
                       sample_rows)
 
@@ -92,13 +92,13 @@ class TypeScorer:
         return s
 
     def argmax(self, ys):
-        """Best codeword index per word of ys (B, N), in chunks of at most
-        CHUNK_ELEMENTS codeword symbols."""
+        """Best codeword index per word of ys (B, N), in chunk_ranges of
+        words each scored against all M codewords."""
         ys = np.asarray(ys)
         out = np.empty(len(ys), dtype=np.int64)
-        step = max(1, CHUNK_ELEMENTS // (self._onehot.shape[0] * ys.shape[-1]))
-        for i in range(0, len(ys), step):
-            out[i:i + step] = self.scores(ys[i:i + step]).argmax(axis=-1)
+        for js in chunk_ranges(len(ys), self._onehot.shape[0] * ys.shape[-1]):
+            i = slice(js.start, js.stop)
+            out[i] = self.scores(ys[i]).argmax(axis=-1)
         return out
 
 
@@ -298,21 +298,21 @@ def synthesized_type_tv(code, rng, samples=64):
     """Mean TV between the synthesized empirical type and the target joint
     over fresh i.i.d. input sequences: sample j reads its input from stream
     rng.child("sample", j, "x") and its encoder draw from ("sample", j, "w").
-    Samples are synthesized in one call and typed in one bincount per chunk;
-    a sample holds about 4 float64 arrays of M codewords while it is
-    scored, and a chunk at most CHUNK_ELEMENTS of their entries."""
+    Samples are synthesized in one call and typed in one bincount per
+    chunk_ranges chunk; a sample holds about 4 float64 arrays of M codewords
+    while it is scored."""
     target = code.target_joint().table
-    step = max(1, CHUNK_ELEMENTS // (4 * len(code.codebook)))
     tvs = np.empty(max(samples, 0))
-    for lo in range(0, samples, step):
-        r = rng.children("sample", range(lo, min(lo + step, samples)))
+    for js in chunk_ranges(samples, 4 * len(code.codebook)):
+        r = rng.children("sample", js)
         x = sample_many(code.target_input.probs, r.child("x").uniform(code.N))
         y = code.synthesize(x, r.child("w"))
         n = len(r)
         cell = np.arange(n)[:, None] * target.size + x * target.shape[1] + y
         counts = np.bincount(cell.reshape(-1), minlength=n * target.size)
-        tvs[lo:lo + n] = 0.5 * np.abs(counts.reshape(n, target.size) / code.N
-                                      - target.reshape(-1)).sum(axis=1)
+        tvs[js.start:js.stop] = 0.5 * np.abs(
+            counts.reshape(n, target.size) / code.N
+            - target.reshape(-1)).sum(axis=1)
     return mean_stderr(tvs)
 
 
@@ -333,8 +333,7 @@ class _PipeUseHandler:
             raise BudgetOverflow("payload of %d bits exceeds %d per use on "
                                  "edge %d at t=%d"
                                  % (bits.shape[1], self.cap, self.e, t))
-        out = self.carry(rng, t, bits) if bits.shape[1] else bits
-        return bits, out, out
+        return bits, (self.carry(rng, t, bits) if bits.shape[1] else bits)
 
     def carry(self, rng, t, bits):
         return bits
@@ -351,8 +350,8 @@ class _CodedLinkHandler(_PipeUseHandler):
 
     def carry(self, rng, t, bits):
         k = bits.shape[1]
-        _, y, _ = self.link.transmit(rng, t,
-                                     self.code.encode(bits_to_index(bits)))
+        _, y = self.link.transmit(rng, t,
+                                  self.code.encode(bits_to_index(bits)))
         return index_to_bits(self.code.decode_batch(y) % (1 << k), k)
 
 
@@ -391,8 +390,7 @@ class _SynthLinkHandler:
         if x.shape != (len(rng), self.N):
             raise ArityMismatch("synthesized edge %d expects %d layer inputs "
                                 "per trial" % (self.e, self.N))
-        y = code.synthesize(x, rng.child("synthenc", self.e, t))
-        return x, y, y
+        return x, code.synthesize(x, rng.child("synthenc", self.e, t))
 
 
 @dataclass

@@ -4,10 +4,9 @@ single-layer, stacked and de-stacked runs, and Monte Carlo distortion
 estimation.
 
 Timing model: at each step t (0-based) every node computes its channel inputs
-simultaneously from outputs observed at strictly earlier steps. DMC outputs
-produced at step t become visible to encoders from step t+1 on. Bit-pipe
-payloads are delivered at the step they are sent (visible from t+1) unless a
-single-layer run sets pipe_delay=1, in which case they surface one step later.
+simultaneously from outputs observed at strictly earlier steps. Every link,
+DMC or bit-pipe, delivers its step-t output at step t, and it becomes visible
+to encoders from step t+1 on.
 
 Trial axis: the engine runs a batch of T independent trials at once, one per
 stream of an RngBatch, and never loops over them. Every array it hands a
@@ -27,8 +26,8 @@ from functools import reduce
 
 import numpy as np
 
-from .probkit import (CHUNK_ELEMENTS, Kernel, ProbVector, mean_stderr,
-                      sample_many, sample_rows)
+from .probkit import (Kernel, ProbVector, check_counts, chunk_ranges,
+                      mean_stderr, sample_many, sample_rows)
 
 
 class ArityMismatch(ValueError):
@@ -147,11 +146,13 @@ class CodingPolicy:
     (T, L) source block, rng an RngBatch of the T trials' streams, and
     `received` maps incoming edge index to the list over earlier steps of
     per-step output arrays, each with the trials on its leading axis.
-    N is the layer count of a de-stacked N-layer code (see Interleaving in
-    the module docstring) and 1 for any other policy.
+    params are the block's L and n. N is the layer count of a de-stacked
+    N-layer code (see Interleaving in the module docstring) and 1 for any
+    other policy.
     """
     encoders: dict
     decoders: dict
+    params: CodeParameters
     N: int = 1
 
 
@@ -274,8 +275,9 @@ def _block_distortion(d, u_block, recon):
 # ---------------------------------------------------------------------------
 # raw links: what an edge does when no link code replaces it
 #
-# A link presents transmit(rng, t, x) -> (x_rec, y_rec, delivered) for all T
-# trials of a batch at once; rng is their RngBatch. A link built with
+# A link presents transmit(rng, t, x) -> (x, y) for all T trials of a batch
+# at once: the input it took and the output it delivers, which the engine
+# records and shows the receiver. rng is their RngBatch. A link built with
 # stacked=True carries N layer uses per call: t is the stacked time and x one
 # input per trial and layer, (T, N). Otherwise it carries one use per call of
 # an N-fold interleaved run (N = 1 for a plain single-layer run): t is the
@@ -284,9 +286,9 @@ def _block_distortion(d, u_block, recon):
 #
 # Noise keying: layer l at stacked time t draws entry l of the stream
 # rng.child("edge", e, t), so a stacked run and its de-stacked equivalent see
-# the same channel realizations bit for bit. The stacked link draws all N
-# entries at once; the interleaved link draws them at the period's first use
-# and keeps them for its later layers. The link codes in linkcodes are built
+# the same channel realizations bit for bit. Both draw a period's N entries
+# at its first use and keep them for its later layers; a stacked use is the
+# whole period t, every layer at once. The link codes in linkcodes are built
 # on these links, so the ("edge", e, t) key is read only here.
 
 def as_payload(p, lead, e):
@@ -318,7 +320,7 @@ class DmcLink:
     def __init__(self, e_idx, kernel, N, stacked):
         self.e = e_idx
         self.N = N
-        self.stacked = stacked
+        self.layers = (N,) if stacked else ()
         self.cums = np.cumsum(kernel.matrix, axis=1)
         self._period, self._u = None, None   # the kept draw of a period
 
@@ -327,22 +329,16 @@ class DmcLink:
             raise ArityMismatch("no input for DMC edge %d at t=%d"
                                 % (self.e, t))
         x = np.asarray(x, dtype=np.int64)
-        if self.stacked:
-            if x.shape != (len(rng), self.N):
-                raise ArityMismatch("DMC edge %d expects %d layer inputs per "
-                                    "trial" % (self.e, self.N))
-            y = sample_rows(self.cums[x],
-                            rng.child("edge", self.e, t).uniform(self.N))
-            return x, y, y
-        if x.shape != (len(rng),):
-            raise ArityMismatch("DMC edge %d expects one input per trial"
-                                % self.e)
-        period, layer = divmod(t, self.N)
+        if x.shape != (len(rng),) + self.layers:
+            raise ArityMismatch("DMC edge %d expects inputs of shape %r"
+                                % (self.e, (len(rng),) + self.layers))
+        period, layer = ((t, slice(None)) if self.layers
+                         else divmod(t, self.N))
         if period != self._period:
             self._period = period
             self._u = rng.child("edge", self.e, period).uniform(self.N)
         y = sample_rows(self.cums[x], self._u[:, layer])
-        return x, y, y
+        return x, y
 
 
 class PipeLink:
@@ -358,7 +354,7 @@ class PipeLink:
         if self.sent > self.pipe.budget(t + 1):
             raise BudgetOverflow("edge %d exceeded floor(t*rate) bits "
                                  "by t=%d" % (self.e, t + 1))
-        return bits, bits, bits
+        return bits, bits
 
 
 def raw_link(e_idx, edge, N, stacked):
@@ -370,22 +366,19 @@ def raw_link(e_idx, edge, N, stacked):
 # ---------------------------------------------------------------------------
 # the engine
 
-def run_steps(net, code, links, n, length, rng, pipe_delay=0):
+def run_steps(net, code, links, n, length, rng):
     """The one step loop: n network uses of `code` over the per-edge `links`,
     then decoding of source blocks of `length` symbols, for every trial of
     the RngBatch rng at once.
 
     Single-layer, stacked and de-stacked blocks all run here; they differ
-    only in the link objects and the block length. With pipe_delay, bit-pipe
-    deliveries surface one step late and an empty payload stands in at the
-    first step.
+    only in the link objects and the block length.
     """
     raw = net.sources.draw_block(length, rng.child("src"))
     u_block = {a: raw[..., i].copy() for i, a in enumerate(net.nodes)}
     in_edges = {a: net.in_edges(a) for a in net.nodes}
     rx = {i: [] for i in range(len(net.edges))}   # receiver-visible outputs
     edge_io = {i: [] for i in range(len(net.edges))}
-    pending = {}   # delayed payloads
 
     for t in range(n):
         emissions = {}
@@ -402,13 +395,9 @@ def run_steps(net, code, links, n, length, rng, pipe_delay=0):
             emissions[a] = em
         for i, e in enumerate(net.edges):
             x = emissions.get(e.tail, {}).get(i)
-            x_rec, y_rec, delivered = links[i].transmit(rng, t, x)
-            edge_io[i].append((x_rec, y_rec))
-            if pipe_delay and isinstance(e.channel, BitPipe):
-                rx[i].append(pending.get(i, delivered[..., :0]))
-                pending[i] = delivered
-            else:
-                rx[i].append(delivered)
+            x_rec, y = links[i].transmit(rng, t, x)
+            edge_io[i].append((x_rec, y))
+            rx[i].append(y)
 
     recon, dist = {}, {}
     for (a, b), dec in code.decoders.items():
@@ -423,31 +412,30 @@ def run_steps(net, code, links, n, length, rng, pipe_delay=0):
     return TraceRecord(u_block, edge_io, recon, dist)
 
 
-def run_block(net, code, params, rng, pipe_delay=0):
-    """Execute one single-layer coding block of n network uses and decode,
-    for every trial of an RngBatch (a single RngStream is a batch of one).
-    The policy's N sets the interleaving its channel noise keys to.
+def run_block(net, code, rng):
+    """Execute one single-layer coding block of code.params.n network uses
+    and decode, for every trial of an RngBatch (a single RngStream is a
+    batch of one). The policy's N sets the interleaving its channel noise
+    keys to.
     """
     links = [raw_link(i, e, code.N, False) for i, e in enumerate(net.edges)]
-    return run_steps(net, code, links, params.n, params.L, rng.batch(),
-                     pipe_delay)
+    return run_steps(net, code, links, code.params.n, code.params.L,
+                     rng.batch())
 
 
-def trial_elements(net, n, length, N=1):
-    """Array elements one trial of a block holds, about: a use of every edge
-    in every layer at every step, and the source block of every node."""
-    return n * N * len(net.edges) + length * len(net.nodes)
+def trial_elements(net, uses, length):
+    """Array elements one trial of a block holds, about: `uses` per edge
+    (N*n for N stacked layers) and a `length`-symbol block per node."""
+    return uses * len(net.edges) + length * len(net.nodes)
 
 
 def trial_batches(rng, trials, elements):
-    """The RngBatch of rng.child("trial", j) for j < trials, cut into
-    chunks of at most CHUNK_ELEMENTS // elements trials. Every trial keeps
-    its own streams, so results cannot depend on the cut."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    step = max(1, CHUNK_ELEMENTS // elements)
-    for lo in range(0, trials, step):
-        yield rng.children("trial", range(lo, min(lo + step, trials)))
+    """The RngBatch of rng.child("trial", j) for j < trials, cut by
+    chunk_ranges into chunks of trials holding `elements` each. Every trial
+    keeps its own streams, so results cannot depend on the cut."""
+    check_counts(trials=trials)
+    for js in chunk_ranges(trials, elements):
+        yield rng.children("trial", js)
 
 
 @dataclass
@@ -475,12 +463,11 @@ def estimate_trials(run, trials, rng, elements):
     return {k: mean_stderr(np.concatenate(v)) for k, v in per_trial.items()}
 
 
-def estimate_distortion(net, code, params, trials, rng, pipe_delay=0):
+def estimate_distortion(net, code, trials, rng):
     """Mean per-demand block distortion over independent trials, with
     standard errors. Non-demanded pairs are identically zero."""
-    est = estimate_trials(
-        lambda r: run_block(net, code, params, r, pipe_delay=pipe_delay),
-        trials, rng, trial_elements(net, params.n, params.L))
+    est = estimate_trials(lambda r: run_block(net, code, r), trials, rng,
+                          trial_elements(net, code.params.n, code.params.L))
     m = len(net.nodes)
     mean, stderr = np.zeros((m, m)), np.zeros((m, m))
     for (a, b), (v, se) in est.items():

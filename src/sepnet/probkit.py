@@ -7,9 +7,9 @@ import hashlib
 import numpy as np
 
 PROB_TOL = 1e-9
-# elements per array in the batched kernels: codeword symbols per
-# TypeScorer.argmax chunk, codebook symbols per lemma-1 trial chunk, and the
-# engine's trial chunks (16 MiB of float64)
+# elements per array in the batched kernels, cut by chunk_ranges: codeword
+# symbols per TypeScorer.argmax chunk, codebook symbols per lemma-1 trial
+# chunk, and the engine's trial chunks (16 MiB of float64)
 CHUNK_ELEMENTS = 2 ** 21
 
 
@@ -398,6 +398,23 @@ def sample_rows(cums, u):
     cums = np.asarray(cums)
     idx = (cums <= (np.asarray(u) * cums[..., -1])[..., None]).sum(axis=-1)
     return np.minimum(idx, cums.shape[-1] - 1)
+
+
+def check_counts(**counts):
+    """A ValueError naming the first of the counts that is below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError("%s must be >= 1, got %r" % (name, value))
+
+
+def chunk_ranges(count, per_item):
+    """range(count) cut into consecutive ranges of at most CHUNK_ELEMENTS //
+    per_item items each (at least one), for items holding per_item array
+    elements apiece. CHUNK_ELEMENTS is read when the first range is asked
+    for."""
+    step = max(1, CHUNK_ELEMENTS // per_item)
+    for lo in range(0, count, step):
+        yield range(lo, min(lo + step, count))
 
 
 def mean_stderr(values):

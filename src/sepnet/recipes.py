@@ -100,21 +100,17 @@ def uncoded_relay(net, L=1, a=None, b=None):
     """Point-to-point: send the source symbol, decode the received symbol."""
     (a, b) = next(iter(net.demands)) if a is None else (a, b)
     e = net.out_edges(a)[0]
-    params = CodeParameters(L, L)
-    policy = CodingPolicy(
-        encoders={a: SendSourceSymbol([e])},
-        decoders={(a, b): ForwardDecoder(e, L)})
-    return policy, params
+    return CodingPolicy(encoders={a: SendSourceSymbol([e])},
+                        decoders={(a, b): ForwardDecoder(e, L)},
+                        params=CodeParameters(L, L))
 
 
 def constant_guess(net, L=1, symbol=0):
     (a, b) = next(iter(net.demands))
     e = net.out_edges(a)[0]
-    params = CodeParameters(L, L)
-    policy = CodingPolicy(
-        encoders={a: SendSourceSymbol([e])},
-        decoders={(a, b): ConstantDecoder(symbol, L)})
-    return policy, params
+    return CodingPolicy(encoders={a: SendSourceSymbol([e])},
+                        decoders={(a, b): ConstantDecoder(symbol, L)},
+                        params=CodeParameters(L, L))
 
 
 def adaptive_feedback(net, L=2):
@@ -124,12 +120,10 @@ def adaptive_feedback(net, L=2):
     fwd = [i for i in net.out_edges(a) if net.edges[i].head == b][0]
     back = [i for i in net.out_edges(b) if net.edges[i].head == a][0]
     k = net.edges[fwd].channel.kernel.input_size
-    params = CodeParameters(L, L)
-    policy = CodingPolicy(
-        encoders={a: FeedbackXorEncoder([fwd], back, k),
-                  b: EchoLastOutput([back], fwd)},
-        decoders={(a, b): DifferenceDecoder(fwd, L, k)})
-    return policy, params
+    return CodingPolicy(encoders={a: FeedbackXorEncoder([fwd], back, k),
+                                  b: EchoLastOutput([back], fwd)},
+                        decoders={(a, b): DifferenceDecoder(fwd, L, k)},
+                        params=CodeParameters(L, L))
 
 
 RECIPES = {

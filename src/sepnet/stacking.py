@@ -15,15 +15,15 @@ Noise coupling: one keying rule covers every run. The use of a DMC edge e
 at single-layer time tau of an N-fold interleaved run reads entry tau mod N
 of the stream child("edge", e, tau // N); the stacked run draws all N entries
 of child("edge", e, t) at stacked time t, and a plain single-layer run is the
-N = 1 case. The de-stacked link draws uniform(N) from each period's stream
-once, at the period's first use, and keeps it for the period's later
-layers, so coupled seeds reproduce the stacked run's channel realizations bit
-for bit. A de-stacked encoder keeps its period's stacked emission the same
-way. All three runs go through the one step loop, netmodel.run_steps. A
-stacked block, run_stacked_block(net, code, rng, behaviors), takes N from
-code.N and swaps the edges named in behaviors for link codes; a de-stacked
-block is a run_block of the de-stacked policy, a CodingPolicy whose N field
-is the layer count it interleaves.
+N = 1 case. Every DmcLink draws a period's N entries once, at its first use
+(a stacked use is a whole period), so coupled seeds reproduce the stacked
+run's channel realizations bit for bit; a de-stacked encoder keeps its
+period's stacked emission the same way. All three runs go through the one
+step loop, netmodel.run_steps, and every code carries its per-layer block
+parameters as code.params. run_stacked_block(net, code, rng, behaviors)
+takes N from code.N and swaps the edges named in behaviors for link codes;
+a de-stacked block is run_block(net, destack_code(stacked), rng), whose
+CodingPolicy N is the layer count it interleaves.
 
 Every run carries a batch of T trials on the leading axis of its arrays (see
 netmodel): a stacked DMC use is (T, N), a stacked pipe payload (T, N, k), and
@@ -36,6 +36,7 @@ import numpy as np
 
 from .netmodel import (CodeParameters, CodingPolicy, estimate_trials,
                        raw_link, run_steps, stack_arrays, trial_elements)
+from .probkit import check_counts
 
 
 @dataclass
@@ -75,7 +76,7 @@ def estimate_stacked_distortion(net, code, trials, rng, behaviors=None):
     """Per-demand (mean, stderr) of the stacked block distortion."""
     return estimate_trials(
         lambda r: run_stacked_block(net, code, r, behaviors), trials, rng,
-        trial_elements(net, code.params.n, code.N * code.params.L, code.N))
+        trial_elements(net, code.N * code.params.n, code.N * code.params.L))
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +132,20 @@ class CopiesDecoder(_Copies):
         return merged.reshape(len(merged), -1)
 
 
-def _copies(code, params, N, groups, label):
-    if N < 1:
-        raise ValueError("a stacked code needs at least one layer, got N=%r"
-                         % (N,))
+def _copies(code, N, groups, label):
+    check_counts(N=N)
     return StackedCode(
-        encoders={a: CopiesEncoder(enc, params.L, N, groups, label)
+        encoders={a: CopiesEncoder(enc, code.params.L, N, groups, label)
                   for a, enc in code.encoders.items()},
-        decoders={k: CopiesDecoder(dec, params.L, N, groups, label)
+        decoders={k: CopiesDecoder(dec, code.params.L, N, groups, label)
                   for k, dec in code.decoders.items()},
-        N=N, params=params)
+        N=N, params=code.params)
 
 
-def lift_code(code, params, N):
+def lift_code(code, N):
     """Run the same single-layer code independently in each of the N
     layers, on the l-th source sub-block, from stream child("layer", l)."""
-    return _copies(code, params, N, range(N), "layer")
+    return _copies(code, N, range(N), "layer")
 
 
 def even_odd_split(stacked):
@@ -158,7 +157,7 @@ def even_odd_split(stacked):
     Meant for sources with memory (the construction is the identity
     statistically for i.i.d. sources).
     """
-    return _copies(stacked, stacked.params, 2 * stacked.N,
+    return _copies(stacked, 2 * stacked.N,
                    (slice(0, None, 2), slice(1, None, 2)), "class")
 
 
@@ -171,6 +170,9 @@ def parity_class_dependence_tv(source, L, rng, num_blocks=4, samples=20000):
     marginals. Near 0 when blocks of length L have mixed; large when L is
     too short for the chain's memory.
     """
+    if num_blocks < 2:
+        raise ValueError("num_blocks must be >= 2, got %r" % (num_blocks,))
+    check_counts(L=L, samples=samples)
     length = (2 * (num_blocks - 1)) * L + 1
     draws = source.draw_many(length, samples, rng.child("mixing"))
     positions = [2 * j * L for j in range(num_blocks)]
@@ -236,14 +238,13 @@ def destack_code(stacked):
     channel uses; kappa is preserved exactly. Run it through run_block with
     the stacked run's streams so channel noise couples with the stacked run.
     """
-    N = stacked.N
-    policy = CodingPolicy(
+    N, p = stacked.N, stacked.params
+    return CodingPolicy(
         encoders={a: DestackedEncoder(enc, N)
                   for a, enc in stacked.encoders.items()},
         decoders={k: DestackedDecoder(dec, N)
                   for k, dec in stacked.decoders.items()},
-        N=N)
-    return policy, CodeParameters(N * stacked.params.L, N * stacked.params.n)
+        params=CodeParameters(N * p.L, N * p.n), N=N)
 
 
 def _rows_equal(a, b):

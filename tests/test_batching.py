@@ -4,7 +4,7 @@ of a batch of one, row by row, and the same batch cut into chunks."""
 import numpy as np
 import pytest
 
-from sepnet import netmodel
+from sepnet import netmodel, probkit
 from sepnet.experiments import _bit_forward_code, _line_network
 from sepnet.linkcodes import (AggregatePipeBehavior, CodedLinkBehavior,
                               build_channel_code)
@@ -35,25 +35,25 @@ RECIPE_IDS = ["relay", "constant", "feedback", "markov-relay"]
 
 
 def single(recipe, net):
-    policy, params = recipe(net, L=3)
-    return lambda r: run_block(net, policy, params, r)
+    policy = recipe(net, L=3)
+    return lambda r: run_block(net, policy, r)
 
 
 def stacked(recipe, net):
-    policy, params = recipe(net, L=3)
-    code = lift_code(policy, params, 4)
+    policy = recipe(net, L=3)
+    code = lift_code(policy, 4)
     return lambda r: run_stacked_block(net, code, r)
 
 
 def destacked(recipe, net):
-    policy, params = recipe(net, L=3)
-    code, dparams = destack_code(lift_code(policy, params, 4))
-    return lambda r: run_block(net, code, dparams, r)
+    policy = recipe(net, L=3)
+    code = destack_code(lift_code(policy, 4))
+    return lambda r: run_block(net, code, r)
 
 
 def parity(recipe, net):
-    policy, params = recipe(net, L=2)
-    code = even_odd_split(lift_code(policy, params, 2))
+    policy = recipe(net, L=2)
+    code = even_odd_split(lift_code(policy, 2))
     return lambda r: run_stacked_block(net, code, r)
 
 
@@ -119,20 +119,91 @@ def test_link_configs_batch_equals_batches_of_one(name):
     check_batching(link_configs()[name], 32)
 
 
+class SendBits:
+    """Bit t of the node's source at step t on every out-edge, then empty
+    payloads."""
+
+    def __init__(self, out_edges):
+        self.out_edges = out_edges
+
+    def emit(self, t, u_block, received, rng):
+        return {e: u_block[:, t:t + 1] for e in self.out_edges}
+
+
+class XorLast:
+    """The XOR of the last payloads received on the in-edges, on every
+    out-edge; one in-edge makes it a forwarding relay."""
+
+    def __init__(self, in_edges, out_edges):
+        self.in_edges, self.out_edges = in_edges, out_edges
+
+    def emit(self, t, u_block, received, rng):
+        if not t:
+            return {e: u_block[:, :0] for e in self.out_edges}
+        bits = np.bitwise_xor.reduce([received[e][-1] for e in self.in_edges])
+        return {e: bits for e in self.out_edges}
+
+
+class XorDecoder:
+    """The XOR of every bit received on the given edges, in order."""
+
+    def __init__(self, edges):
+        self.edges = edges
+
+    def decode(self, u_block, received, rng):
+        return np.bitwise_xor.reduce([np.concatenate(received[e], axis=1)
+                                      for e in self.edges])
+
+
+def butterfly(L):
+    """The butterfly over rate-1 pipes: sources 0 and 1 (correlated bits)
+    feed XOR node 2, which feeds relay 3, which feeds sinks 4 and 5; each
+    sink also hears one source directly and decodes both sources."""
+    arcs = [(0, 2), (1, 2), (0, 4), (1, 5), (2, 3), (3, 4), (3, 5)]
+    demands = {(a, b): HAMMING for a in (0, 1) for b in (4, 5)}
+    net = NetworkSpec(tuple(range(6)),
+                      tuple(Edge(a, b, BitPipe(1.0)) for a, b in arcs),
+                      demands, IidJoint((2, 2, 1, 1, 1, 1),
+                                        [0.4, 0.1, 0.1, 0.4]))
+    code = netmodel.CodingPolicy(
+        encoders={0: SendBits([0, 2]), 1: SendBits([1, 3]),
+                  2: XorLast([0, 1], [4]), 3: XorLast([4], [5, 6])},
+        decoders={(0, 4): XorDecoder([2]), (1, 4): XorDecoder([2, 5]),
+                  (0, 5): XorDecoder([3, 6]), (1, 5): XorDecoder([3])},
+        params=netmodel.CodeParameters(L, L + 2))
+    return net, code
+
+
+def test_butterfly_decodes_every_demand_and_batches():
+    """Two in-edges at the XOR node and four demands: every demand decodes
+    without error on every trial, and the batch equals its trials run one
+    at a time."""
+    net, code = butterfly(5)
+    assert netmodel.validate_spec(net) == []
+    tr = run_block(net, code, RngStream(33).children("trial", range(T)))
+    assert sorted(tr.distortion) == sorted(net.demands)
+    for (a, b), d in tr.distortion.items():
+        assert np.array_equal(d, np.zeros(T)), (a, b)
+        assert np.array_equal(tr.recon[a, b], tr.u[a])
+    assert not np.array_equal(tr.u[0], tr.u[1])
+    check_batching(lambda r: run_block(net, code, r), 33)
+
+
 @pytest.mark.parametrize("recipe,net", RECIPES, ids=RECIPE_IDS)
 def test_estimates_do_not_depend_on_chunking(recipe, net, monkeypatch):
-    policy, params = recipe(net, L=3)
-    code = lift_code(policy, params, 4)
+    policy = recipe(net, L=3)
+    code = lift_code(policy, 4)
 
     def estimates():
-        return (estimate_distortion(net, policy, params, 11,
+        return (estimate_distortion(net, policy, 11,
                                     RngStream(5)).to_json(),
                 estimate_stacked_distortion(net, code, 11, RngStream(5)))
 
     whole = estimates()
     # 3-trial chunks of single-layer blocks, 1-trial chunks of stacked ones
-    monkeypatch.setattr(netmodel, "CHUNK_ELEMENTS",
-                        3 * netmodel.trial_elements(net, params.n, params.L))
+    p = policy.params
+    monkeypatch.setattr(probkit, "CHUNK_ELEMENTS",
+                        3 * netmodel.trial_elements(net, p.n, p.L))
     assert estimates() == whole
 
 
@@ -143,7 +214,7 @@ def test_ragged_payload_is_an_arity_mismatch():
 
     net = NetworkSpec((0, 1), (Edge(0, 1, BitPipe(2.0)),), {(0, 1): HAMMING},
                       IidJoint((2, 1), [0.5, 0.5]))
-    policy = netmodel.CodingPolicy(encoders={0: Ragged()}, decoders={})
+    policy = netmodel.CodingPolicy(encoders={0: Ragged()}, decoders={},
+                                   params=netmodel.CodeParameters(1, 1))
     with pytest.raises(netmodel.ArityMismatch):
-        run_block(net, policy, netmodel.CodeParameters(1, 1),
-                  RngStream(0).children("trial", range(2)))
+        run_block(net, policy, RngStream(0).children("trial", range(2)))

@@ -394,7 +394,7 @@ def test_cli_solver_rejects_bad_tol(tmp_path, command, scenario, tol):
 
 # the tiny scenario's keys and the optional keys the commands read
 MUTABLE_KEYS = sorted(set(TINY) | {"R", "p", "kappa", "link_rate", "tol",
-                                   "pipe_delay", "input_law"})
+                                   "input_law"})
 BAD_VALUES = [0, -1, float("nan"), float("inf"), float("-inf"), None, "a"]
 
 

@@ -52,28 +52,28 @@ def trace_json(tr):
 def split_markov_run():
     """Six trials of the even/odd split of the 2-layer lifted adaptive
     feedback code (4 layers) on a Markov source."""
-    policy, params = adaptive_feedback(MARKOV_FEEDBACK_NET, L=3)
-    code = even_odd_split(lift_code(policy, params, 2))
+    policy = adaptive_feedback(MARKOV_FEEDBACK_NET, L=3)
+    code = even_odd_split(lift_code(policy, 2))
     return trace_json(run_stacked_block(
         MARKOV_FEEDBACK_NET, code, RngStream(12).children("trial", range(6))))
 
 
 def destacked_adaptive_run():
     """Five trials of the de-stacked 4-layer lifted adaptive feedback code."""
-    policy, params = adaptive_feedback(FEEDBACK_NET, L=3)
-    code, dparams = destack_code(lift_code(policy, params, 4))
-    return trace_json(run_block(FEEDBACK_NET, code, dparams,
+    policy = adaptive_feedback(FEEDBACK_NET, L=3)
+    code = destack_code(lift_code(policy, 4))
+    return trace_json(run_block(FEEDBACK_NET, code,
                                 RngStream(13).children("trial", range(5))))
 
 
 def synth_link_run():
     """Six trials of the 8-layer lifted relay over a rate-1 pipe that
     synthesizes a BSC(0.11), with an independent code per stacked time."""
-    policy, params = uncoded_relay(PIPE_NET, L=3)
+    policy = uncoded_relay(PIPE_NET, L=3)
     codes = {t: build_synthesis_code(ProbVector([0.5, 0.5]), Kernel.bsc(0.11),
                                      8, 0.8, RngStream(10).child("code", t))
-             for t in range(params.n)}
-    tr = run_stacked_block(PIPE_NET, lift_code(policy, params, 8),
+             for t in range(policy.params.n)}
+    tr = run_stacked_block(PIPE_NET, lift_code(policy, 8),
                            RngStream(11).children("trial", range(6)),
                            {0: SynthLinkBehavior(codes.get)})
     return {"x": [x.tolist() for x, _ in tr.edge_io[0]],

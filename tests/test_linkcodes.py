@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepnet import experiments, linkcodes
-from sepnet.experiments import (lemma1_report, lemma1_samples,
+from sepnet import experiments, probkit
+from sepnet.experiments import (_lemma1_draws, _lemma1_records, lemma1_report,
                                 link_replacement_experiment)
 from sepnet.linkcodes import (AggregatePipeBehavior, ChannelCode,
                               CodebookCapExceeded, CodedLinkBehavior,
@@ -261,44 +261,55 @@ def test_lemma1_samples_match_per_trial_codes(reuse, monkeypatch):
     build_synthesis_code + synthesize would use, across chunk boundaries."""
     args = (Kernel.bsc(0.2), 8, 0.8, 50, 7, 3)
     expected = _lemma1_records_one_trial_at_a_time(*args, reuse=reuse)
-    assert lemma1_samples(*args, reuse=reuse) == expected
+
+    def records():
+        return _lemma1_records(*_lemma1_draws(*args), 3, reuse)
+
+    assert records() == expected
     # 7-trial chunks: 50 trials span a ragged final chunk
-    keys = 1 if reuse else 3
-    monkeypatch.setattr(experiments, "CHUNK_ELEMENTS",
-                        7 * keys * 2 ** 7 * 8)
-    assert lemma1_samples(*args, reuse=reuse) == expected
+    monkeypatch.setattr(probkit, "CHUNK_ELEMENTS", 7 * 3 * 2 ** 7 * 8)
+    assert records() == expected
 
 
 def test_negative_control_reuses_the_positive_draw(monkeypatch):
-    """Records built from the positive control's key-0 outputs are the
-    negative control's, and verify_lemma1 draws once for both."""
-    args = (Kernel.bsc(0.2), 8, 0.8, 60, 7, 3)
-    x0, y0 = experiments._lemma1_draws(*args, reuse=False)
-    assert experiments._lemma1_records(x0, y0, 3, reuse=True) == \
-        lemma1_samples(*args, reuse=True)
+    """The negative control's records repeat the positive control's key-0
+    output at every time, and verify_lemma1 draws once for both."""
+    x0, y0 = _lemma1_draws(Kernel.bsc(0.2), 8, 0.8, 60, 7, 3)
+    for recs in _lemma1_records(x0, y0, 3, reuse=True).values():
+        assert recs == [(x, y, x, y) for x, y in zip(x0.tolist(),
+                                                     y0[:, 0].tolist())]
     calls = []
     draws = experiments._lemma1_draws
 
     def counting(*a, **k):
-        calls.append(k.get("reuse"))
+        calls.append(a)
         return draws(*a, **k)
 
     monkeypatch.setattr(experiments, "_lemma1_draws", counting)
     experiments.verify_lemma1(Kernel.bsc(0.2), N=8, R=0.8, trials=60, seed=7)
-    assert calls == [False]
+    assert len(calls) == 1
 
 
 def test_lemma1_samples_rejects_zero_trials():
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        lemma1_samples(Kernel.bsc(0.2), 8, 0.8, 0, 0)
+        _lemma1_draws(Kernel.bsc(0.2), 8, 0.8, 0, 0, 3)
 
 
 @pytest.mark.parametrize("N", [0, -1])
 def test_lemma1_rejects_empty_blocks(N):
     with pytest.raises(ValueError, match="N must be >= 1"):
-        lemma1_samples(Kernel.bsc(0.2), N, 0.8, 10, 0)
+        _lemma1_draws(Kernel.bsc(0.2), N, 0.8, 10, 0, 3)
     with pytest.raises(ValueError, match="N must be >= 1"):
         experiments.verify_lemma1(Kernel.bsc(0.2), N=N, trials=10)
+
+
+@pytest.mark.parametrize("replicates", [0, -1])
+def test_two_step_induction_rejects_no_replicates(replicates, monkeypatch):
+    """No replicates used to give a NaN TV from 0 samples; it is a
+    ValueError before any code is drawn."""
+    monkeypatch.setattr(experiments, "build_synthesis_code", None)
+    with pytest.raises(ValueError, match="replicates must be >= 1"):
+        experiments.two_step_induction(replicates=replicates)
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan"), float("inf")])
@@ -310,9 +321,9 @@ def test_separation_rejects_bad_kappa(kappa, monkeypatch):
 
 def test_lemma1_samples_rate_guards():
     with pytest.raises(RateOutOfRange):
-        lemma1_samples(Kernel.bsc(0.2), 8, 0.2, 10, 0)
+        _lemma1_draws(Kernel.bsc(0.2), 8, 0.2, 10, 0, 3)
     with pytest.raises(CodebookCapExceeded):
-        lemma1_samples(Kernel.bsc(0.2), 32, 0.8, 10, 0)
+        _lemma1_draws(Kernel.bsc(0.2), 32, 0.8, 10, 0, 3)
 
 
 def test_lemma1_report_lists_the_cells_it_drops():
@@ -352,8 +363,7 @@ def test_synthesized_type_tv_is_the_per_sample_loop(p, channel, N, R,
     want = _type_tv_one_sample_at_a_time(code, RngStream(17), 12)
     assert synthesized_type_tv(code, RngStream(17), samples=12) == want
     # 5-sample chunks: 12 samples span a ragged final chunk
-    monkeypatch.setattr(linkcodes, "CHUNK_ELEMENTS",
-                        5 * 4 * len(code.codebook))
+    monkeypatch.setattr(probkit, "CHUNK_ELEMENTS", 5 * 4 * len(code.codebook))
     assert synthesized_type_tv(code, RngStream(17), samples=12) == want
 
 
@@ -382,7 +392,7 @@ def test_coded_link_behavior_guards():
     with pytest.raises(BudgetOverflow):
         h.transmit(RngStream(0).batch(), 0,
                    np.ones((1, code.payload_bits + 1), dtype=np.int64))
-    bits_in, bits_out, _ = h.transmit(RngStream(0).batch(), 0, [[1, 0, 1]])
+    bits_in, bits_out = h.transmit(RngStream(0).batch(), 0, [[1, 0, 1]])
     assert np.array_equal(bits_in, [[1, 0, 1]]) and bits_out.shape == (1, 3)
 
 
@@ -392,7 +402,7 @@ def test_coded_link_noiseless_is_transparent():
         0, 1, DmcChannel(Kernel.identity(2))), 8)
     for t in range(10):
         payload = index_to_bits([t], 4)
-        _, out, _ = h.transmit(RngStream(3).batch(), t, payload)
+        _, out = h.transmit(RngStream(3).batch(), t, payload)
         assert np.array_equal(out, payload)
 
 
@@ -445,7 +455,7 @@ def test_both_sides_of_link_replacement_cap_each_use():
         AggregatePipeBehavior().make_handler(0, Edge(0, 1, BitPipe(0.4)), 24)]
     rng = RngStream(4).batch()
     for h in handlers:
-        empty, out, _ = h.transmit(rng, 0, np.zeros((1, 0), dtype=np.int64))
+        empty, out = h.transmit(rng, 0, np.zeros((1, 0), dtype=np.int64))
         assert empty.shape == out.shape == (1, 0)
         with pytest.raises(BudgetOverflow):
             h.transmit(rng, 1, np.ones((1, 18), dtype=np.int64))

@@ -158,16 +158,16 @@ def test_d_max():
 
 def test_noiseless_relay_zero_distortion():
     net = line_net(DmcChannel(Kernel.identity(2)))
-    policy, params = uncoded_relay(net, L=32)
-    tr = run_block(net, policy, params, RngStream(5))
+    policy = uncoded_relay(net, L=32)
+    tr = run_block(net, policy, RngStream(5))
     assert tr.distortion[(0, 1)] == 0.0
     assert np.array_equal(tr.recon[(0, 1)], tr.u[0])
 
 
 def test_bsc_relay_matches_crossover():
     net = line_net(DmcChannel(Kernel.bsc(0.11)))
-    policy, params = uncoded_relay(net, L=16)
-    dm = estimate_distortion(net, policy, params, 3000, RngStream(1))
+    policy = uncoded_relay(net, L=16)
+    dm = estimate_distortion(net, policy, 3000, RngStream(1))
     i, j = net.node_index(0), net.node_index(1)
     val, se = dm.values[i, j], dm.stderr[i, j]
     assert abs(val - 0.11) <= 3 * se
@@ -176,8 +176,8 @@ def test_bsc_relay_matches_crossover():
 
 def test_constant_decoder_analytic():
     net = line_net(DmcChannel(Kernel.bsc(0.11)))
-    policy, params = build_recipe("constant_guess", net, L=16)
-    dm = estimate_distortion(net, policy, params, 3000, RngStream(1))
+    policy = build_recipe("constant_guess", net, L=16)
+    dm = estimate_distortion(net, policy, 3000, RngStream(1))
     i, j = net.node_index(0), net.node_index(1)
     val, se = dm.values[i, j], dm.stderr[i, j]
     # guessing 0 against Bern(1/2): expected Hamming distortion 1/2
@@ -186,9 +186,9 @@ def test_constant_decoder_analytic():
 
 def test_replay_is_bit_identical():
     net = line_net(DmcChannel(Kernel.bsc(0.3)))
-    policy, params = uncoded_relay(net, L=64)
-    t1 = run_block(net, policy, params, RngStream(77))
-    t2 = run_block(net, policy, params, RngStream(77))
+    policy = uncoded_relay(net, L=64)
+    t1 = run_block(net, policy, RngStream(77))
+    t2 = run_block(net, policy, RngStream(77))
     assert same_io(t1.edge_io, t2.edge_io)
     assert np.array_equal(t1.recon[(0, 1)], t2.recon[(0, 1)])
 
@@ -216,8 +216,9 @@ def test_causality_encoder_sees_strict_past():
                     else np.zeros(len(u_block), dtype=np.int64)}
 
     policy = CodingPolicy(encoders={0: Probe(), 1: Echo()},
-                          decoders={(0, 1): Sink()})
-    run_block(net, policy, CodeParameters(4, 4), RngStream(0))
+                          decoders={(0, 1): Sink()},
+                          params=CodeParameters(4, 4))
+    run_block(net, policy, RngStream(0))
     assert seen == [0, 1, 2, 3]
 
 
@@ -235,8 +236,9 @@ def test_edges_draw_independent_noise():
                       (Edge(0, 1, DmcChannel(Kernel.bsc(0.5))),
                        Edge(0, 1, DmcChannel(Kernel.bsc(0.5)))),
                       {(0, 1): HAMMING}, IidJoint((2, 1), [0.5, 0.5]))
-    policy = CodingPolicy(encoders={0: Both()}, decoders={(0, 1): Sink()})
-    tr = run_block(net, policy, CodeParameters(64, 64), RngStream(8))
+    policy = CodingPolicy(encoders={0: Both()}, decoders={(0, 1): Sink()},
+                          params=CodeParameters(64, 64))
+    tr = run_block(net, policy, RngStream(8))
     y0 = np.stack([y for _, y in tr.edge_io[0]])
     y1 = np.stack([y for _, y in tr.edge_io[1]])
     assert not np.array_equal(y0, y1)
@@ -251,16 +253,18 @@ def test_encoder_cannot_emit_on_foreign_edge():
                       (Edge(0, 1, DmcChannel(Kernel.identity(2))),
                        Edge(1, 2, DmcChannel(Kernel.identity(2)))),
                       {(0, 2): HAMMING}, IidJoint((2, 1, 1), [0.5, 0.5]))
-    policy = CodingPolicy(encoders={0: Rogue()}, decoders={})
+    policy = CodingPolicy(encoders={0: Rogue()}, decoders={},
+                          params=CodeParameters(2, 2))
     with pytest.raises(ArityMismatch):
-        run_block(net, policy, CodeParameters(2, 2), RngStream(0))
+        run_block(net, policy, RngStream(0))
 
 
 def test_silent_dmc_edge_is_an_error():
     net = line_net(DmcChannel(Kernel.identity(2)))
-    policy = CodingPolicy(encoders={}, decoders={})
+    policy = CodingPolicy(encoders={}, decoders={},
+                          params=CodeParameters(2, 2))
     with pytest.raises(ArityMismatch):
-        run_block(net, policy, CodeParameters(2, 2), RngStream(0))
+        run_block(net, policy, RngStream(0))
 
 
 def test_decoder_block_length_checked():
@@ -269,11 +273,11 @@ def test_decoder_block_length_checked():
             return np.zeros(3, dtype=np.int64)
 
     net = line_net(DmcChannel(Kernel.identity(2)))
-    policy, params = uncoded_relay(net, L=8)
+    policy = uncoded_relay(net, L=8)
     policy = CodingPolicy(encoders=policy.encoders,
-                          decoders={(0, 1): Short()})
+                          decoders={(0, 1): Short()}, params=policy.params)
     with pytest.raises(ArityMismatch):
-        run_block(net, policy, params, RngStream(0))
+        run_block(net, policy, RngStream(0))
 
 
 # ---------------------------------------------------------------------------
@@ -304,61 +308,39 @@ class PipeListener:
 def test_pipe_budget_is_cumulative_floor():
     net = line_net(BitPipe(0.5))
     policy = CodingPolicy(encoders={0: PipeTalker(1)},
-                          decoders={(0, 1): PipeListener(4)})
+                          decoders={(0, 1): PipeListener(4)},
+                          params=CodeParameters(4, 4))
     with pytest.raises(BudgetOverflow):
         # 1 bit per use exceeds floor(t * 0.5) immediately
-        run_block(net, policy, CodeParameters(4, 4), RngStream(0))
+        run_block(net, policy, RngStream(0))
 
     class HalfRate:
         def emit(self, t, u_block, received, rng):
             return {0: np.ones((len(u_block), t % 2), dtype=np.int64)}
 
     policy = CodingPolicy(encoders={0: HalfRate()},
-                          decoders={(0, 1): PipeListener(4)})
-    tr = run_block(net, policy, CodeParameters(4, 8), RngStream(0))
+                          decoders={(0, 1): PipeListener(4)},
+                          params=CodeParameters(4, 8))
+    tr = run_block(net, policy, RngStream(0))
     assert sum(x.shape[1] for x, _ in tr.edge_io[0]) == 4
 
 
 def test_pipe_delivers_same_step_by_default():
     net = line_net(BitPipe(1.0))
     policy = CodingPolicy(encoders={0: PipeTalker(1)},
-                          decoders={(0, 1): PipeListener(4)})
-    tr = run_block(net, policy, CodeParameters(4, 4), RngStream(0))
+                          decoders={(0, 1): PipeListener(4)},
+                          params=CodeParameters(4, 4))
+    tr = run_block(net, policy, RngStream(0))
     assert np.array_equal(tr.recon[(0, 1)], [[1, 1, 1, 1]])
-
-
-def test_pipe_delay_shifts_delivery():
-    net = line_net(BitPipe(1.0))
-
-    class Probe:
-        def __init__(self):
-            self.log = []
-
-        def emit(self, t, u_block, received, rng):
-            self.log.append(tuple(received.get(0, [])))
-            return {0: (1,)}
-
-    # receiver-side encoder would be needed to observe rx timing; instead
-    # decode and check the delayed stream starts empty
-    class TailListener:
-        def decode(self, u_block, received, rng):
-            return flat_bits(u_block, received[0], 4)
-
-    policy = CodingPolicy(encoders={0: PipeTalker(1)},
-                          decoders={(0, 1): TailListener()})
-    tr = run_block(net, policy, CodeParameters(4, 4), RngStream(0),
-                   pipe_delay=1)
-    # 4 sends, but the last payload is still in flight at decode time
-    assert np.array_equal(tr.recon[(0, 1)], [[1, 1, 1, 0]])
 
 
 def test_estimate_distortion_rejects_zero_trials():
     net = line_net(DmcChannel(Kernel.identity(2)))
-    policy, params = uncoded_relay(net, L=2)
+    policy = uncoded_relay(net, L=2)
     with pytest.raises(ValueError):
-        estimate_distortion(net, policy, params, 0, RngStream(0))
+        estimate_distortion(net, policy, 0, RngStream(0))
     with pytest.raises(ValueError):
-        estimate_stacked_distortion(net, lift_code(policy, params, 2), 0,
+        estimate_stacked_distortion(net, lift_code(policy, 2), 0,
                                     RngStream(0))
 
 
@@ -376,11 +358,11 @@ FEEDBACK_NET = NetworkSpec((0, 1),
 def test_run_block_is_the_one_layer_stacked_run(recipe, net):
     """A single-layer block is the N = 1 stacked block: same source, same
     channel noise, same reconstruction."""
-    policy, params = recipe(net, L=5)
-    stacked = lift_code(policy, params, 1)
+    policy = recipe(net, L=5)
+    stacked = lift_code(policy, 1)
     for j in range(10):
         rng = RngStream(50 + j)
-        tr = run_block(net, policy, params, rng)
+        tr = run_block(net, policy, rng)
         tr_s = run_stacked_block(net, stacked, rng)
         for e, seq in tr_s.edge_io.items():
             assert same_io({e: [(x[:, 0], y[:, 0]) for x, y in seq]},

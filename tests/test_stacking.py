@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sepnet import probkit
+from sepnet.experiments import mixing_demo
 from sepnet.netmodel import (ArityMismatch, BitPipe, CodeParameters,
                              CodingPolicy, DmcChannel, Edge, IidJoint,
                              MarkovJoint, NetworkSpec, run_block)
@@ -99,14 +100,14 @@ def assert_reads_layers(tr, L, source_layer):
     (adaptive_feedback, feedback_net()),
 ])
 def test_destack_reproduces_stacked_traces(recipe, net):
-    policy, params = recipe(net, L=3)
+    policy = recipe(net, L=3)
     N = 4
-    stacked = lift_code(policy, params, N)
-    destacked, dparams = destack_code(stacked)
+    stacked = lift_code(policy, N)
+    destacked = destack_code(stacked)
     for j in range(25):
         rng = RngStream(100 + j)
         tr_s = run_stacked_block(net, stacked, rng)
-        tr_d = run_block(net, destacked, dparams, rng)
+        tr_d = run_block(net, destacked, rng)
         assert traces_match(tr_s, tr_d)
         key = next(iter(net.demands))
         assert tr_s.distortion[key] == tr_d.distortion[key]
@@ -119,12 +120,12 @@ def test_destack_reproduces_a_cross_layer_code(N):
     history, not only for a lift."""
     net, L = feedback_net(), 3
     stacked = cross_layer_code(N, L)
-    destacked, dparams = destack_code(stacked)
+    destacked = destack_code(stacked)
     for j in range(4):
         rng = RngStream(200 + j).children("trial", range(5))
         tr_s = run_stacked_block(net, stacked, rng)
         assert_reads_layers(tr_s, L, np.roll(np.arange(N), 1))
-        tr_d = run_block(net, destacked, dparams, rng)
+        tr_d = run_block(net, destacked, rng)
         assert traces_match(tr_s, tr_d).all()
         assert np.array_equal(tr_s.recon[0, 1], tr_d.recon[0, 1])
         assert np.array_equal(tr_s.distortion[0, 1], tr_d.distortion[0, 1])
@@ -140,17 +141,18 @@ def test_destacked_link_seeds_each_period_stream_once(monkeypatch):
         return uniform_streams(seed, stream_ids, size)
 
     net = relay_net()
-    policy, params = uncoded_relay(net, L=3)
+    policy = uncoded_relay(net, L=3)
     N = 8
-    stacked = lift_code(policy, params, N)
-    destacked, dparams = destack_code(stacked)
+    stacked = lift_code(policy, N)
+    destacked = destack_code(stacked)
     rng = RngStream(5)
     tr_s = run_stacked_block(net, stacked, rng)
     monkeypatch.setattr(probkit, "uniform_streams", counting)
-    tr_d = run_block(net, destacked, dparams, rng)
+    tr_d = run_block(net, destacked, rng)
     monkeypatch.undo()
     edge_streams = [s for s in seeded if s[:1] == ("edge",)]
-    assert sorted(edge_streams) == [("edge", 0, t) for t in range(params.n)]
+    assert sorted(edge_streams) == [("edge", 0, t)
+                                    for t in range(policy.params.n)]
     assert traces_match(tr_s, tr_d)
 
 
@@ -164,10 +166,10 @@ def test_destacked_encoder_runs_each_stacked_emission_once(recipe, net, L,
     """A de-stacked N = 8 block calls each node's stacked encoder once per
     period and still matches the stacked run; one policy reused over trials
     gives the traces of a fresh policy per trial."""
-    policy, params = recipe(net, L=L)
+    policy = recipe(net, L=L)
     N = 8
-    stacked = lift_code(policy, params, N)
-    destacked, dparams = destack_code(stacked)
+    stacked = lift_code(policy, N)
+    destacked = destack_code(stacked)
     node_of = {id(enc): a for a, enc in stacked.encoders.items()}
     calls = []
     emit = CopiesEncoder.emit
@@ -181,13 +183,13 @@ def test_destacked_encoder_runs_each_stacked_emission_once(recipe, net, L,
         tr_s = run_stacked_block(net, stacked, rng)
         del calls[:]
         monkeypatch.setattr(CopiesEncoder, "emit", counting)
-        tr_d = run_block(net, destacked, dparams, rng)
+        tr_d = run_block(net, destacked, rng)
         monkeypatch.undo()
-        assert calls == [(a, t) for t in range(params.n) for a in net.nodes
-                         if a in stacked.encoders]
+        assert calls == [(a, t) for t in range(policy.params.n)
+                         for a in net.nodes if a in stacked.encoders]
         assert traces_match(tr_s, tr_d)
-        fresh, _ = destack_code(lift_code(*recipe(net, L=L), N))
-        tr_f = run_block(net, fresh, dparams, rng)
+        fresh = destack_code(lift_code(recipe(net, L=L), N))
+        tr_f = run_block(net, fresh, rng)
         assert same_io(tr_f.edge_io, tr_d.edge_io)
         assert tr_f.distortion.keys() == tr_d.distortion.keys()
         for key, d in tr_f.distortion.items():
@@ -197,21 +199,21 @@ def test_destacked_encoder_runs_each_stacked_emission_once(recipe, net, L,
 
 
 def test_destack_preserves_kappa():
-    policy, params = uncoded_relay(relay_net(), L=3)
-    stacked = lift_code(policy, params, 6)
-    _, dparams = destack_code(stacked)
-    assert dparams.kappa == params.kappa
-    assert dparams.L == 6 * params.L and dparams.n == 6 * params.n
+    policy = uncoded_relay(relay_net(), L=3)
+    dparams = destack_code(lift_code(policy, 6)).params
+    assert dparams.kappa == policy.params.kappa
+    assert dparams.L == 6 * policy.params.L
+    assert dparams.n == 6 * policy.params.n
 
 
 def test_destack_trivial_single_layer():
     net = relay_net()
-    policy, params = uncoded_relay(net, L=4)
-    stacked = lift_code(policy, params, 1)
-    destacked, dparams = destack_code(stacked)
+    policy = uncoded_relay(net, L=4)
+    stacked = lift_code(policy, 1)
+    destacked = destack_code(stacked)
     rng = RngStream(3)
     tr_s = run_stacked_block(net, stacked, rng)
-    tr_d = run_block(net, destacked, dparams, rng)
+    tr_d = run_block(net, destacked, rng)
     assert traces_match(tr_s, tr_d)
 
 
@@ -223,8 +225,8 @@ def test_stacked_foreign_edge_emission_rejected():
                     1: np.zeros(2, dtype=np.int64)}
 
     net = feedback_net()
-    policy, params = adaptive_feedback(net, L=2)
-    stacked = lift_code(policy, params, 2)
+    policy = adaptive_feedback(net, L=2)
+    stacked = lift_code(policy, 2)
     stacked.encoders[1] = Meddler()  # node 1 feeds edge 1, not edge 0
     with pytest.raises(ArityMismatch):
         run_stacked_block(net, stacked, RngStream(0))
@@ -249,25 +251,25 @@ def test_copies_reject_ragged_or_missing_emissions(split, missing):
                       IidJoint((2, 1), [0.5, 0.5]))
     params = CodeParameters(2, 2)
     code = (even_odd_split(StackedCode({0: Uneven()}, {}, 1, params)) if split
-            else lift_code(CodingPolicy({0: Uneven()}, {}), params, 2))
+            else lift_code(CodingPolicy({0: Uneven()}, {}, params), 2))
     with pytest.raises(ArityMismatch):
         run_stacked_block(net, code, RngStream(0))
 
 
 def test_copies_need_at_least_one_layer():
-    policy, params = uncoded_relay(relay_net(), L=2)
+    policy = uncoded_relay(relay_net(), L=2)
     with pytest.raises(ValueError):
-        lift_code(policy, params, 0)
+        lift_code(policy, 0)
     with pytest.raises(ValueError):
         even_odd_split(StackedCode(policy.encoders, policy.decoders, 0,
-                                   params))
+                                   policy.params))
 
 
 def test_lifted_layers_are_independent():
     """Different layers of a lifted code see independent channel noise."""
     net = relay_net(p=0.5)
-    policy, params = uncoded_relay(net, L=16)
-    stacked = lift_code(policy, params, 2)
+    policy = uncoded_relay(net, L=16)
+    stacked = lift_code(policy, 2)
     tr = run_stacked_block(net, stacked, RngStream(11))
     y0 = [int(yv[0, 0]) for _, yv in tr.edge_io[0]]
     y1 = [int(yv[0, 1]) for _, yv in tr.edge_io[0]]
@@ -282,8 +284,8 @@ def test_even_odd_split_doubles_layers_and_reconstructs():
                       {(0, 1): HAMMING},
                       MarkovJoint((2, 1), [0.5, 0.5],
                                   [[0.6, 0.4], [0.4, 0.6]]))
-    policy, params = uncoded_relay(net, L=4)
-    inner = lift_code(policy, params, 3)
+    policy = uncoded_relay(net, L=4)
+    inner = lift_code(policy, 3)
     split = even_odd_split(inner)
     assert split.N == 6
     tr = run_stacked_block(net, split, RngStream(2))
@@ -299,13 +301,12 @@ def test_even_odd_split_keeps_class_histories_apart():
     split = even_odd_split(cross_layer_code(Ni, L))
     assert split.N == 2 * Ni
     j, c = np.divmod(np.arange(2 * Ni), 2)
-    destacked, dparams = destack_code(split)
+    destacked = destack_code(split)
     for seed in range(3):
         rng = RngStream(300 + seed).children("trial", range(4))
         tr_s = run_stacked_block(net, split, rng)
         assert_reads_layers(tr_s, L, 2 * ((j - 1) % Ni) + c)
-        assert traces_match(tr_s, run_block(net, destacked, dparams,
-                                            rng)).all()
+        assert traces_match(tr_s, run_block(net, destacked, rng)).all()
 
 
 def test_parity_class_dependence_shrinks_with_block_length():
@@ -315,3 +316,19 @@ def test_parity_class_dependence_shrinks_with_block_length():
     tv_long = parity_class_dependence_tv(chain, 32, samples=8000, rng=rng)
     assert tv_long < tv_short
     assert tv_long < 0.05
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"L": 0}, "L must be >= 1"),
+    ({"num_blocks": 0}, "num_blocks must be >= 2"),
+    ({"num_blocks": 1}, "num_blocks must be >= 2"),
+    ({"samples": 0}, "samples must be >= 1"),
+])
+def test_mixing_rejects_empty_blocks_before_drawing(kwargs, message,
+                                                    monkeypatch):
+    """L = 0 would put every block at position 0, num_blocks = 0 used to
+    fail inside numpy and samples = 0 gave a NaN: each is a ValueError
+    before any chain is drawn."""
+    monkeypatch.setattr(MarkovJoint, "draw_many", None)
+    with pytest.raises(ValueError, match=message):
+        mixing_demo(**kwargs)
