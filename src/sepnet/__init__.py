@@ -18,7 +18,7 @@ from .netmodel import (BitPipe, CodeParameters, CodingPolicy, DmcChannel,
                        NetworkSpec, TraceRecord, estimate_distortion,
                        run_block, validate_spec)
 from .probkit import (JointPmf, Kernel, ProbVector, RngBatch, RngStream,
-                      entropy, mutual_information, tv_distance)
+                      entropy, mutual_information)
 from .stacking import (destack_code, even_odd_split, lift_code,
                        run_stacked_block, traces_match)
 from .linkcodes import (ChannelCode, LinkCodeReport, SynthesisCode,
@@ -43,6 +43,6 @@ __all__ = [
     "invert_rate_distortion", "lift_code", "load_scenario", "mixing_demo",
     "mutual_information", "rd_report", "run_block", "run_stacked_block",
     "separation_experiment", "simulate", "stack_check", "synth_sweep",
-    "traces_match", "tv_distance", "two_step_induction", "validate_spec",
-    "verify_lemma1", "write_json_atomic",
+    "traces_match", "two_step_induction", "validate_spec", "verify_lemma1",
+    "write_json_atomic",
 ]

@@ -22,7 +22,7 @@ from .netmodel import (BitPipe, CodeParameters, DmcChannel, Edge, IidJoint,
                        run_block, trial_batches, trial_elements)
 from .probkit import (Kernel, ProbVector, RngBatch, RngStream, check_counts,
                       chunk_ranges, mean_stderr, sample_many, sample_rows)
-from .recipes import build_recipe
+from .recipes import SendBits, XorDecoder, XorRelay, build_recipe
 from .stacking import (StackedCode, destack_code, estimate_stacked_distortion,
                        lift_code, parity_class_dependence_tv,
                        run_stacked_block, traces_match)
@@ -89,56 +89,6 @@ def stack_check(net, code_name, code_params, N, trials, seed):
 # ---------------------------------------------------------------------------
 # link replacement: line network, coded links vs bit-pipes
 
-class BitChunkEncoder:
-    """Sends consecutive chunks of the node's source bits over one virtual
-    bit-pipe edge, per_use bits per stacked use. Like the relay and sink
-    below, it acts on a batch of trials: every payload is (T, k)."""
-
-    def __init__(self, edge, total_bits, per_use):
-        self.edge = edge
-        self.total = total_bits
-        self.per_use = per_use
-
-    def emit(self, t, u_full, received_all, rng):
-        lo = min(t * self.per_use, self.total)
-        hi = min(lo + self.per_use, self.total)
-        return {self.edge: u_full[:, lo:hi]}
-
-
-class BitRelayEncoder:
-    """Forwards bits received on one edge, in order, per_use at a time."""
-
-    def __init__(self, in_edge, out_edge, per_use):
-        self.in_edge = in_edge
-        self.out_edge = out_edge
-        self.per_use = per_use
-
-    def emit(self, t, u_full, received_all, rng):
-        rx = received_all.get(self.in_edge, [])
-        cum = [0]
-        for payload in rx:
-            cum.append(cum[-1] + payload.shape[1])
-        # bits forwarded before t are a pure function of the history, so
-        # recompute rather than keeping state across emits
-        sent = 0
-        for tp in range(min(t, len(cum) - 1)):
-            sent += max(0, min(self.per_use, cum[tp] - sent))
-        flat = np.concatenate([u_full[:, :0]] + rx, axis=1)
-        return {self.out_edge: flat[:, sent:min(sent + self.per_use,
-                                                cum[-1])]}
-
-
-class BitSinkDecoder:
-    def __init__(self, edge, total_bits):
-        self.edge = edge
-        self.total = total_bits
-
-    def decode(self, u_full_b, received_all, rng):
-        bits = np.concatenate([u_full_b[:, :0]] + received_all[self.edge],
-                              axis=1)[:, :self.total]
-        return np.pad(bits, ((0, 0), (0, self.total - bits.shape[1])))
-
-
 def _line_network(channel_for_link):
     ham = np.array([[0.0, 1.0], [1.0, 0.0]])
     edges = (Edge(0, 1, channel_for_link), Edge(1, 2, channel_for_link))
@@ -147,11 +97,12 @@ def _line_network(channel_for_link):
 
 
 def _bit_forward_code(N, per_use, n):
-    total = N  # one source bit per layer (L = 1)
+    """Node 0 sends its N source bits (one per layer, L = 1) per_use at a
+    time, node 1 forwards them one use behind, and node 2 reads them back.
+    Every payload is one (T, k) bit array for all N layers of a use."""
     return StackedCode(
-        encoders={0: BitChunkEncoder(0, total, per_use),
-                  1: BitRelayEncoder(0, 1, per_use)},
-        decoders={(0, 2): BitSinkDecoder(1, total)},
+        encoders={0: SendBits([0], per_use), 1: XorRelay([0], [1])},
+        decoders={(0, 2): XorDecoder([1], N)},
         N=N, params=CodeParameters(1, n))
 
 

@@ -14,6 +14,7 @@ word b with codebook b. This one code path serves the engine's synthesized
 links, the induction check, lemma 1 and soft covering.
 """
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -256,16 +257,12 @@ class SynthesisCode:
         return TypeScorer(log_posterior(self.target_input, self.channel),
                           self.codebook)
 
-    def encoder_weights(self, x):
-        """Normalized index-selection weights for an input sequence."""
-        return likelihood_weights(self.scorer, x)
-
     def encode(self, x, rng):
         """Stochastic index selection, one uniform draw per stream: an index
         for a word x (N,) and a stream, or (T,) indices for words (T, N)
         and an RngBatch of T streams. A batched code of B codebooks takes
         words (B, N), word b scored against codebook b."""
-        cum = np.cumsum(self.encoder_weights(x), axis=-1)
+        cum = np.cumsum(likelihood_weights(self.scorer, x), axis=-1)
         return sample_rows(cum, rng.uniform())
 
     def synthesize(self, x, rng):
@@ -396,7 +393,8 @@ class _SynthLinkHandler:
 @dataclass
 class SynthLinkBehavior:
     """code_for_time maps stacked time t to the SynthesisCode used at t;
-    audit maps id(code) to the first stacked time it served."""
+    audit maps id(code) to the first stacked time it served and a weak
+    reference to the code: a new code on a freed code's id is not a reuse."""
     code_for_time: object
     audit: dict = field(init=False, default_factory=dict)
 
@@ -407,10 +405,12 @@ class SynthLinkBehavior:
 
     def _audited(self, t):
         code = self.code_for_time(t)
-        first_t = self.audit.setdefault(id(code), t)
-        if first_t != t:
+        entry = self.audit.get(id(code))
+        if entry is None or entry[1]() is not code:
+            self.audit[id(code)] = entry = (t, weakref.ref(code))
+        if entry[0] != t:
             raise RuntimeError("synthesis code reused across stacked times "
-                               "%d and %d" % (first_t, t))
+                               "%d and %d" % (entry[0], t))
         return code
 
 

@@ -108,16 +108,10 @@ class MarkovJoint:
         coords = np.unravel_index(states.reshape(-1), self.alphabet_sizes)
         return np.stack(coords, axis=-1).reshape(u.shape + (-1,))
 
-    def draw_many(self, length, count, rng):
-        """count independent chains of the given length, vectorized.
-
-        Returns an array of shape (count, length, num_nodes).
-        """
-        return self._chains(rng.uniform((count, length)))
-
     def draw_block(self, length, rng):
         """One chain per stream: (length, nodes) from a stream, (T, length,
-        nodes) from an RngBatch."""
+        nodes) from an RngBatch. A shape (count, length) from a stream is
+        count chains, (count, length, nodes)."""
         return self._chains(rng.uniform(length))
 
 
@@ -208,9 +202,20 @@ def validate_spec(net):
                 out.append(Diagnostic("NonPositiveRate", {"edge": i}))
             elif not np.isfinite(e.channel.rate):
                 out.append(Diagnostic("NonFiniteRate", {"edge": i}))
+    sizes = dict(zip(net.nodes, net.sources.alphabet_sizes))
+    if len(net.sources.alphabet_sizes) != len(net.nodes):
+        out.append(Diagnostic("AlphabetCount", {
+            "alphabets": len(net.sources.alphabet_sizes),
+            "nodes": len(net.nodes)}))
     arcs = [(e.tail, e.head) for e in net.edges]
     for (a, b), d in net.demands.items():
         d = np.asarray(d, dtype=float)
+        if d.ndim != 2:
+            out.append(Diagnostic("DistortionNotMatrix",
+                                  {"demand": (a, b), "shape": d.shape}))
+        elif len(d) != sizes.get(a, len(d)):
+            out.append(Diagnostic("DistortionRows", {
+                "demand": (a, b), "rows": len(d), "alphabet": sizes[a]}))
         if not np.all(np.isfinite(d)):
             out.append(Diagnostic("InfiniteDistortion", {"demand": (a, b)}))
         if np.any(d < 0):
@@ -267,8 +272,12 @@ class TraceRecord:
 
 
 def _block_distortion(d, u_block, recon):
-    """Each trial row's average distortion."""
+    """Each trial row's average distortion; a reconstruction symbol with no
+    column in the demand matrix d is an ArityMismatch."""
     d = np.asarray(d, dtype=float)
+    if recon.min() < 0 or recon.max() >= d.shape[1]:
+        raise ArityMismatch("reconstruction symbols outside the %d columns "
+                            "of the distortion matrix" % d.shape[1])
     return d[u_block, recon].mean(axis=-1)
 
 
@@ -332,6 +341,9 @@ class DmcLink:
         if x.shape != (len(rng),) + self.layers:
             raise ArityMismatch("DMC edge %d expects inputs of shape %r"
                                 % (self.e, (len(rng),) + self.layers))
+        if x.min() < 0 or x.max() >= len(self.cums):
+            raise ArityMismatch("DMC edge %d takes input symbols in [0, %d)"
+                                % (self.e, len(self.cums)))
         period, layer = ((t, slice(None)) if self.layers
                          else divmod(t, self.N))
         if period != self._period:

@@ -163,23 +163,6 @@ class JointPmf:
         return ProbVector(self.table.sum(axis=0))
 
 
-def l1_distance(a, b):
-    """Sum of absolute coordinate differences between two weight vectors."""
-    pa, pb = _as_prob_array(a), _as_prob_array(b)
-    if pa.shape != pb.shape:
-        raise DimensionMismatch("vectors of different lengths")
-    return float(np.abs(pa - pb).sum())
-
-
-def tv_distance(a, b):
-    """Total variation distance: half the l1 distance between distributions."""
-    if not isinstance(a, ProbVector):
-        a = ProbVector(a)
-    if not isinstance(b, ProbVector):
-        b = ProbVector(b)
-    return 0.5 * l1_distance(a, b)
-
-
 def entropy(p):
     """Shannon entropy in bits, with the 0 log 0 = 0 convention."""
     probs = _as_prob_array(p)

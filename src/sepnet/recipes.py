@@ -9,6 +9,9 @@ and its de-stacked equivalent agree.
 Every encoder and decoder acts on a whole batch of trials at once (see
 netmodel.CodingPolicy): the source block is (T, L), each history entry a
 (T,) array of symbols, an emission a (T,) array and a reconstruction (T, L).
+The bit-pipe recipes send and receive (T, k) bit payloads instead, one k per
+step; a stacked code runs them unchanged, its block being (T, N*L) and each
+payload carrying the bits of all N layers of a use.
 """
 
 import numpy as np
@@ -94,6 +97,54 @@ class DifferenceDecoder:
                                np.cumsum(y, axis=1)], axis=1)
         return (y - sums[:, np.maximum(np.arange(y.shape[1]) - 1, 0)]) \
             % self.k
+
+
+# ---------------------------------------------------------------------------
+# bit-pipe recipes: forward and XOR (T, k) bit payloads
+
+class SendBits:
+    """Bits t*per_use to (t+1)*per_use of the node's source block on every
+    out-edge at step t, and empty payloads once the block is sent."""
+
+    def __init__(self, out_edges, per_use):
+        self.out_edges = list(out_edges)
+        self.per_use = per_use
+
+    def emit(self, t, u_block, received, rng):
+        bits = u_block[:, t * self.per_use:(t + 1) * self.per_use]
+        return {e: bits for e in self.out_edges}
+
+
+class XorRelay:
+    """An empty payload at t = 0, then the XOR of the last payloads
+    received on the in-edges, on every out-edge; one in-edge makes it a
+    forwarding relay."""
+
+    def __init__(self, in_edges, out_edges):
+        self.in_edges = list(in_edges)
+        self.out_edges = list(out_edges)
+
+    def emit(self, t, u_block, received, rng):
+        bits = u_block[:, :0] if not t else np.bitwise_xor.reduce(
+            [received[e][-1] for e in self.in_edges])
+        return {e: bits for e in self.out_edges}
+
+
+class XorDecoder:
+    """The XOR over the edges of the first L bits delivered on each, in
+    order, zero-padded to L."""
+
+    def __init__(self, edges, L):
+        self.edges = list(edges)
+        self.L = L
+
+    def decode(self, u_block, received, rng):
+        out = np.zeros((len(u_block), self.L), dtype=np.int64)
+        for e in self.edges:
+            bits = np.concatenate([u_block[:, :0]] + received[e],
+                                  axis=1)[:, :self.L]
+            out[:, :bits.shape[1]] ^= bits
+        return out
 
 
 def uncoded_relay(net, L=1, a=None, b=None):

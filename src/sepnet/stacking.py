@@ -174,7 +174,7 @@ def parity_class_dependence_tv(source, L, rng, num_blocks=4, samples=20000):
         raise ValueError("num_blocks must be >= 2, got %r" % (num_blocks,))
     check_counts(L=L, samples=samples)
     length = (2 * (num_blocks - 1)) * L + 1
-    draws = source.draw_many(length, samples, rng.child("mixing"))
+    draws = source.draw_block((samples, length), rng.child("mixing"))
     positions = [2 * j * L for j in range(num_blocks)]
     symbols = draws[:, positions, 0]  # (samples, num_blocks)
     k = source.alphabet_sizes[0]

@@ -11,7 +11,8 @@ from sepnet.linkcodes import (AggregatePipeBehavior, CodedLinkBehavior,
 from sepnet.netmodel import (BitPipe, DmcChannel, Edge, IidJoint, MarkovJoint,
                              NetworkSpec, estimate_distortion, run_block)
 from sepnet.probkit import Kernel, RngStream
-from sepnet.recipes import adaptive_feedback, constant_guess, uncoded_relay
+from sepnet.recipes import (SendBits, XorDecoder, XorRelay, adaptive_feedback,
+                            constant_guess, uncoded_relay)
 from sepnet.stacking import (destack_code, estimate_stacked_distortion,
                              even_odd_split, lift_code, run_stacked_block)
 
@@ -119,42 +120,6 @@ def test_link_configs_batch_equals_batches_of_one(name):
     check_batching(link_configs()[name], 32)
 
 
-class SendBits:
-    """Bit t of the node's source at step t on every out-edge, then empty
-    payloads."""
-
-    def __init__(self, out_edges):
-        self.out_edges = out_edges
-
-    def emit(self, t, u_block, received, rng):
-        return {e: u_block[:, t:t + 1] for e in self.out_edges}
-
-
-class XorLast:
-    """The XOR of the last payloads received on the in-edges, on every
-    out-edge; one in-edge makes it a forwarding relay."""
-
-    def __init__(self, in_edges, out_edges):
-        self.in_edges, self.out_edges = in_edges, out_edges
-
-    def emit(self, t, u_block, received, rng):
-        if not t:
-            return {e: u_block[:, :0] for e in self.out_edges}
-        bits = np.bitwise_xor.reduce([received[e][-1] for e in self.in_edges])
-        return {e: bits for e in self.out_edges}
-
-
-class XorDecoder:
-    """The XOR of every bit received on the given edges, in order."""
-
-    def __init__(self, edges):
-        self.edges = edges
-
-    def decode(self, u_block, received, rng):
-        return np.bitwise_xor.reduce([np.concatenate(received[e], axis=1)
-                                      for e in self.edges])
-
-
 def butterfly(L):
     """The butterfly over rate-1 pipes: sources 0 and 1 (correlated bits)
     feed XOR node 2, which feeds relay 3, which feeds sinks 4 and 5; each
@@ -166,10 +131,10 @@ def butterfly(L):
                       demands, IidJoint((2, 2, 1, 1, 1, 1),
                                         [0.4, 0.1, 0.1, 0.4]))
     code = netmodel.CodingPolicy(
-        encoders={0: SendBits([0, 2]), 1: SendBits([1, 3]),
-                  2: XorLast([0, 1], [4]), 3: XorLast([4], [5, 6])},
-        decoders={(0, 4): XorDecoder([2]), (1, 4): XorDecoder([2, 5]),
-                  (0, 5): XorDecoder([3, 6]), (1, 5): XorDecoder([3])},
+        encoders={0: SendBits([0, 2], 1), 1: SendBits([1, 3], 1),
+                  2: XorRelay([0, 1], [4]), 3: XorRelay([4], [5, 6])},
+        decoders={(0, 4): XorDecoder([2], L), (1, 4): XorDecoder([2, 5], L),
+                  (0, 5): XorDecoder([3, 6], L), (1, 5): XorDecoder([3], L)},
         params=netmodel.CodeParameters(L, L + 2))
     return net, code
 

@@ -346,6 +346,46 @@ def test_cli_invalid_kernel_fails(tmp_path):
     assert proc.stderr.strip() != ""
 
 
+def ternary_source(obj):
+    obj["sources"] = {"type": "iid", "alphabet_sizes": [3, 1],
+                      "pmf": [0.4, 0.3, 0.3]}
+
+
+def ternary_relay(obj):
+    ternary_source(obj)
+    obj["demands"][0]["distortion_matrix"] = [[0, 1, 1], [1, 0, 1],
+                                              [1, 1, 0]]
+
+
+def bec_relay(obj):
+    obj["edges"][0]["channel"]["kernel"] = [[0.8, 0.0, 0.2],
+                                            [0.0, 0.8, 0.2]]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda obj: obj.update(nodes=[0, 1, 2]), "AlphabetCount"),
+    (lambda obj: obj["demands"][0].update(distortion_matrix=[0.0, 1.0]),
+     "DistortionNotMatrix"),
+    (ternary_source, "DistortionRows"),
+    (ternary_relay, "DMC edge 0 takes input symbols in [0, 2)"),
+    (bec_relay, "outside the 2 columns of the distortion matrix"),
+], ids=["alphabets-per-node", "1d-distortion", "rows-per-symbol",
+        "source-symbol-past-kernel", "output-symbol-past-matrix"])
+def test_cli_sections_that_disagree_fail_cleanly(tmp_path, change, message):
+    """Sections each well formed on their own but not with one another: a
+    source alphabet per node, a distortion matrix with a row per source
+    symbol and a column per symbol the decoder can put out, and channel
+    inputs the kernel has rows for."""
+    obj = json.loads(json.dumps(RELAY))
+    change(obj)
+    res = cli("simulate", "--scenario", write_scenario(tmp_path, obj))
+    assert res.returncode == 2
+    assert res.stderr.startswith("sepnet: error:")
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_cli_reruns_bit_identically(tmp_path):
     path = write_scenario(tmp_path, RELAY)
     a = cli("simulate", "--scenario", path, "--trials", "100")

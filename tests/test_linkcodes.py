@@ -14,9 +14,12 @@ from sepnet.linkcodes import (AggregatePipeBehavior, ChannelCode,
                               build_synthesis_code, estimate_error_prob,
                               index_to_bits, likelihood_weights,
                               synthesized_type_tv)
-from sepnet.netmodel import BitPipe, BudgetOverflow, DmcChannel, Edge
+from sepnet.netmodel import (BitPipe, BudgetOverflow, DmcChannel, Edge,
+                             IidJoint, NetworkSpec)
 from sepnet.probkit import (JointPmf, Kernel, ProbVector, RngBatch, RngStream,
                             mean_stderr, sample_many)
+from sepnet.recipes import uncoded_relay
+from sepnet.stacking import lift_code, run_stacked_block
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +176,7 @@ def test_synthesis_weights_conserved():
                                 12, 0.6, RngStream(6))
     for j in range(5):
         x = sample_many([0.5, 0.5], RngStream(7).child(j).uniform(12))
-        w = code.encoder_weights(x)
+        w = likelihood_weights(code.scorer, x)
         assert w.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(w >= 0)
 
@@ -415,6 +418,24 @@ def test_synth_link_audit_catches_code_reuse():
     with pytest.raises(RuntimeError):
         h.transmit(RngStream(16).batch(), 1,
                    np.zeros((1, 8), dtype=np.int64))
+
+
+def test_synth_link_audit_takes_fresh_codes_on_a_freed_id():
+    """A code built afresh at every stacked time and freed after its use
+    can land on the id of the previous one; it is a new code, not a
+    reuse."""
+    net = NetworkSpec((0, 1), (Edge(0, 1, BitPipe(1.0)),),
+                      {(0, 1): np.array([[0.0, 1.0], [1.0, 0.0]])},
+                      IidJoint((2, 1), [0.5, 0.5]))
+
+    def code_for_time(t):
+        return build_synthesis_code(ProbVector([0.5, 0.5]), Kernel.bsc(0.2),
+                                    4, 0.5, RngStream(10).child("code", t))
+
+    tr = run_stacked_block(net, lift_code(uncoded_relay(net, L=60), 4),
+                           RngStream(11).children("trial", range(2)),
+                           {0: SynthLinkBehavior(code_for_time)})
+    assert tr.recon[0, 1].shape == (2, 240)
 
 
 def test_synth_link_pipe_rate_guard():

@@ -13,8 +13,8 @@ from sepnet.netmodel import (ArityMismatch, BitPipe, BudgetOverflow,
                              is_strongly_connected, run_block, validate_spec)
 from sepnet.probkit import Kernel, RngStream
 from sepnet.recipes import adaptive_feedback, build_recipe, uncoded_relay
-from sepnet.stacking import (estimate_stacked_distortion, lift_code,
-                             run_stacked_block)
+from sepnet.stacking import (StackedCode, estimate_stacked_distortion,
+                             lift_code, run_stacked_block)
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -63,11 +63,15 @@ def test_markov_joint_marginal_frequencies():
     assert abs(agree - 0.9) < 0.02
 
 
-def test_markov_draw_many_matches_draw_block():
+def test_markov_draw_block_of_a_shape_is_that_many_chains():
+    """A (count, length) shape from one stream is count chains, each the
+    chain its row of the stream's uniforms draws."""
     chain = MarkovJoint((2,), [0.5, 0.5], [[0.7, 0.3], [0.2, 0.8]])
-    rng1 = RngStream(9)
-    many = chain.draw_many(16, 5, rng1)
-    assert many.shape[0] == 5
+    many = chain.draw_block((5, 16), RngStream(9))
+    assert many.shape == (5, 16, 1)
+    rows = RngStream(9).uniform((5, 16))
+    for j in range(5):
+        assert np.array_equal(many[j], chain._chains(rows[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +111,23 @@ def test_validate_spec_flags_non_finite_links():
         ("InvalidKernel", {"edge": 0, "row": 1}),
         ("NonFiniteRate", {"edge": 1}),
         ("NonPositiveRate", {"edge": 2})]
+
+
+def test_validate_spec_checks_sections_against_each_other():
+    """One source alphabet per node, and per demand (a, b) a 2-D
+    distortion matrix with a row per symbol of node a's alphabet."""
+    edges = (Edge(0, 1, BitPipe(1.0)), Edge(1, 2, BitPipe(1.0)))
+    two_nodes = IidJoint((2, 1), [0.5, 0.5])
+    net = NetworkSpec((0, 1, 2), edges, {(0, 2): HAMMING}, two_nodes)
+    assert [(d.kind, d.detail) for d in validate_spec(net)] == [
+        ("AlphabetCount", {"alphabets": 2, "nodes": 3})]
+    ternary = IidJoint((3, 1, 1), [0.4, 0.3, 0.3])
+    net = NetworkSpec((0, 1, 2), edges,
+                      {(0, 2): HAMMING, (0, 1): np.array([0.0, 1.0, 1.0])},
+                      ternary)
+    assert [(d.kind, d.detail) for d in validate_spec(net)] == [
+        ("DistortionRows", {"demand": (0, 2), "rows": 2, "alphabet": 3}),
+        ("DistortionNotMatrix", {"demand": (0, 1), "shape": (3,)})]
 
 
 @st.composite
@@ -277,6 +298,44 @@ def test_decoder_block_length_checked():
     policy = CodingPolicy(encoders=policy.encoders,
                           decoders={(0, 1): Short()}, params=policy.params)
     with pytest.raises(ArityMismatch):
+        run_block(net, policy, RngStream(0))
+
+
+@pytest.mark.parametrize("symbol", [-1, 2])
+@pytest.mark.parametrize("layers", [1, 3])
+def test_dmc_input_outside_the_kernel_rows_is_an_arity_mismatch(symbol,
+                                                                 layers):
+    """-1 would read the kernel's last row and 2 no row at all, single-layer
+    and stacked alike."""
+    class Sender:
+        def emit(self, t, u_block, received, rng):
+            lead = (len(u_block),) if layers == 1 else (len(u_block), layers)
+            return {0: np.full(lead, symbol)}
+
+    net = line_net(DmcChannel(Kernel.bsc(0.1)))
+    policy = CodingPolicy(encoders={0: Sender()}, decoders={},
+                          params=CodeParameters(1, 1))
+    rng = RngStream(0).children("trial", range(2))
+    with pytest.raises(ArityMismatch, match=r"symbols in \[0, 2\)"):
+        if layers == 1:
+            run_block(net, policy, rng)
+        else:
+            run_stacked_block(net, StackedCode(policy.encoders, {}, layers,
+                                               policy.params), rng)
+
+
+@pytest.mark.parametrize("symbol", [-1, 2])
+def test_reconstruction_outside_the_matrix_columns_is_an_arity_mismatch(
+        symbol):
+    class Guess:
+        def decode(self, u_block, received, rng):
+            return np.full((len(u_block), 2), symbol)
+
+    net = line_net(DmcChannel(Kernel.identity(2)))
+    policy = uncoded_relay(net, L=2)
+    policy = CodingPolicy(encoders=policy.encoders,
+                          decoders={(0, 1): Guess()}, params=policy.params)
+    with pytest.raises(ArityMismatch, match="outside the 2 columns"):
         run_block(net, policy, RngStream(0))
 
 

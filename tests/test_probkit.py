@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepnet.probkit import (DimensionMismatch, InvalidDistribution, JointPmf,
                             Kernel, ProbVector, RngBatch, RngStream,
-                            _seed_words, entropy, l1_distance, mean_stderr,
+                            _seed_words, entropy, mean_stderr,
                             mutual_information, sample_many, sample_rows,
-                            tv_distance, uniform_streams)
+                            uniform_streams)
 
 
 def has_mass(*ws):
@@ -112,36 +112,6 @@ def test_mutual_information_frozen_values():
     assert mutual_information([0.5, 0.5], Kernel.identity(2)) == 1.0
     # degenerate input: no information flows
     assert mutual_information([1.0, 0.0], Kernel.bsc(0.11)) == 0.0
-
-
-def test_tv_l1_relation_and_errors():
-    assert l1_distance([0.2, 0.8], [0.5, 0.5]) == pytest.approx(0.6)
-    assert tv_distance([0.2, 0.8], [0.5, 0.5]) == pytest.approx(0.3)
-    with pytest.raises(DimensionMismatch):
-        l1_distance([0.5, 0.5], [1.0, 0.0, 0.0])
-
-
-@given(weights, weights)
-@example([0.5, 0.5], [0.0, 0.0, 1.0])
-def test_tv_is_a_bounded_metric(w1, w2):
-    if len(w1) != len(w2):
-        w1, w2 = w1[:2], w2[:2]
-    assume(has_mass(w1, w2))
-    a, b = normed(w1), normed(w2)
-    d = tv_distance(a, b)
-    assert 0.0 <= d <= 1.0 + 1e-12
-    assert d == pytest.approx(tv_distance(b, a))
-    assert tv_distance(a, a) == 0.0
-
-
-@given(weights, weights, weights)
-@example([0.5, 0.5], [0.0, 0.0, 1.0], [0.3, 0.3])
-@settings(max_examples=50)
-def test_tv_triangle_inequality(w1, w2, w3):
-    k = min(len(w1), len(w2), len(w3))
-    assume(has_mass(w1[:k], w2[:k], w3[:k]))
-    a, b, c = normed(w1[:k]), normed(w2[:k]), normed(w3[:k])
-    assert tv_distance(a, c) <= tv_distance(a, b) + tv_distance(b, c) + 1e-12
 
 
 @given(weights)

@@ -329,6 +329,6 @@ def test_mixing_rejects_empty_blocks_before_drawing(kwargs, message,
     """L = 0 would put every block at position 0, num_blocks = 0 used to
     fail inside numpy and samples = 0 gave a NaN: each is a ValueError
     before any chain is drawn."""
-    monkeypatch.setattr(MarkovJoint, "draw_many", None)
+    monkeypatch.setattr(MarkovJoint, "draw_block", None)
     with pytest.raises(ValueError, match=message):
         mixing_demo(**kwargs)
