@@ -46,9 +46,12 @@ def _rd(scn):
     if scn.net is None:
         source = scn.value("source", None, ProbVector)
         dmat = np.asarray(scn.extra["distortion_matrix"], float)
-    else:
+    elif scn.net.demands:
         source = scn.net.sources.pmf
         dmat = next(iter(scn.net.demands.values()))
+    else:
+        raise ScenarioError("scenario has no demand to take the distortion "
+                            "matrix from")
     return rd_report(source, dmat, scn.value("target_d", None, float),
                      tol=scn.value("tol", 1e-9, float))
 

@@ -294,17 +294,73 @@ def _seed_words(ent):
     return words
 
 
-class _SeedWords:
-    """Seed words computed in advance, handed to a bit generator as is.
-    uniform_streams registers it as a numpy ISeedSequence when it runs, not
-    at import: loading numpy.random before the package's other imports
-    raises the process's peak RSS by about 0.8 MB."""
+# numpy's PCG64 (O'Neill 2014): a 128-bit LCG whose step is state *
+# _PCG_MULT + inc mod 2**128 and whose draw is the XSL-RR output of the
+# stepped state. An array of 128-bit numbers is held as a (hi, lo) pair of
+# uint64 arrays; uint64 arithmetic wraps mod 2**64, as each word needs.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_MULT_LO = np.uint64(_PCG_MULT & _SEED_MASK)
+_MULT_LO0, _MULT_LO1 = _MULT_LO & 0xFFFFFFFF, _MULT_LO >> 32
+_LOW32 = np.uint64(0xFFFFFFFF)
+# B streams of n draws each step all at once when B >= 64 n. Stepping at
+# once costs a fixed set of array operations per draw, seeding numpy's
+# generator a fixed cost per stream. They break even near B = 8 n for
+# n <= 48, but numpy draws long streams faster than the array arithmetic,
+# so at n = 128 the even point is above 16 n and at n = 512 above 32 n.
+_STEP_ALL_STREAMS_PER_DRAW = 64
 
-    def __init__(self, words):
-        self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """(hi, lo) * _PCG_MULT + (inc_hi, inc_lo) mod 2**128. The high word of
+    lo * _MULT_LO is summed from products of 32-bit limbs."""
+    lo0, lo1 = lo & _LOW32, lo >> 32
+    p01, p10 = lo0 * _MULT_LO1, lo1 * _MULT_LO0
+    mid = (lo0 * _MULT_LO0 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = (lo1 * _MULT_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+              + hi * _MULT_LO + lo * _MULT_HI + inc_hi + (new_lo < inc_lo))
+    return new_hi, new_lo
+
+
+def _pcg64_seed(words):
+    """The (state, inc) that numpy's PCG64 holds once seeded with each row
+    of words, a (B, 4) uint64 array of generate_state(4, np.uint64) seed
+    words (initstate high and low, initseq high and low): inc = initseq << 1
+    | 1 and state = (initstate + inc) * _PCG_MULT + inc, returned as the
+    (B,) arrays state_hi, state_lo, inc_hi, inc_lo."""
+    s_hi, s_lo, q_hi, q_lo = words.T
+    inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
+    lo = s_lo + inc_lo
+    hi, lo = _pcg_step(s_hi + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _pcg64_uniforms(words, out):
+    """Fill row i of out, a (B, n) float array, with the first n draws of
+    Generator(PCG64) seeded with words[i].
+
+    From B >= 64 n on, every stream steps at once in uint64 arithmetic and
+    each draw is (XSL-RR output >> 11) * 2**-53, as Generator.random makes
+    it. Fewer, longer streams set their state, one stream after another, on
+    one PCG64 made for the call and draw straight into their rows."""
+    hi, lo, inc_hi, inc_lo = _pcg64_seed(words)
+    if len(out) >= _STEP_ALL_STREAMS_PER_DRAW * out.shape[1]:
+        for col in out.T:
+            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+            x, rot = hi ^ lo, hi >> 58
+            col[:] = ((x >> rot) | (x << ((64 - rot) & 63))) >> 11
+        out *= 2.0 ** -53
+        return
+    gen = np.random.Generator(np.random.PCG64(0))
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
+             "uinteger": 0}
+    for row, s_hi, s_lo, i_hi, i_lo in zip(
+            out, hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
+        pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
+        gen.bit_generator.state = state
+        gen.random(out=row)
 
 
 def uniform_streams(seed, stream_ids, size=None):
@@ -312,18 +368,15 @@ def uniform_streams(seed, stream_ids, size=None):
     shape (number of ids,) + the shape of size, bit for bit; stream_ids may
     be any iterable of stream ids.
 
-    The streams' seed words are mixed in one vectorized pass, and each
-    stream draws straight into its row of the output."""
+    The streams' seed words are mixed in one vectorized pass and turned
+    into PCG64 states in another; _pcg64_uniforms then draws every row."""
     seed = int(seed) & _SEED_MASK
     ent = np.frombuffer(b"".join(_stream_key(seed, tuple(i))
                                  for i in stream_ids), "<u4").reshape(-1, 8)
     shape = () if size is None else tuple(np.atleast_1d(size))
     out = np.empty((len(ent),) + shape)
-    if len(ent):
-        np.random.bit_generator.ISeedSequence.register(_SeedWords)
-        for row, words in zip(out.reshape(len(ent), -1), _seed_words(ent)):
-            np.random.Generator(np.random.PCG64(_SeedWords(words))).random(
-                out=row)
+    if out.size:
+        _pcg64_uniforms(_seed_words(ent), out.reshape(len(ent), -1))
     return out
 
 
@@ -364,11 +417,17 @@ def sample_many(p, uniforms):
     Each draw is the count of the K - 1 inner cumulative weights <= u * total,
     as in sample_rows: the same integer as searchsorted(side="right") clipped
     to K - 1, since cumulative sums of nonnegative weights never decrease.
-    The result has the shape of uniforms (a scalar for a scalar)."""
+    The result has the shape of uniforms (a scalar for a scalar). A total of
+    exactly 1.0 compares u itself, as u * 1.0 == u in IEEE arithmetic, so
+    the only array made besides the result is one bool mask at a time."""
     cum = np.cumsum(_as_prob_array(p))
-    v = np.asarray(uniforms) * cum[-1]
-    idx = np.zeros(v.shape, dtype=np.intp)
-    for c in cum[:-1]:
+    v = np.asarray(uniforms)
+    if cum[-1] != 1.0:
+        v = v * cum[-1]
+    if cum.size == 1:
+        return np.zeros(v.shape, dtype=np.intp)[()]
+    idx = (cum[0] <= v).astype(np.intp)
+    for c in cum[1:-1]:
         idx += c <= v
     return idx[()]
 

@@ -16,7 +16,7 @@ payload carrying the bits of all N layers of a use.
 
 import numpy as np
 
-from .netmodel import CodeParameters, CodingPolicy
+from .netmodel import CodeParameters, CodingPolicy, DmcChannel
 
 
 class SendSourceSymbol:
@@ -147,18 +147,37 @@ class XorDecoder:
         return out
 
 
+def _first_demand(net):
+    """The network's first demand (a, b); a ValueError if it has none."""
+    if not net.demands:
+        raise ValueError("the code recipe needs a demand, and the scenario's "
+                         "\"demands\" is empty")
+    return next(iter(net.demands))
+
+
+def _first_edge(net, tail, head=None):
+    """The first edge out of node tail (into node head, if given); a
+    ValueError naming the edge if there is none."""
+    for i in net.out_edges(tail):
+        if head is None or net.edges[i].head == head:
+            return i
+    raise ValueError("the code recipe needs an edge %r -> %s, and the "
+                     "network has none" % (tail, "any node" if head is None
+                                           else repr(head)))
+
+
 def uncoded_relay(net, L=1, a=None, b=None):
     """Point-to-point: send the source symbol, decode the received symbol."""
-    (a, b) = next(iter(net.demands)) if a is None else (a, b)
-    e = net.out_edges(a)[0]
+    (a, b) = _first_demand(net) if a is None else (a, b)
+    e = _first_edge(net, a)
     return CodingPolicy(encoders={a: SendSourceSymbol([e])},
                         decoders={(a, b): ForwardDecoder(e, L)},
                         params=CodeParameters(L, L))
 
 
 def constant_guess(net, L=1, symbol=0):
-    (a, b) = next(iter(net.demands))
-    e = net.out_edges(a)[0]
+    (a, b) = _first_demand(net)
+    e = _first_edge(net, a)
     return CodingPolicy(encoders={a: SendSourceSymbol([e])},
                         decoders={(a, b): ConstantDecoder(symbol, L)},
                         params=CodeParameters(L, L))
@@ -167,9 +186,11 @@ def constant_guess(net, L=1, symbol=0):
 def adaptive_feedback(net, L=2):
     """Two-node, two-edge (a->b, b->a) adaptive code: node a offsets its
     transmission by accumulated feedback, node b echoes what it hears."""
-    (a, b) = next(iter(net.demands))
-    fwd = [i for i in net.out_edges(a) if net.edges[i].head == b][0]
-    back = [i for i in net.out_edges(b) if net.edges[i].head == a][0]
+    (a, b) = _first_demand(net)
+    fwd, back = _first_edge(net, a, b), _first_edge(net, b, a)
+    if not isinstance(net.edges[fwd].channel, DmcChannel):
+        raise ValueError("adaptive_feedback sends symbols, so its edge %r -> "
+                         "%r must be a dmc edge, not a bit-pipe" % (a, b))
     k = net.edges[fwd].channel.kernel.input_size
     return CodingPolicy(encoders={a: FeedbackXorEncoder([fwd], back, k),
                                   b: EchoLastOutput([back], fwd)},

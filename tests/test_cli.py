@@ -386,6 +386,48 @@ def test_cli_sections_that_disagree_fail_cleanly(tmp_path, change, message):
     assert res.stdout == ""
 
 
+def no_back_edge(obj):
+    obj["code"] = {"name": "adaptive_feedback"}
+
+
+def no_demands(obj):
+    obj["demands"] = []
+
+
+def pipe_feedback(obj):
+    pipe = {"type": "pipe", "rate": 1.0}
+    obj["edges"] = [{"from": 0, "to": 1, "channel": pipe},
+                    {"from": 1, "to": 0, "channel": pipe}]
+    obj["code"] = {"name": "adaptive_feedback"}
+
+
+@pytest.mark.parametrize("change, command, message", [
+    (no_back_edge, "simulate", "needs an edge 1 -> 0"),
+    (no_back_edge, "stack-check", "needs an edge 1 -> 0"),
+    (no_demands, "simulate", "needs a demand"),
+    (no_demands, "stack-check", "needs a demand"),
+    (no_demands, "rd", "no demand"),
+    (pipe_feedback, "simulate", "must be a dmc edge"),
+], ids=["adaptive-feedback-without-back-edge",
+        "stack-check-without-back-edge", "recipe-without-demands",
+        "stack-check-without-demands", "rd-without-demands",
+        "adaptive-feedback-over-pipes"])
+def test_cli_network_without_what_the_recipe_indexes_fails_cleanly(
+        tmp_path, change, command, message):
+    """A recipe's demand or edge that the network lacks, or a bit-pipe where
+    it needs a dmc edge, is named in a diagnostic (exit 2), not an
+    IndexError, StopIteration or AttributeError (exit 1)."""
+    obj = json.loads(json.dumps(RELAY))
+    change(obj)
+    res = cli(command, "--scenario", write_scenario(tmp_path, obj),
+              "--trials", "10")
+    assert res.returncode == 2
+    assert res.stderr.startswith("sepnet: error:")
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_cli_reruns_bit_identically(tmp_path):
     path = write_scenario(tmp_path, RELAY)
     a = cli("simulate", "--scenario", path, "--trials", "100")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from sepnet.probkit import (DimensionMismatch, InvalidDistribution, JointPmf,
                             Kernel, ProbVector, RngBatch, RngStream,
-                            _seed_words, entropy, mean_stderr,
-                            mutual_information, sample_many, sample_rows,
-                            uniform_streams)
+                            _pcg64_uniforms, _seed_words, entropy,
+                            mean_stderr, mutual_information, sample_many,
+                            sample_rows, uniform_streams)
 
 
 def has_mass(*ws):
@@ -215,6 +216,53 @@ def test_rng_batch_is_its_streams(seed, prefix, trials, labels_, size):
     assert isinstance(batch.batch(), RngBatch) and batch.batch() is batch
 
 
+# sizes with n = 0, 1, 2, 3, 5 and 8 draws per stream, so that batches of 1
+# to 400 streams fall on both sides of B = 64 n, where every stream starts
+# to step at once
+draw_sizes = st.sampled_from([0, (2, 0), None, 1, (1, 1), 2, 3, (3, 1), 5,
+                              8, (2, 4)])
+
+
+@given(st.integers(0, 2 ** 64 - 1), st.integers(1, 400), draw_sizes)
+@example(5, 64, None)
+@example(5, 63, 1)
+@example(5, 400, (2, 3))
+@example(5, 383, (2, 3))
+@settings(max_examples=40, deadline=None)
+def test_uniform_streams_equal_per_stream_draws_on_both_paths(seed, B,
+                                                              size):
+    ids = [("trial", j, "x") for j in range(B)]
+    got = uniform_streams(seed, ids, size)
+    assert len(got) == B
+    for i, row in zip(ids, got):
+        assert np.array_equal(row, RngStream(seed, i).uniform(size))
+
+
+def _zero_top_word_keys(count):
+    """Stream keys whose top uint32 word is 0, some with more zero words on
+    top: a blake2b key is one in 2**32 times, so these are made by hand."""
+    rng = np.random.default_rng(11)
+    keys = rng.integers(0, 2 ** 32, size=(count, 8), dtype=np.uint32)
+    keys[:, 7] = 0
+    keys[::3, 6] = 0
+    keys[::5, 2:7] = 0
+    return keys
+
+
+@pytest.mark.parametrize("B, n", [(64, 1), (128, 2), (3, 5)],
+                         ids=["all-at-once", "all-at-once-2", "one-by-one"])
+def test_pcg64_draws_from_zero_top_word_keys(B, n):
+    """Keys with a zero top word are seeded one at a time, then drawn like
+    any other, at once or stream by stream."""
+    ent = _zero_top_word_keys(B)
+    out = np.empty((B, n))
+    _pcg64_uniforms(_seed_words(ent), out)
+    for key, row in zip(ent, out):
+        ss = np.random.SeedSequence(int.from_bytes(key.tobytes(), "little"))
+        want = np.random.Generator(np.random.PCG64(ss)).random(n)
+        assert np.array_equal(row, want)
+
+
 def _searchsorted_draws(p, u):
     """The binary-search inverse cdf: searchsorted(side="right") of u * total
     in the cumulative weights, clipped to K - 1."""
@@ -247,6 +295,41 @@ def test_sample_many_equals_searchsorted(w, normalize, us):
         assert np.array_equal(got, want)
     assert np.array_equal(sample_many(ProbVector(p / p.sum()), u),
                           _searchsorted_draws(p / p.sum(), u))
+
+
+@pytest.mark.parametrize("p", [[1.0], [0.3], [0.25, 0.75],
+                               [0.5, 0.25, 0.25], [0.1, 0.2],
+                               [0.3, 0.3, 0.3]],
+                         ids=["K=1", "K=1-inexact", "exact-2", "exact-3",
+                              "inexact-2", "inexact-3"])
+def test_sample_many_totals(p):
+    """K = 1 draws only 0; a total of exactly 1.0 (0.25 + 0.75) and an
+    inexact one (0.1 + 0.2, 0.3 * 3) give the searchsorted draws, also at
+    the cumulative weights themselves."""
+    cum = np.cumsum(p)
+    u = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)], cum / cum[-1],
+                        RngStream(3).uniform(200)])
+    u = u[u < 1.0]
+    for given_u in (u, u.reshape(-1, 1), float(u[1])):
+        got = sample_many(p, given_u)
+        want = _searchsorted_draws(np.asarray(p), given_u)
+        assert type(got) is type(want) and got.dtype == np.intp
+        assert np.shape(got) == np.shape(given_u)
+        assert np.array_equal(got, want)
+
+
+def test_sample_many_makes_no_float_array_of_the_uniforms_size():
+    """With a total of exactly 1.0, the peak traced memory of a binary draw
+    is the intp result and one bool mask, not also a product u * total."""
+    u = RngStream(5).uniform(2 ** 18)
+    tracemalloc.start()
+    try:
+        x = sample_many([0.5, 0.5], u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.dtype == np.intp and x.shape == u.shape
+    assert peak <= x.nbytes + u.size * np.dtype(bool).itemsize + 2 ** 16
 
 
 def test_sample_rows_matches_searchsorted():
