@@ -24,7 +24,7 @@ from .experiments import (capacity_report, chancode_sweep, emit_plotdata,
                           rd_report, separation_experiment, simulate,
                           stack_check, synth_sweep, verify_lemma1)
 from .netmodel import DmcChannel
-from .probkit import Kernel, ProbVector
+from .probkit import PROB_TOL, Kernel, ProbVector
 from .scenario import (ScenarioError, load_scenario, positive_ints,
                        write_json_atomic)
 
@@ -34,6 +34,16 @@ def _first_dmc_kernel(net):
         if isinstance(e.channel, DmcChannel):
             return e.channel.kernel
     raise ScenarioError("scenario has no noisy (dmc) edge")
+
+
+def _bsc_crossover(kernel):
+    """The crossover p of a 2x2 binary symmetric kernel; any other kernel is
+    a ScenarioError."""
+    m = kernel.matrix
+    if m.shape != (2, 2) or abs(m[0, 1] - m[1, 0]) > PROB_TOL:
+        raise ScenarioError("separation needs a BSC on its first dmc edge, "
+                            "not the kernel %s" % kernel.to_json())
+    return float(m[0, 1])
 
 
 def _capacity(scn):
@@ -90,7 +100,8 @@ EXPERIMENTS = {
         R=scn.value("R", 0.8, float), trials=scn.trials, seed=scn.seed,
         n_times=scn.value("n_times", 3, int)), None),
     "separation": (lambda scn: separation_experiment(
-        p=scn.value("p", 0.11, float), kappa=scn.value("kappa", 1.0, float),
+        p=_bsc_crossover(_first_dmc_kernel(scn.net)),
+        kappa=scn.value("kappa", 1.0, float),
         quantizer_bits=scn.value("quantizer_bits", (6, 8, 10), tuple),
         trials=scn.trials, seed=scn.seed,
         link_rate=scn.value("link_rate", 0.4, float)),

@@ -13,16 +13,18 @@ import numpy as np
 from .infosolvers import (blahut_capacity, blahut_rate_distortion,
                           invert_rate_distortion)
 from .linkcodes import (AggregatePipeBehavior, CodedLinkBehavior,
-                        LinkCodeReport, TypeScorer, build_channel_code,
+                        LinkCodeReport, build_channel_code,
                         build_synthesis_code, codebook_bits,
                         estimate_error_prob, synthesis_code_bits,
                         synthesized_type_tv)
 from .netmodel import (BitPipe, CodeParameters, DmcChannel, Edge, IidJoint,
                        MarkovJoint, NetworkSpec, estimate_distortion,
-                       run_block, trial_batches, trial_elements)
+                       estimate_trials, run_block, trial_batches,
+                       trial_elements)
 from .probkit import (Kernel, ProbVector, RngBatch, RngStream, check_counts,
                       chunk_ranges, mean_stderr, sample_many, sample_rows)
-from .recipes import SendBits, XorDecoder, XorRelay, build_recipe
+from .recipes import (CodewordDecoder, QuantizeIndex, SendBits, XorDecoder,
+                      XorRelay, build_recipe)
 from .stacking import (StackedCode, destack_code, estimate_stacked_distortion,
                        lift_code, parity_class_dependence_tv,
                        run_stacked_block, traces_match)
@@ -89,11 +91,21 @@ def stack_check(net, code_name, code_params, N, trials, seed):
 # ---------------------------------------------------------------------------
 # link replacement: line network, coded links vs bit-pipes
 
+_HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _bit_network(*edges):
+    """Nodes 0, 1 and 2 joined by edges; node 0 holds uniform bits, which
+    every node without an out-edge demands under Hamming distortion."""
+    sinks = {e.head for e in edges} - {e.tail for e in edges}
+    return NetworkSpec((0, 1, 2), edges,
+                       {(0, b): _HAMMING for b in sorted(sinks)},
+                       IidJoint((2, 1, 1), [0.5, 0.5]))
+
+
 def _line_network(channel_for_link):
-    ham = np.array([[0.0, 1.0], [1.0, 0.0]])
-    edges = (Edge(0, 1, channel_for_link), Edge(1, 2, channel_for_link))
-    src = IidJoint((2, 1, 1), [0.5, 0.5])
-    return NetworkSpec((0, 1, 2), edges, {(0, 2): ham}, src)
+    return _bit_network(Edge(0, 1, channel_for_link),
+                        Edge(1, 2, channel_for_link))
 
 
 def _bit_forward_code(N, per_use, n):
@@ -134,12 +146,10 @@ def link_replacement_experiment(p=0.11, N=24, R=0.4, trials=10000, seed=0,
         {0: AggregatePipeBehavior(), 1: AggregatePipeBehavior()})[(0, 2)]
 
     # per-link block error probability: any of its codeword uses failing
-    pe0, se0 = estimate_error_prob(code_tx, pe_trials, rng.child("pe", 0))
-    pe1, se1 = estimate_error_prob(code_rx, pe_trials, rng.child("pe", 1))
+    pe0, _ = estimate_error_prob(code_tx, pe_trials, rng.child("pe", 0))
+    pe1, _ = estimate_error_prob(code_rx, pe_trials, rng.child("pe", 1))
     link_pe = {0: 1.0 - (1.0 - pe0) ** uses, 1: 1.0 - (1.0 - pe1) ** uses}
-    link_se = {0: uses * se0, 1: uses * se1}
-    report = LinkCodeReport(link_pe, link_se, n_edges=2,
-                            d_max=net_noisy.d_max)
+    report = LinkCodeReport(link_pe, n_edges=2, d_max=net_noisy.d_max)
     pooled_se = float(np.hypot(d_noisy[1], d_pipe[1]))
     return {"experiment": "link-replacement", "seed": seed, "N": N, "R": R,
             "trials": trials,
@@ -384,7 +394,12 @@ def two_step_induction(channel=Kernel.bsc(0.2), N=24, R=0.6, trials=256,
 def separation_experiment(p=0.11, kappa=1.0, quantizer_bits=(6, 8, 10),
                           trials=10000, seed=0, link_rate=0.4):
     """The separated scheme (random quantizer + link transport) over the
-    true BSC(p) with a channel code versus over a capacity bit-pipe."""
+    true BSC(p) with a channel code versus over a capacity bit-pipe.
+
+    Per quantizer size, one stacked run of N = L layers on a fork: node 0
+    sends its quantizer index to node 1 over the coded BSC and to node 2
+    over the pipe, so both sides share every trial's source and index.
+    Trial j of the k-bit size runs on streams ("size", k, "trial", j)."""
     if not (np.isfinite(kappa) and kappa > 0):
         raise ValueError("kappa must be finite and positive, got %r"
                          % (kappa,))
@@ -395,13 +410,14 @@ def separation_experiment(p=0.11, kappa=1.0, quantizer_bits=(6, 8, 10),
                for k in quantizer_bits):
         raise ValueError("quantizer_bits must be positive integers, got %r"
                          % (quantizer_bits,))
+    check_counts(trials=trials)
     sizes = [(k, max(1, int(round(k / link_rate)))) for k in quantizer_bits]
     for k_bits, L in sizes:  # the cap, before any codebook is drawn
         codebook_bits(L, k_bits / L)
-    ham = np.array([[0.0, 1.0], [1.0, 0.0]])
-    src = ProbVector([0.5, 0.5])
-    cap = blahut_capacity(Kernel.bsc(p)).capacity
-    d_star = invert_rate_distortion(src, ham, cap / kappa)
+    bsc = Kernel.bsc(p)
+    cap = blahut_capacity(bsc).capacity
+    net = _bit_network(Edge(0, 1, DmcChannel(bsc)), Edge(0, 2, BitPipe(cap)))
+    d_star = invert_rate_distortion(net.sources.pmf, _HAMMING, cap / kappa)
     rng = RngStream(seed)
     rows = []
     for k_bits, L in sizes:
@@ -409,25 +425,30 @@ def separation_experiment(p=0.11, kappa=1.0, quantizer_bits=(6, 8, 10),
         # quantizer codebook from the R(D)-optimal output marginal (uniform
         # for the binary symmetric problem), minimum-distortion encoding
         qcb = (r.child("qcb").uniform((2 ** k_bits, L)) < 0.5).astype(np.int64)
-        cc = build_channel_code(Kernel.bsc(p), L, k_bits / L,
-                                r.child("ccode"))
-        u = (r.child("u").uniform((trials, L)) < 0.5).astype(np.int64)
-        w = TypeScorer(-ham.T, qcb).argmax(u)
-        d_pipe_t = (u != qcb[w]).mean(axis=1)
+        cc = build_channel_code(bsc, L, k_bits / L, r.child("ccode"))
+        code = StackedCode(
+            encoders={0: QuantizeIndex([0, 1], qcb, _HAMMING)},
+            decoders={(0, 1): CodewordDecoder(0, qcb),
+                      (0, 2): CodewordDecoder(1, qcb)},
+            N=L, params=CodeParameters(1, 1))
+        behaviors = {0: CodedLinkBehavior(cc), 1: AggregatePipeBehavior()}
 
-        x = cc.codebook[w]
-        noise = (r.child("noise").uniform(x.shape) < p).astype(np.int64)
-        y = x ^ noise
-        dec = cc.decode_batch(y)
-        d_noisy_t = (u != qcb[dec % qcb.shape[0]]).mean(axis=1)
-        d_pipe, se_pipe = mean_stderr(d_pipe_t)
-        d_noisy, se_noisy = mean_stderr(d_noisy_t)
-        pe, se_pe = mean_stderr(dec != w)
+        def run(batch):
+            tr = run_stacked_block(net, code, batch, behaviors)
+            x, y = tr.edge_io[0][0]
+            return {"D_noisy": tr.distortion[0, 1],
+                    "D_pipe": tr.distortion[0, 2],
+                    "p_e": (x != y).any(axis=1)}
+
+        est = estimate_trials(run, trials, r, trial_elements(net, L, L))
+        (d_noisy, se_noisy), (d_pipe, se_pipe) = est["D_noisy"], est["D_pipe"]
+        pe, se_pe = est["p_e"]
+        report = LinkCodeReport({0: pe}, n_edges=1, d_max=net.d_max)
         rows.append({"quantizer_bits": k_bits, "block_length": L,
                      "D_pipe": d_pipe, "stderr_pipe": se_pipe,
                      "D_noisy": d_noisy, "stderr_noisy": se_noisy,
                      "p_e": pe, "p_e_stderr": se_pe,
-                     "excess_bound": pe * 1.0,  # |E| = 1, d_max = 1
+                     "excess_bound": report.excess_bound,
                      "pooled_stderr": float(np.hypot(se_pipe, se_noisy))})
     return {"experiment": "separation", "seed": seed, "p": p, "kappa": kappa,
             "trials": trials, "capacity": cap, "D_target": d_star,

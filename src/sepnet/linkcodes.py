@@ -177,7 +177,6 @@ def estimate_error_prob(code, trials, rng):
 @dataclass
 class LinkCodeReport:
     p_e: dict                       # edge idx -> estimated block error prob
-    p_e_stderr: dict
     n_edges: int
     d_max: float
 

@@ -465,12 +465,13 @@ class DistortionMatrix:
 
 
 def estimate_trials(run, trials, rng, elements):
-    """Per-demand mean and standard error of the block distortion over
-    independent trials; trial j runs on stream rng.child("trial", j), and
-    run(batch) runs a whole trial_batches chunk of them at once."""
+    """Mean and standard error over independent trials of each per-trial
+    array run(batch) returns by key; trial j runs on stream
+    rng.child("trial", j), and run(batch) runs a whole trial_batches chunk
+    of them at once."""
     per_trial = {}
     for batch in trial_batches(rng, trials, elements):
-        for k, v in run(batch).distortion.items():
+        for k, v in run(batch).items():
             per_trial.setdefault(k, []).append(v)
     return {k: mean_stderr(np.concatenate(v)) for k, v in per_trial.items()}
 
@@ -478,7 +479,8 @@ def estimate_trials(run, trials, rng, elements):
 def estimate_distortion(net, code, trials, rng):
     """Mean per-demand block distortion over independent trials, with
     standard errors. Non-demanded pairs are identically zero."""
-    est = estimate_trials(lambda r: run_block(net, code, r), trials, rng,
+    est = estimate_trials(lambda r: run_block(net, code, r).distortion,
+                          trials, rng,
                           trial_elements(net, code.params.n, code.params.L))
     m = len(net.nodes)
     mean, stderr = np.zeros((m, m)), np.zeros((m, m))

@@ -16,6 +16,7 @@ payload carrying the bits of all N layers of a use.
 
 import numpy as np
 
+from .linkcodes import TypeScorer, bits_to_index, index_to_bits
 from .netmodel import CodeParameters, CodingPolicy, DmcChannel
 
 
@@ -145,6 +146,36 @@ class XorDecoder:
                                   axis=1)[:, :self.L]
             out[:, :bits.shape[1]] ^= bits
         return out
+
+
+# ---------------------------------------------------------------------------
+# quantizer recipes: a codebook index as one bit payload
+
+class QuantizeIndex:
+    """At t = 0, the big-endian bits of the index of the codeword nearest
+    the node's source block under distortion matrix d (the lowest index on
+    a tie) on every out-edge, and empty payloads after."""
+
+    def __init__(self, out_edges, codebook, d):
+        self.out_edges = list(out_edges)
+        self.scorer = TypeScorer(-np.asarray(d).T, codebook)
+        self.width = (len(codebook) - 1).bit_length()
+
+    def emit(self, t, u_block, received, rng):
+        bits = u_block[:, :0] if t else index_to_bits(
+            self.scorer.argmax(u_block), self.width)
+        return {e: bits for e in self.out_edges}
+
+
+class CodewordDecoder:
+    """The codeword whose index the first payload on one edge carries."""
+
+    def __init__(self, edge, codebook):
+        self.edge = edge
+        self.codebook = codebook
+
+    def decode(self, u_block, received, rng):
+        return self.codebook[bits_to_index(received[self.edge][0])]
 
 
 def _first_demand(net):

@@ -75,7 +75,8 @@ def run_stacked_block(net, code, rng, behaviors=None):
 def estimate_stacked_distortion(net, code, trials, rng, behaviors=None):
     """Per-demand (mean, stderr) of the stacked block distortion."""
     return estimate_trials(
-        lambda r: run_stacked_block(net, code, r, behaviors), trials, rng,
+        lambda r: run_stacked_block(net, code, r, behaviors).distortion,
+        trials, rng,
         trial_elements(net, code.N * code.params.n, code.N * code.params.L))
 
 

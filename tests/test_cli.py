@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepnet.cli import EXPERIMENTS, build_parser, main, run_scenario
-from sepnet.experiments import emit_plotdata
+from sepnet.experiments import emit_plotdata, separation_experiment
 from sepnet.netmodel import BitPipe, DmcChannel
 from sepnet.scenario import ScenarioError, load_scenario, write_json_atomic
 
@@ -281,10 +281,56 @@ def test_cli_separation_rejects_bad_sizes(tmp_path, key, value, message):
     assert res.stdout == ""
 
 
+def _separation_scenario():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "scenarios", "separation.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("kernel", [
+    [[0.89, 0.11], [0.2, 0.8]],
+    [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]],
+])
+def test_cli_separation_needs_a_bsc_edge(tmp_path, kernel):
+    obj = _separation_scenario()
+    obj["edges"][0]["channel"]["kernel"] = kernel
+    res = cli("separation", "--scenario", write_scenario(tmp_path, obj))
+    assert res.returncode == 2
+    assert res.stderr.startswith("sepnet: error: separation needs a BSC")
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_cli_separation_runs_the_edge_crossover(tmp_path):
+    """The crossover comes from the network's BSC edge; a leftover "p" key
+    is not read."""
+    obj = dict(_separation_scenario(), trials=30, quantizer_bits=[2],
+               link_rate=0.2, p=0.11)
+    obj["edges"][0]["channel"]["kernel"] = [[0.8, 0.2], [0.2, 0.8]]
+    out = run_scenario(write_scenario(tmp_path, obj))
+    assert out["p"] == 0.2
+    assert out == separation_experiment(p=0.2, kappa=1.0,
+                                        quantizer_bits=(2,), trials=30,
+                                        seed=21, link_rate=0.2)
+
+
+def test_cli_separation_stdout_is_the_experiment():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    res = cli("separation", "--scenario",
+              os.path.join(root, "scenarios", "separation.json"))
+    assert res.returncode == 0
+    obj = _separation_scenario()
+    direct = separation_experiment(
+        p=0.11, kappa=obj["kappa"],
+        quantizer_bits=tuple(obj["quantizer_bits"]), trials=obj["trials"],
+        seed=obj["seed"], link_rate=obj["link_rate"])
+    assert res.stdout == json.dumps(direct, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("command, scenario, key, value", [
     ("separation", "separation.json", "quantizer_bits", 6),
     ("separation", "separation.json", "link_rate", None),
-    ("separation", "separation.json", "p", [0.1]),
+    ("separation", "separation.json", "kappa", [1.0]),
     ("stack-check", "stack_check.json", "N", None),
     ("stack-check", "stack_check.json", "trials", None),
     ("chancode-sweep", "stack_check.json", "Ns", [None]),
@@ -314,7 +360,7 @@ def test_cli_unreadable_scenario_key_names_it(tmp_path, command, scenario,
 
 @pytest.mark.parametrize("command, scenario, key, message", [
     ("chancode-sweep", "stack_check.json", "trials", "no values to average"),
-    ("separation", "separation.json", "trials", "no values to average"),
+    ("separation", "separation.json", "trials", "trials must be >= 1"),
     ("synth-sweep", "stack_check.json", "samples", "no values to average"),
     ("synth-sweep", "stack_check.json", "codebooks", "no values to average"),
     ("lemma1", "lemma1.json", "n_times", "n_times must be >= 1"),

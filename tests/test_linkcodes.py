@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepnet import experiments, probkit
+from sepnet import experiments, netmodel, probkit
 from sepnet.experiments import (_lemma1_draws, _lemma1_records, lemma1_report,
                                 link_replacement_experiment)
 from sepnet.linkcodes import (AggregatePipeBehavior, ChannelCode,
@@ -159,8 +161,7 @@ def test_decode_returns_a_maximum_likelihood_int():
 
 
 def test_report_excess_bound_recomputed():
-    rep = LinkCodeReport({0: 0.02, 3: 0.05}, {0: 0.001, 3: 0.002},
-                         n_edges=2, d_max=3.0)
+    rep = LinkCodeReport({0: 0.02, 3: 0.05}, n_edges=2, d_max=3.0)
     assert rep.p_e_max == 0.05
     assert rep.excess_bound == pytest.approx(2 * 0.05 * 3.0)
     j = rep.to_json()
@@ -320,6 +321,57 @@ def test_separation_rejects_bad_kappa(kappa, monkeypatch):
     monkeypatch.setattr(experiments, "blahut_capacity", None)  # no work
     with pytest.raises(ValueError, match="kappa must be finite and positive"):
         experiments.separation_experiment(kappa=kappa, trials=10)
+
+
+# ---------------------------------------------------------------------------
+# separation on the stacked engine
+
+SMALL_SEPARATION = dict(kappa=1.0, quantizer_bits=(2, 3), link_rate=0.4)
+
+
+@pytest.mark.parametrize("p, seed", [(0.11, 1), (0.05, 2), (0.02, 3)])
+def test_separation_sides_share_every_trial(p, seed):
+    """Where the link delivers the sent index, both sides reconstruct the
+    same codeword of the same source block, so the distortions differ by at
+    most p_e * d_max; independent sources or indices would break this."""
+    r = experiments.separation_experiment(p=p, trials=60, seed=seed,
+                                          **SMALL_SEPARATION)
+    for row in r["rows"]:
+        assert abs(row["D_noisy"] - row["D_pipe"]) <= row["p_e"] + 1e-12
+        assert row["excess_bound"] == row["p_e"]
+
+
+def test_separation_does_not_depend_on_chunking(monkeypatch):
+    def run():
+        return json.dumps(experiments.separation_experiment(
+            p=0.11, trials=23, seed=4, **SMALL_SEPARATION), sort_keys=True)
+
+    whole = run()
+    # 7 trials per batch at L = 8, 11 at L = 5
+    monkeypatch.setattr(probkit, "CHUNK_ELEMENTS", 7 * 5 * 8)
+    assert run() == whole
+
+
+def test_separation_noise_goes_through_the_link(monkeypatch):
+    """One DMC transmit and one decode_batch per quantizer size and trial
+    batch: the coded link carries all of separation's channel noise."""
+    calls = {"transmit": 0, "decode_batch": 0}
+
+    def spy(cls, name):
+        orig = getattr(cls, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return orig(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+
+    spy(netmodel.DmcLink, "transmit")
+    spy(ChannelCode, "decode_batch")
+    monkeypatch.setattr(probkit, "CHUNK_ELEMENTS", 7 * 5 * 8)
+    experiments.separation_experiment(p=0.11, trials=23, seed=4,
+                                      **SMALL_SEPARATION)
+    batches = 3 + 4   # ceil(23 / 11) at L = 5, ceil(23 / 7) at L = 8
+    assert calls == {"transmit": batches, "decode_batch": batches}
 
 
 def test_lemma1_samples_rate_guards():
