@@ -23,7 +23,7 @@ import numpy as np
 from .experiments import (capacity_report, chancode_sweep, emit_plotdata,
                           rd_report, separation_experiment, simulate,
                           stack_check, synth_sweep, verify_lemma1)
-from .netmodel import DmcChannel
+from .netmodel import DmcChannel, IidJoint
 from .probkit import PROB_TOL, Kernel, ProbVector
 from .scenario import (ScenarioError, load_scenario, positive_ints,
                        write_json_atomic)
@@ -36,9 +36,26 @@ def _first_dmc_kernel(net):
     raise ScenarioError("scenario has no noisy (dmc) edge")
 
 
-def _bsc_crossover(kernel):
-    """The crossover p of a 2x2 binary symmetric kernel; any other kernel is
-    a ScenarioError."""
+def _separation_crossover(net):
+    """The crossover p of the BSC on the first dmc edge, once the network
+    poses the problem separation_experiment solves: an iid uniform binary
+    source at node 0 whose demands are all Hamming. Any other network is a
+    ScenarioError."""
+    src, node = net.sources, net.nodes.index(0) if 0 in net.nodes else -1
+    if (not isinstance(src, IidJoint) or node < 0
+            or src.alphabet_sizes[node] != 2):
+        raise ScenarioError("separation needs an iid binary source at node 0")
+    law = src.pmf.probs.reshape(src.alphabet_sizes)
+    law = law.sum(axis=tuple(i for i in range(law.ndim) if i != node))
+    if np.abs(law - 0.5).max() > PROB_TOL:
+        raise ScenarioError("separation needs a uniform source at node 0, "
+                            "not the law %s" % law.tolist())
+    demands = [d for (a, _), d in net.demands.items() if a == 0]
+    if not demands or not all(np.array_equal(d, [[0, 1], [1, 0]])
+                              for d in demands):
+        raise ScenarioError("separation needs Hamming distortion on the "
+                            "demands from node 0")
+    kernel = _first_dmc_kernel(net)
     m = kernel.matrix
     if m.shape != (2, 2) or abs(m[0, 1] - m[1, 0]) > PROB_TOL:
         raise ScenarioError("separation needs a BSC on its first dmc edge, "
@@ -100,7 +117,7 @@ EXPERIMENTS = {
         R=scn.value("R", 0.8, float), trials=scn.trials, seed=scn.seed,
         n_times=scn.value("n_times", 3, int)), None),
     "separation": (lambda scn: separation_experiment(
-        p=_bsc_crossover(_first_dmc_kernel(scn.net)),
+        p=_separation_crossover(scn.net),
         kappa=scn.value("kappa", 1.0, float),
         quantizer_bits=scn.value("quantizer_bits", (6, 8, 10), tuple),
         trials=scn.trials, seed=scn.seed,
@@ -112,16 +129,30 @@ EXPERIMENTS = {
 }
 
 
+# every experiment-specific key some command reads. One file may serve
+# several commands (scenarios/bsc_relay.json holds the sweeps' Ns), so a key
+# is refused only when no command reads it: a misspelling, or a stale key
+SCENARIO_KEYS = frozenset({
+    "kernel", "tol", "source", "distortion_matrix", "target_d", "N", "Ns",
+    "R", "batches", "input_law", "codebooks", "samples", "n_times", "kappa",
+    "quantizer_bits", "link_rate"})
+
+
 def run_scenario(path, command=None, seed=None, trials=None):
     """Load a scenario file and run the requested experiment on it.
 
     capacity/rd also accept bare solver-input files ({kernel, tol} or
-    {source, distortion_matrix, target_d}) with no network section.
+    {source, distortion_matrix, target_d}) with no network section. A key
+    outside the network sections and SCENARIO_KEYS is a ScenarioError.
     """
     scn = load_scenario(path)
     command = command or scn.experiment
     if command not in EXPERIMENTS:
         raise ScenarioError("unknown experiment %r" % command)
+    unread = sorted(set(scn.extra) - SCENARIO_KEYS)
+    if unread:
+        raise ScenarioError("scenario key %r: no command reads it"
+                            % unread[0])
     if scn.net is None and command not in ("capacity", "rd"):
         raise ScenarioError("experiment %r needs a network scenario"
                             % command)

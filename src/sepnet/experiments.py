@@ -424,7 +424,7 @@ def separation_experiment(p=0.11, kappa=1.0, quantizer_bits=(6, 8, 10),
         r = rng.child("size", k_bits)
         # quantizer codebook from the R(D)-optimal output marginal (uniform
         # for the binary symmetric problem), minimum-distortion encoding
-        qcb = (r.child("qcb").uniform((2 ** k_bits, L)) < 0.5).astype(np.int64)
+        qcb = (r.child("qcb").uniform((2 ** k_bits, L)) < 0.5).astype(np.uint8)
         cc = build_channel_code(bsc, L, k_bits / L, r.child("ccode"))
         code = StackedCode(
             encoders={0: QuantizeIndex([0, 1], qcb, _HAMMING)},

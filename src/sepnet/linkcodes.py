@@ -23,9 +23,9 @@ import numpy as np
 from .infosolvers import blahut_capacity
 from .netmodel import (ArityMismatch, BitPipe, BudgetOverflow, DmcChannel,
                        DmcLink, as_payload)
-from .probkit import (JointPmf, Kernel, ProbVector, chunk_ranges,
-                      mean_stderr, mutual_information, sample_many,
-                      sample_rows)
+from .probkit import (JointPmf, Kernel, ProbVector, block_elements,
+                      chunk_ranges, mean_stderr, mutual_information,
+                      sample_many, sample_rows)
 
 CODEBOOK_CAP_BITS = 22
 DEFAULT_MARGIN = 0.05
@@ -55,49 +55,120 @@ def codebook_bits(N, R, cap_bits=CODEBOOK_CAP_BITS):
     return bits
 
 
+# (x * _OCTET_BITS) >> 56 gathers bit 0 of byte i of x into bit i: the
+# product's partial sums land on distinct bits, so none carries
+_OCTET_BITS = np.uint64(0x0102040810204080)
+
+
+def _pack(mask, word):
+    """The bits of mask (..., N) as (..., W) words of dtype word, position i
+    being bit i % w of word i // w for w-bit words. Each 8 positions, read
+    as one little-endian uint64 of 0/1 bytes, are gathered into a byte by
+    one integer product against powers of two."""
+    n, size = mask.shape[-1], word.itemsize
+    lead, count = mask.shape[:-1], max(1, -(-n // (8 * size)))
+    if n % 8:
+        mask = np.concatenate([mask, np.zeros(lead + (8 - n % 8,), bool)], -1)
+    octets = np.ascontiguousarray(mask).view("<u8")
+    gathered = octets * _OCTET_BITS
+    packed = np.right_shift(gathered, 56, out=gathered).astype(np.uint8)
+    if packed.shape[-1] < count * size:
+        packed = np.concatenate([packed, np.zeros(
+            lead + (count * size - packed.shape[-1],), np.uint8)], -1)
+    return packed.view(word.newbyteorder("<"))
+
+
 class TypeScorer:
     """Scores sum_i table[c_i, y_i] of every codeword c of codebook
     (..., M, N) against words y (..., N), as table[codebook, y[..., None,
-    :]].sum(-1) would, from the joint type of (c, y): a one-hot matmul counts
-    the positions in each group of equal-valued table cells (integers, exact
-    in float32 while N < 2^24), and the counts meet the distinct values in
-    one fixed order. Codewords of equal type, or on a BSC of equal Hamming
-    distance, score bitwise equal, so argmax takes the lowest index on a tie.
-    The one-hot is built once per codebook, without a column for symbol 0.
+    :]].sum(-1) would, from the joint type of (c, y).
+
+    For each symbol a >= 1, the positions where a codeword holds a are
+    packed into unsigned words once per codebook (_pack), and so are a
+    word's positions of each symbol b >= 1. The joint count n(a, b), a, b
+    >= 1, is the popcount of their AND, summed over words; the counts with
+    a or b = 0 follow from the set sizes and N. Every count is an exact
+    integer. The positions in each group j of equal-valued table cells are
+    counted as c_j, and the scores are c_0 v_0 + c_1 v_1 + ... over the
+    distinct values v_j, summed left to right in float64. Codewords of
+    equal type, or on a BSC of equal Hamming distance, score bitwise equal,
+    so argmax takes the lowest index on a tie.
     """
 
     def __init__(self, table, codebook):
         self.values, group = np.unique(table, return_inverse=True)
         cells = np.equal.outer(group.reshape(np.shape(table)),
-                               np.arange(len(self.values))).astype(np.float32)
-        # group counts of c_i = 0, and their change when c_i = a > 0
-        self._zero, self._diff = cells[0], cells[1:] - cells[0]
-        self._onehot = (codebook[..., None, :] == np.arange(
-            1, len(cells))[:, None]).astype(np.float32).reshape(
-            *codebook.shape[:-1], -1)
+                               np.arange(len(self.values))).astype(int)
+        # c_j = N cells[0, 0, j] + sum_a |P_a| da[a][j] + sum_b |Q_b| db[b][j]
+        #       + sum_ab n(a, b) dab[a][b][j], for P_a and Q_b the positions
+        # of symbol a in a codeword and b in a word
+        self._c00 = cells[0, 0].tolist()
+        self._da = (cells[1:, 0] - cells[0, 0]).tolist()
+        self._db = (cells[0, 1:] - cells[0, 0]).tolist()
+        self._dab = (cells[1:, 1:] - cells[1:, :1] - cells[:1, 1:]
+                     + cells[0, 0]).tolist()
+        codebook = np.asarray(codebook)
+        self.shape = codebook.shape
+        # the smallest unsigned dtype of N bits; uint64 words beyond 64
+        self._word = np.min_scalar_type((1 << min(self.shape[-1], 64)) - 1)
+        self._packed = [_pack(codebook == a, self._word)
+                        for a in range(1, len(cells))]
+        self._sizes = [np.bitwise_count(p).sum(axis=-1, dtype=np.int32)
+                       for p in self._packed]
 
     def scores(self, y):
         y = np.asarray(y)
-        # (..., V, (K_in - 1) * N), in the column order of the one-hot
-        lead, d = y.shape[:-1] + (len(self.values),), self._onehot.shape[-1]
-        r = np.moveaxis(self._diff[:, y], (0, -1), (-2, -3)).reshape(*lead, d)
-        if self._onehot.ndim == 2:   # one codebook: one matmul for all words
-            counts = (r.reshape(int(np.prod(lead)), d)
-                      @ self._onehot.T).reshape(*lead, len(self._onehot))
-        else:
-            counts = r @ np.swapaxes(self._onehot, -1, -2)
-        counts += self._zero[y].sum(axis=-2)[..., None]
-        s = counts[..., 0, :] * self.values[0]
-        for j in range(1, len(self.values)):
-            s += counts[..., j, :] * self.values[j]
-        return s
+        if y.size and (y.min() < 0 or y.max() > len(self._db)):
+            raise ArityMismatch("words hold symbols outside [0, %d)"
+                                % (len(self._db) + 1))
+        masks = [y == b for b in range(1, len(self._db) + 1)]
+        words = [_pack(mask, self._word)[..., None, :] for mask in masks]
+        sizes = [mask.sum(axis=-1, dtype=np.int32)[..., None]
+                 for mask in masks]
+        out = np.empty(np.broadcast_shapes(y.shape[:-1] + (1,),
+                                           self.shape[:-1]))
+        # codewords a block at a time, so that the counts stay in cache
+        step = max(1, block_elements() * out.shape[-1] // max(1, out.size))
+        for m0 in range(0, out.shape[-1], step):
+            self._score_block(out[..., m0:m0 + step],
+                              slice(m0, m0 + step), words, sizes)
+        return out
+
+    def _score_block(self, out, m, words, word_sizes):
+        """Scores of codewords m against the packed words into out."""
+        n = self.shape[-1]
+        # c_j for every group but the last, in place; the last holds the rest
+        counts = [np.full(out.shape, n * c, np.int32) for c in self._c00[:-1]]
+
+        def add(coefficients, x):
+            for c, k in zip(counts, coefficients):
+                for _ in range(abs(k)):
+                    (np.add if k > 0 else np.subtract)(c, x, out=c)
+
+        for coefficients, s in zip(self._da, self._sizes):
+            add(coefficients, s[..., m])
+        both = np.empty(out.shape, self._word)
+        joint = np.empty(out.shape, np.int32)
+        for b, (q, size) in enumerate(zip(words, word_sizes)):
+            add(self._db[b], size)
+            for a, p in enumerate(self._packed):
+                for w in range(q.shape[-1] if any(self._dab[a][b]) else 0):
+                    np.bitwise_and(p[..., m, w], q[..., w], out=both)
+                    add(self._dab[a][b], np.bitwise_count(both, out=joint))
+        last = np.full(out.shape, n, np.int32)
+        for c in counts:
+            last -= c
+        counts.append(last)
+        np.multiply(counts[0], self.values[0], out=out)
+        for c, v in zip(counts[1:], self.values[1:]):
+            out += c * v
 
     def argmax(self, ys):
         """Best codeword index per word of ys (B, N), in chunk_ranges of
         words each scored against all M codewords."""
         ys = np.asarray(ys)
         out = np.empty(len(ys), dtype=np.int64)
-        for js in chunk_ranges(len(ys), self._onehot.shape[0] * ys.shape[-1]):
+        for js in chunk_ranges(len(ys), self.shape[-2] * ys.shape[-1]):
             i = slice(js.start, js.stop)
             out[i] = self.scores(ys[i]).argmax(axis=-1)
         return out
@@ -155,10 +226,8 @@ def build_channel_code(channel, N, R, rng):
     if R > cap.capacity - DEFAULT_MARGIN:
         raise RateOutOfRange("R=%g above capacity %.6f minus margin %g"
                              % (R, cap.capacity, DEFAULT_MARGIN))
-    m = 2 ** codebook_bits(N, R)
-    u = rng.child("codebook").uniform((m, N))
-    codebook = sample_many(cap.optimal_input.probs, u.reshape(-1)) \
-        .reshape(m, N).astype(np.int64)
+    codebook = rng.child("codebook").sample(cap.optimal_input.probs,
+                                            (2 ** codebook_bits(N, R), N))
     return ChannelCode(N, R, codebook, channel, cap.optimal_input)
 
 
@@ -224,9 +293,11 @@ def likelihood_weights(scorer, x):
     codebook indices w, from a TypeScorer of the log posterior over the
     codebooks. Batched: codebooks (..., M, N) and inputs (..., N) give
     weights (..., M)."""
-    ll = scorer.scores(x)
-    w = np.exp(ll - ll.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
+    w = scorer.scores(x)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 @dataclass
@@ -261,8 +332,8 @@ class SynthesisCode:
         for a word x (N,) and a stream, or (T,) indices for words (T, N)
         and an RngBatch of T streams. A batched code of B codebooks takes
         words (B, N), word b scored against codebook b."""
-        cum = np.cumsum(likelihood_weights(self.scorer, x), axis=-1)
-        return sample_rows(cum, rng.uniform())
+        w = likelihood_weights(self.scorer, x)
+        return sample_rows(np.cumsum(w, axis=-1, out=w), rng.uniform())
 
     def synthesize(self, x, rng):
         """Map input words to the selected codewords' output words: (N,) or
@@ -284,9 +355,8 @@ def build_synthesis_code(target_input, channel, N, R, rng,
     (below-mutual-information) experiments.
     """
     bits = synthesis_code_bits(target_input, channel, N, R, enforce_margin)
-    u = rng.child("codebook").uniform((2 ** bits, N))
-    codebook = sample_many(output_marginal(target_input, channel), u) \
-        .astype(np.int64, copy=False)
+    codebook = rng.child("codebook").sample(
+        output_marginal(target_input, channel), (2 ** bits, N))
     return SynthesisCode(N, R, codebook, target_input, channel)
 
 

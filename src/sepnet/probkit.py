@@ -9,7 +9,8 @@ import numpy as np
 PROB_TOL = 1e-9
 # elements per array in the batched kernels, cut by chunk_ranges: codeword
 # symbols per TypeScorer.argmax chunk, codebook symbols per lemma-1 trial
-# chunk, and the engine's trial chunks (16 MiB of float64)
+# chunk, and the engine's trial chunks (16 MiB of float64); block_elements
+# cuts a thirty-second of it
 CHUNK_ELEMENTS = 2 ** 21
 
 
@@ -238,6 +239,19 @@ class RngStream:
     def uniform(self, size=None):
         return self.generator().random(size)
 
+    def sample(self, p, size=None):
+        """sample_many(p, self.uniform(size)), bit for bit, in the smallest
+        unsigned dtype that holds len(p) - 1. The uniforms are drawn
+        block_elements() at a time by successive random() calls, which
+        continue one sequence."""
+        out = np.empty(() if size is None else tuple(np.atleast_1d(size)),
+                       _symbol_dtype(len(p)))
+        flat, step = out.reshape(-1), block_elements()
+        for lo in range(0, flat.size, step):
+            flat[lo:lo + step] = sample_many(
+                p, self.generator().random(min(step, flat.size - lo)))
+        return out[()]
+
     def __repr__(self):
         return "RngStream(seed=%d, stream_id=%r)" % (self.seed, self.stream_id)
 
@@ -303,12 +317,27 @@ _MULT_HI = np.uint64(_PCG_MULT >> 64)
 _MULT_LO = np.uint64(_PCG_MULT & _SEED_MASK)
 _MULT_LO0, _MULT_LO1 = _MULT_LO & 0xFFFFFFFF, _MULT_LO >> 32
 _LOW32 = np.uint64(0xFFFFFFFF)
-# B streams of n draws each step all at once when B >= 64 n. Stepping at
+# B streams of n draws each step all at once when B >= 32 n. Stepping at
 # once costs a fixed set of array operations per draw, seeding numpy's
-# generator a fixed cost per stream. They break even near B = 8 n for
-# n <= 48, but numpy draws long streams faster than the array arithmetic,
-# so at n = 128 the even point is above 16 n and at n = 512 above 32 n.
-_STEP_ALL_STREAMS_PER_DRAW = 64
+# generator a fixed cost per stream. They break even below B = 8 n for
+# n <= 48 and near 32 n at n = 128. numpy draws long streams faster than
+# the array arithmetic, so at n = 512 stepping at once is still 3 times
+# slower at B = 32 n; chunks of at most CHUNK_ELEMENTS draws only reach
+# B >= 32 n for n <= 256.
+_STEP_ALL_STREAMS_PER_DRAW = 32
+
+
+def block_elements():
+    """Elements per block of the kernels that stream an array through the
+    cache a block at a time: the float draws a sampling call holds at once,
+    and the joint-type counts TypeScorer.scores makes at once. It is
+    CHUNK_ELEMENTS // 32, read when it is called."""
+    return max(1, CHUNK_ELEMENTS // 32)
+
+
+def _symbol_dtype(k):
+    """The smallest unsigned dtype that holds the symbols 0 .. k - 1."""
+    return np.min_scalar_type(max(k - 1, 0))
 
 
 def _pcg_step(hi, lo, inc_hi, inc_lo):
@@ -336,58 +365,83 @@ def _pcg64_seed(words):
     return hi, lo, inc_hi, inc_lo
 
 
-def _pcg64_uniforms(words, out):
-    """Fill row i of out, a (B, n) float array, with the first n draws of
-    Generator(PCG64) seeded with words[i].
+def _pcg64_uniforms(words, out, sample=None):
+    """Fill row i of out, a (B, n) array, with the first n draws of
+    Generator(PCG64) seeded with words[i], or with sample(draws): each
+    block of draws goes to the sampler, or is copied, as soon as it is
+    made, so no more than one block of them exists at a time.
 
-    From B >= 64 n on, every stream steps at once in uint64 arithmetic and
+    From B >= 32 n on, every stream steps at once in uint64 arithmetic and
     each draw is (XSL-RR output >> 11) * 2**-53, as Generator.random makes
-    it. Fewer, longer streams set their state, one stream after another, on
-    one PCG64 made for the call and draw straight into their rows."""
+    it; a block is one column. Fewer, longer streams set their state, one
+    stream after another, on one PCG64 made for the call, and fill blocks
+    of at most block_elements() draws: whole rows, or pieces of one row when a
+    row is longer, successive random() calls continuing its sequence."""
+    def put(where, u):
+        out[where] = u if sample is None else sample(u)
+
     hi, lo, inc_hi, inc_lo = _pcg64_seed(words)
-    if len(out) >= _STEP_ALL_STREAMS_PER_DRAW * out.shape[1]:
-        for col in out.T:
+    B, n = out.shape
+    if B >= _STEP_ALL_STREAMS_PER_DRAW * n:
+        for j in range(n):
             hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
             x, rot = hi ^ lo, hi >> 58
-            col[:] = ((x >> rot) | (x << ((64 - rot) & 63))) >> 11
-        out *= 2.0 ** -53
+            put((slice(None), j),
+                (((x >> rot) | (x << ((64 - rot) & 63))) >> 11) * 2.0 ** -53)
         return
     gen = np.random.Generator(np.random.PCG64(0))
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
              "uinteger": 0}
-    for row, s_hi, s_lo, i_hi, i_lo in zip(
-            out, hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
-        pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
-        gen.bit_generator.state = state
-        gen.random(out=row)
+    width = min(n, block_elements())
+    rows = max(1, block_elements() // n)   # whole rows per block; one if wider
+    buf = np.empty((min(rows, B), width))
+    for r0 in range(0, B, rows):
+        block = buf[:min(rows, B - r0)]
+        seeds = zip(*(a[r0:r0 + rows].tolist()
+                      for a in (hi, lo, inc_hi, inc_lo)))
+        for c0 in range(0, n, width):    # one piece unless a row is wider
+            piece = block[:, :min(width, n - c0)]
+            for row in piece:
+                if not c0:
+                    s_hi, s_lo, i_hi, i_lo = next(seeds)
+                    pcg["state"] = s_hi << 64 | s_lo
+                    pcg["inc"] = i_hi << 64 | i_lo
+                    gen.bit_generator.state = state
+                gen.random(out=row)
+            put((slice(r0, r0 + len(block)), slice(c0, c0 + width)), piece)
+
+
+def _draw_streams(seed, stream_ids, size, dtype, sample=None):
+    """One draw per stream id of shape size into a (number of ids,) + size
+    array of dtype, through _pcg64_uniforms. The streams' keys and seed
+    words are computed once, their seed words mixed in one vectorized pass
+    and turned into PCG64 states in another."""
+    seed = int(seed) & _SEED_MASK
+    ent = np.frombuffer(b"".join(_stream_key(seed, tuple(i))
+                                 for i in stream_ids), "<u4").reshape(-1, 8)
+    shape = () if size is None else tuple(np.atleast_1d(size))
+    out = np.empty((len(ent),) + shape, dtype)
+    if out.size:
+        _pcg64_uniforms(_seed_words(ent), out.reshape(len(ent), -1), sample)
+    return out
 
 
 def uniform_streams(seed, stream_ids, size=None):
     """[RngStream(seed, i).uniform(size) for i in stream_ids] as one array of
     shape (number of ids,) + the shape of size, bit for bit; stream_ids may
-    be any iterable of stream ids.
-
-    The streams' seed words are mixed in one vectorized pass and turned
-    into PCG64 states in another; _pcg64_uniforms then draws every row."""
-    seed = int(seed) & _SEED_MASK
-    ent = np.frombuffer(b"".join(_stream_key(seed, tuple(i))
-                                 for i in stream_ids), "<u4").reshape(-1, 8)
-    shape = () if size is None else tuple(np.atleast_1d(size))
-    out = np.empty((len(ent),) + shape)
-    if out.size:
-        _pcg64_uniforms(_seed_words(ent), out.reshape(len(ent), -1))
-    return out
+    be any iterable of stream ids."""
+    return _draw_streams(seed, stream_ids, size, float)
 
 
 class RngBatch:
     """A batch of RngStreams with one seed, one per trial: stream j is
     RngStream(seed, prefixes[j] + labels).
 
-    child(*labels) appends the labels to every stream; uniform(size) is
-    every stream's uniform(size) as one (len(batch),) + size array, bit for
-    bit, drawn through uniform_streams. Children only extend the labels, so
-    they are cheap to mint.
+    child(*labels) appends the labels to every stream; uniform(size) and
+    sample(p, size) are every stream's uniform(size) and sample(p, size) as
+    one (len(batch),) + size array, bit for bit. Children only extend the
+    labels, so they are cheap to mint.
     """
 
     __slots__ = ("seed", "prefixes", "labels")
@@ -406,9 +460,19 @@ class RngBatch:
     def batch(self):
         return self
 
+    def _ids(self):
+        return (p + self.labels for p in self.prefixes)
+
     def uniform(self, size=None):
-        return uniform_streams(self.seed, (p + self.labels
-                                           for p in self.prefixes), size)
+        return uniform_streams(self.seed, self._ids(), size)
+
+    def sample(self, p, size=None):
+        """sample_many(p, self.uniform(size)), bit for bit, in the smallest
+        unsigned dtype that holds len(p) - 1; each block of uniforms is
+        sampled as soon as it is drawn."""
+        return _draw_streams(self.seed, self._ids(), size,
+                             _symbol_dtype(len(p)),
+                             lambda u: sample_many(p, u))
 
 
 def sample_many(p, uniforms):

@@ -93,9 +93,10 @@ class DifferenceDecoder:
 
     def decode(self, u_block, received, rng):
         y = np.stack(received[self.edge][:self.L], axis=-1)
-        # echo sums: sums[:, j] is the sum of y[:, :j]
-        sums = np.concatenate([np.zeros((len(y), 1), dtype=y.dtype),
-                               np.cumsum(y, axis=1)], axis=1)
+        # echo sums: sums[:, j] is the sum of y[:, :j], signed so that y -
+        # sums does not wrap when y is a synthesized link's uint8 word
+        sums = np.concatenate([np.zeros((len(y), 1), dtype=np.int64),
+                               np.cumsum(y, axis=1, dtype=np.int64)], axis=1)
         return (y - sums[:, np.maximum(np.arange(y.shape[1]) - 1, 0)]) \
             % self.k
 

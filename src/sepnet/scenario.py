@@ -67,8 +67,8 @@ def parse_network(obj):
 
 @dataclass
 class Scenario:
-    """A loaded scenario file. A bare solver-input file (no "nodes") has net
-    None and all of its keys in extra."""
+    """A loaded scenario file: extra holds the keys outside the network
+    sections. A bare solver-input file (no "nodes") has net None."""
     net: NetworkSpec
     experiment: str
     code_name: str = None
@@ -125,8 +125,9 @@ def load_scenario(path):
     if not isinstance(obj, dict):
         raise ScenarioError("a scenario file must hold a JSON object")
     experiment = scenario_value(obj, "experiment", "simulate", str)
+    extra = {k: v for k, v in obj.items() if k not in _KNOWN}
     if "nodes" not in obj:
-        return Scenario(net=None, experiment=experiment, extra=obj)
+        return Scenario(net=None, experiment=experiment, extra=extra)
     try:
         net = parse_network(obj)
     except (TypeError, KeyError, AttributeError) as exc:
@@ -143,7 +144,7 @@ def load_scenario(path):
         code_params=code_params,
         trials=scenario_value(obj, "trials", 1000, int),
         seed=scenario_value(obj, "seed", 0, int),
-        extra={k: v for k, v in obj.items() if k not in _KNOWN})
+        extra=extra)
 
 
 def write_json_atomic(obj, path):

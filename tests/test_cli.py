@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepnet.cli import EXPERIMENTS, build_parser, main, run_scenario
+from sepnet.cli import (EXPERIMENTS, SCENARIO_KEYS, build_parser, main,
+                        run_scenario)
 from sepnet.experiments import emit_plotdata, separation_experiment
 from sepnet.netmodel import BitPipe, DmcChannel
-from sepnet.scenario import ScenarioError, load_scenario, write_json_atomic
+from sepnet.scenario import (Scenario, ScenarioError, load_scenario,
+                             write_json_atomic)
 
 RELAY = {
     "nodes": [0, 1],
@@ -302,16 +304,55 @@ def test_cli_separation_needs_a_bsc_edge(tmp_path, kernel):
 
 
 def test_cli_separation_runs_the_edge_crossover(tmp_path):
-    """The crossover comes from the network's BSC edge; a leftover "p" key
-    is not read."""
+    """The crossover comes from the network's BSC edge."""
     obj = dict(_separation_scenario(), trials=30, quantizer_bits=[2],
-               link_rate=0.2, p=0.11)
+               link_rate=0.2)
     obj["edges"][0]["channel"]["kernel"] = [[0.8, 0.2], [0.2, 0.8]]
     out = run_scenario(write_scenario(tmp_path, obj))
     assert out["p"] == 0.2
     assert out == separation_experiment(p=0.2, kappa=1.0,
                                         quantizer_bits=(2,), trials=30,
                                         seed=21, link_rate=0.2)
+
+
+def biased_source(obj):
+    obj["sources"]["pmf"] = [0.8, 0.2]
+
+
+def scaled_hamming(obj):
+    obj["demands"][0]["distortion_matrix"] = [[0, 5], [5, 0]]
+
+
+def markov_source(obj):
+    obj["sources"] = {"type": "markov", "alphabet_sizes": [2, 1],
+                      "initial": [0.5, 0.5],
+                      "transition": [[0.9, 0.1], [0.1, 0.9]]}
+
+
+def no_demand_from_node_0(obj):
+    obj["demands"] = []
+
+
+@pytest.mark.parametrize("change, message", [
+    (biased_source, "uniform source at node 0"),
+    (scaled_hamming, "Hamming distortion"),
+    (markov_source, "iid binary source at node 0"),
+    (no_demand_from_node_0, "Hamming distortion"),
+], ids=["biased-source", "scaled-hamming", "markov-source",
+        "no-demand-from-node-0"])
+def test_cli_separation_refuses_another_source_or_demand(tmp_path, change,
+                                                         message):
+    """separation_experiment quantizes an iid uniform bit under Hamming
+    distortion; a scenario posing another problem is refused, not run as
+    that one."""
+    obj = _separation_scenario()
+    change(obj)
+    res = cli("separation", "--scenario", write_scenario(tmp_path, obj))
+    assert res.returncode == 2
+    assert res.stderr.startswith("sepnet: error: separation needs")
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
 
 
 def test_cli_separation_stdout_is_the_experiment():
@@ -382,6 +423,51 @@ def test_cli_zero_count_fails_cleanly(tmp_path, command, scenario, key,
     assert res.stderr.startswith("sepnet: error:")
     assert message in res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command, scenario, key", [
+    ("separation", "separation.json", "quantiser_bits"),
+    ("separation", "separation.json", "p"),
+    ("simulate", "bsc_relay.json", "trails"),
+    ("capacity", "bsc_capacity.json", "tolerance"),
+])
+def test_cli_refuses_a_key_no_command_reads(tmp_path, command, scenario,
+                                            key):
+    """A misspelt or stale key is named before any experiment runs, where
+    it used to leave the defaults to run silently. "p" is stale:
+    separation takes its crossover from the BSC edge."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "scenarios", scenario)) as fh:
+        obj = json.load(fh)
+    obj[key] = [2]
+    res = cli(command, "--scenario", write_scenario(tmp_path, obj))
+    assert res.returncode == 2
+    assert res.stderr == "sepnet: error: scenario key %r: no command " \
+        "reads it\n" % key
+    assert res.stdout == ""
+
+
+def test_scenario_keys_are_the_keys_the_commands_read(tmp_path,
+                                                      monkeypatch):
+    """Every key a command reads is in SCENARIO_KEYS, and every key there
+    is read by some command, on a network file or a bare solver file."""
+    read = {"distortion_matrix"}   # the bare rd file's matrix, read as is
+    original = Scenario.value
+
+    def value(self, key, default, convert):
+        read.add(key)
+        return original(self, key, default, convert)
+
+    monkeypatch.setattr(Scenario, "value", value)
+    network = write_scenario(tmp_path, TINY)
+    bare = write_scenario(tmp_path, {
+        "kernel": [[0.9, 0.1], [0.1, 0.9]], "source": [0.5, 0.5],
+        "distortion_matrix": [[0, 1], [1, 0]], "target_d": 0.1}, "bare.json")
+    for command in EXPERIMENTS:
+        run_scenario(network, command)
+    for command in ("capacity", "rd"):
+        run_scenario(bare, command)
+    assert read == SCENARIO_KEYS
 
 
 def test_cli_invalid_kernel_fails(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from sepnet.linkcodes import (AggregatePipeBehavior, ChannelCode,
                               build_synthesis_code, estimate_error_prob,
                               index_to_bits, likelihood_weights,
                               synthesized_type_tv)
-from sepnet.netmodel import (BitPipe, BudgetOverflow, DmcChannel, Edge,
-                             IidJoint, NetworkSpec)
+from sepnet.netmodel import (ArityMismatch, BitPipe, BudgetOverflow,
+                             DmcChannel, Edge, IidJoint, NetworkSpec)
 from sepnet.probkit import (JointPmf, Kernel, ProbVector, RngBatch, RngStream,
                             mean_stderr, sample_many)
 from sepnet.recipes import uncoded_relay
@@ -138,6 +139,108 @@ def test_type_scorer_equals_the_gather_sum(k_in, k_out, zero_share, bec,
          for b in range(k_out)])
     s = check(codebook, y)
     assert s[0] == s[1]
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+                               127, 128, 129])
+def test_type_scorer_equals_the_gather_sum_across_word_edges(n):
+    """At blocklengths on both sides of every packed-word edge (8, 16, 32,
+    64 bits, and 2 words of 64), for every pair of alphabet sizes up to 4:
+    scores match the gather-sum for one codebook and for a stack of
+    codebooks; codewords of equal type score bitwise equal, and argmax takes
+    the lowest index on a tie."""
+    g = np.random.default_rng(n)
+    for k_in in range(1, 5):
+        for k_out in range(1, 5):
+            w = g.random((k_in, k_out)) * (g.random((k_in, k_out)) >= 0.3)
+            table = np.log(np.maximum(w, 1e-300))
+            codebook = g.integers(0, k_in, size=(9, n)).astype(np.uint8)
+            stack = g.integers(0, k_in, size=(3, 2, 5, n))
+            for cb, ys in ((codebook, g.integers(0, k_out, size=(4, n))),
+                           (stack, g.integers(0, k_out, size=(3, 1, n)))):
+                got = TypeScorer(table, cb).scores(ys)
+                want = table[cb, ys[..., None, :]].sum(axis=-1)
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12)
+            # rows 2 and 6: one word permuted within each group of equal y
+            y = g.integers(0, k_out, size=n)
+            best = table.argmax(axis=0)[y]
+            codebook[2] = best
+            perm = np.argsort(y, kind="stable")
+            codebook[6, perm] = np.concatenate(
+                [g.permutation(best[perm][y[perm] == b])
+                 for b in range(k_out)])
+            s = TypeScorer(table, codebook).scores(y)
+            assert s[2] == s[6] == s.max()
+            assert TypeScorer(table, codebook).argmax(y[None])[0] == \
+                np.flatnonzero(s == s.max())[0]
+
+
+def test_type_scorer_breaks_bsc_distance_ties_to_the_lowest_index():
+    """Two codewords at Hamming distance 1 from the word, flipped in
+    different packed words, score bitwise equal; argmax takes the lower."""
+    table = np.log(Kernel.bsc(0.1).matrix)
+    g = np.random.default_rng(3)
+    y = g.integers(0, 2, size=100)
+    codebook = (y ^ (g.random((12, 100)) < 0.4)).astype(np.uint8)
+    codebook[4], codebook[9] = y, y
+    codebook[4, 3] ^= 1
+    codebook[9, 90] ^= 1
+    s = TypeScorer(table, codebook).scores(y)
+    assert s[4] == s[9] == s.max()
+    assert TypeScorer(table, codebook).argmax(y[None]).tolist() == [4]
+
+
+def test_type_scorer_holds_no_float_array_of_the_codebook_size():
+    """The scorer keeps packed bits and integer set sizes, not a float
+    one-hot of the codebook."""
+    codebook = RngStream(5).sample([0.2, 0.3, 0.5], (4, 64, 24))
+    scorer = TypeScorer(np.log(Kernel.bsc(0.2).matrix[[0, 1, 1]]), codebook)
+    held = [v for value in vars(scorer).values()
+            for v in (value if isinstance(value, list) else [value])
+            if isinstance(v, np.ndarray)]
+    assert held
+    for v in held:
+        assert v.dtype.kind != "f" or v.size < 64, (v.dtype, v.shape)
+        assert v.nbytes <= codebook.nbytes // 2
+
+
+def test_codebooks_are_held_in_the_smallest_unsigned_dtype():
+    code = build_channel_code(Kernel.bsc(0.11), 12, 0.2, RngStream(2))
+    assert code.codebook.dtype == np.uint8
+    code = build_synthesis_code(ProbVector.uniform(2), Kernel.bsc(0.2), 8,
+                                0.8, RngStream(3).children("c", range(4)))
+    assert code.codebook.dtype == np.uint8 and code.codebook.shape[0] == 4
+
+
+def test_batched_synthesis_codebook_peak_is_the_codebook_and_one_block():
+    """Drawing 2046 codebooks of 128 x 8 symbols holds the uint8 codebooks,
+    one block of float draws and little else: not the full-size float
+    uniforms or an int64 copy."""
+    batch = RngBatch(9, [("trial", j, "code", k) for j in range(682)
+                         for k in range(3)])
+    p = ProbVector.uniform(2)
+    # a first call makes one-off allocations (imports, caches)
+    build_synthesis_code(p, Kernel.bsc(0.2), 8, 0.8, batch.child("warm"))
+    tracemalloc.start()
+    try:
+        code = build_synthesis_code(p, Kernel.bsc(0.2), 8, 0.8, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.codebook.shape == (2046, 128, 8)
+    assert peak <= code.codebook.nbytes + 8 * probkit.block_elements() \
+        + 2 ** 20
+
+
+@pytest.mark.parametrize("symbol", [-1, 2])
+def test_type_scorer_refuses_word_symbols_outside_the_table(symbol):
+    """A word symbol with no table column is named, not counted as 0."""
+    scorer = TypeScorer(np.log(Kernel.bsc(0.2).matrix),
+                        np.zeros((4, 6), dtype=np.uint8))
+    with pytest.raises(ArityMismatch, match=r"outside \[0, 2\)"):
+        scorer.scores(np.array([0, 1, symbol, 0, 1, 0]))
 
 
 def test_type_scorer_takes_an_empty_batch():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sepnet import probkit
 from sepnet.probkit import (DimensionMismatch, InvalidDistribution, JointPmf,
                             Kernel, ProbVector, RngBatch, RngStream,
                             _pcg64_uniforms, _seed_words, entropy,
@@ -217,17 +218,17 @@ def test_rng_batch_is_its_streams(seed, prefix, trials, labels_, size):
 
 
 # sizes with n = 0, 1, 2, 3, 5 and 8 draws per stream, so that batches of 1
-# to 400 streams fall on both sides of B = 64 n, where every stream starts
+# to 400 streams fall on both sides of B = 32 n, where every stream starts
 # to step at once
 draw_sizes = st.sampled_from([0, (2, 0), None, 1, (1, 1), 2, 3, (3, 1), 5,
                               8, (2, 4)])
 
 
 @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 400), draw_sizes)
-@example(5, 64, None)
-@example(5, 63, 1)
-@example(5, 400, (2, 3))
-@example(5, 383, (2, 3))
+@example(5, 32, None)
+@example(5, 31, 1)
+@example(5, 192, (2, 3))
+@example(5, 191, (2, 3))
 @settings(max_examples=40, deadline=None)
 def test_uniform_streams_equal_per_stream_draws_on_both_paths(seed, B,
                                                               size):
@@ -261,6 +262,52 @@ def test_pcg64_draws_from_zero_top_word_keys(B, n):
         ss = np.random.SeedSequence(int.from_bytes(key.tobytes(), "little"))
         want = np.random.Generator(np.random.PCG64(ss)).random(n)
         assert np.array_equal(row, want)
+
+
+SAMPLE_LAWS = {"K=1": [1.0], "K=2": [0.3, 0.7], "K=3": [0.2, 0.5, 0.3],
+               "K=300": np.full(300, 1 / 300)}
+
+
+@pytest.mark.parametrize("law", list(SAMPLE_LAWS))
+@pytest.mark.parametrize("B, size", [
+    (1, 7), (1, 8), (1, 9), (1, (3, 6)), (3, 8), (5, (2, 3)), (2, 17),
+    (5, 2), (9, 3), (96, 3), (97, (1, 3)), (200, 2)],
+    ids=lambda v: str(v).replace(" ", ""))
+def test_samples_are_sample_many_of_the_uniforms(monkeypatch, law, B, size):
+    """RngStream.sample and RngBatch.sample equal sample_many(p, uniform)
+    bit for bit, in the smallest unsigned dtype that holds len(p) - 1
+    (uint16 for K = 300). Blocks of 8 draws put the sizes on both sides of
+    a block edge, and a row longer than a block is drawn in pieces; the
+    batches take both stream paths (B >= 32 n steps every stream at
+    once)."""
+    monkeypatch.setattr(probkit, "CHUNK_ELEMENTS", 32 * 8)
+    p = SAMPLE_LAWS[law]
+    dtype = np.uint16 if len(p) > 256 else np.uint8
+    batch = RngStream(41).children("trial", range(B)).child("c")
+    got = batch.sample(p, size)
+    u = batch.uniform(size)
+    for j, row in enumerate(u):
+        assert np.array_equal(row, RngStream(41, ("trial", j, "c"))
+                              .uniform(size))
+    want = sample_many(p, u)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    one = RngStream(41, ("trial", 0, "c"))
+    got = one.sample(p, size)
+    assert got.dtype == dtype
+    assert np.array_equal(got, sample_many(p, RngStream(41, ("trial", 0, "c"))
+                                           .uniform(size)))
+    assert np.array_equal(got, want[0])
+
+
+def test_a_stream_sample_continues_its_sequence():
+    """A sample reads the stream's next draws, as uniform would."""
+    r, s = RngStream(8), RngStream(8)
+    r.uniform(3)
+    s.uniform(3)
+    assert np.array_equal(r.sample([0.5, 0.5], 20),
+                          sample_many([0.5, 0.5], s.uniform(20)))
+    assert r.sample([0.5, 0.5]) == sample_many([0.5, 0.5], s.uniform())
 
 
 def _searchsorted_draws(p, u):
