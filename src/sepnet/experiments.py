@@ -253,7 +253,10 @@ def _lemma1_draws(channel, N, R, trials, seed, n_times):
     ("trial", j, "w", k). Each chunk_ranges trial chunk is one batched
     synthesis code, a codebook per (trial, key); its streams equal the
     per-trial streams bit for bit."""
-    check_counts(trials=trials, n_times=n_times, N=N)
+    if n_times < 2:
+        raise ValueError("n_times must be >= 2, got %r: lemma 1 compares "
+                         "successive times" % (n_times,))
+    check_counts(trials=trials, N=N)
     p = ProbVector.uniform(channel.input_size)
     m = 2 ** synthesis_code_bits(p, channel, N, R)
     keys = range(n_times)
@@ -274,51 +277,46 @@ def _lemma1_draws(channel, N, R, trials, seed, n_times):
 
 
 def _lemma1_records(x0, y0, n_times, reuse):
-    """Per time t >= 1, the records (x_{t-1}, y_{t-1}, x_t, y_t) of
+    """Per time t >= 1, (trials, 4) records (x_{t-1}, y_{t-1}, x_t, y_t) of
     _lemma1_draws' output; under reuse every time reads y0's key-0 column."""
-    records = {}
-    for t in range(1, n_times):
-        prev, cur = (0, 0) if reuse else (t - 1, t)
-        records[t] = list(zip(x0.tolist(), y0[:, prev].tolist(), x0.tolist(),
-                              y0[:, cur].tolist()))
-    return records
+    return {t: np.stack([x0, y0[:, 0 if reuse else t - 1], x0,
+                         y0[:, 0 if reuse else t]], axis=1)
+            for t in range(1, n_times)}
 
 
 def lemma1_report(records, out_size):
     """Compare, per conditioning cell, the conditional law of y_t against
-    the law pooled from same-x_t samples outside the cell. A cell with
-    samples but fewer than LEMMA1_MIN_CELL of them, in the cell or outside
-    it, is not tested; it is listed in dropped with both counts."""
+    the law pooled from same-x_t samples outside the cell, for records (n,
+    4) or lists of 4-tuples per time. A cell with samples but fewer than
+    LEMMA1_MIN_CELL of them, in the cell or outside it, is not tested; it
+    is listed in dropped with both counts."""
     cells = {}
     dropped = {}
     z_all = []
     for t, recs in records.items():
-        arr = np.asarray(recs, dtype=np.int64)
-        for xp in np.unique(arr[:, 0]):
-            for yp in np.unique(arr[:, 1]):
-                for xc in np.unique(arr[:, 2]):
-                    in_cell = (arr[:, 0] == xp) & (arr[:, 1] == yp) & \
-                              (arr[:, 2] == xc)
-                    rest = (arr[:, 2] == xc) & ~in_cell
-                    n1, n2 = int(in_cell.sum()), int(rest.sum())
-                    key = (t, int(xp), int(yp), int(xc))
-                    if n1 < LEMMA1_MIN_CELL or n2 < LEMMA1_MIN_CELL:
-                        if n1:
-                            dropped[key] = {"samples": n1, "rest": n2}
-                        continue
-                    lhs = np.bincount(arr[in_cell, 3], minlength=out_size) / n1
-                    rhs = np.bincount(arr[rest, 3], minlength=out_size) / n2
-                    zs = []
-                    for y in range(out_size):
-                        pool = (lhs[y] * n1 + rhs[y] * n2) / (n1 + n2)
-                        var = pool * (1 - pool) * (1 / n1 + 1 / n2)
-                        z = 0.0 if var <= 0 else \
-                            (lhs[y] - rhs[y]) / np.sqrt(var)
-                        zs.append(float(z))
-                    cells[key] = {
-                        "lhs": lhs.tolist(), "rhs": rhs.tolist(),
-                        "samples": n1, "z": zs}
-                    z_all.extend(zs)
+        arr = np.asarray(recs, dtype=np.int64).reshape(-1, 4)
+        # one int per (x_prev, y_prev, x_t), ordered as the tuples are
+        dims = arr[:, :3].max(axis=0, initial=0) + 1
+        cells_at, cell = np.unique(np.ravel_multi_index(arr[:, :3].T, dims),
+                                   return_inverse=True)
+        for i, at in enumerate(cells_at):
+            xp, yp, xc = (int(v) for v in np.unravel_index(at, dims))
+            in_cell = cell == i
+            rest = (arr[:, 2] == xc) & ~in_cell
+            n1, n2 = int(in_cell.sum()), int(rest.sum())
+            key = (t, xp, yp, xc)
+            if n1 < LEMMA1_MIN_CELL or n2 < LEMMA1_MIN_CELL:
+                dropped[key] = {"samples": n1, "rest": n2}
+                continue
+            lhs = np.bincount(arr[in_cell, 3], minlength=out_size) / n1
+            rhs = np.bincount(arr[rest, 3], minlength=out_size) / n2
+            pool = (lhs * n1 + rhs * n2) / (n1 + n2)
+            var = pool * (1 - pool) * (1 / n1 + 1 / n2)
+            z = np.zeros(out_size)
+            z[var > 0] = (lhs - rhs)[var > 0] / np.sqrt(var[var > 0])
+            cells[key] = {"lhs": lhs.tolist(), "rhs": rhs.tolist(),
+                          "samples": n1, "z": z.tolist()}
+            z_all.extend(z.tolist())
     return Lemma1Report(cells, z_all, dropped)
 
 

@@ -14,8 +14,7 @@ word b with codebook b. This one code path serves the engine's synthesized
 links, the induction check, lemma 1 and soft covering.
 """
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -315,10 +314,6 @@ class SynthesisCode:
     target_input: ProbVector
     channel: Kernel
 
-    @property
-    def msg_bits(self):
-        return codebook_bits(self.N, self.rate, np.inf)
-
     def target_joint(self):
         return JointPmf.from_input_channel(self.target_input, self.channel)
 
@@ -435,52 +430,42 @@ class CodedLinkBehavior:
 
 
 class _SynthLinkHandler:
-    """A bit-pipe (N copies) emulating a DMC: the N layer inputs at each
-    stacked time are jointly encoded to an index, which selects the output
-    codeword. Codes for distinct stacked times must be independent."""
+    """A bit-pipe (N copies) emulating a DMC: the N layer inputs at stacked
+    time t are jointly encoded to an index of code_at(t), which selects the
+    output codeword."""
 
-    def __init__(self, e_idx, edge, N, code_for_time):
-        self.e = e_idx
-        self.N = N
-        self.pipe = edge.channel
-        self.code_for_time = code_for_time
+    def __init__(self, e_idx, N, code_at):
+        self.e, self.N, self.code_at = e_idx, N, code_at
 
     def transmit(self, rng, t, x_vec):
-        code = self.code_for_time(t)
-        if code.N != self.N:
-            raise ValueError("synthesis code blocklength mismatch")
-        if code.msg_bits > self.pipe.budget(self.N):
-            raise RateOutOfRange("pipe rate %g cannot carry %d bits per use"
-                                 % (self.pipe.rate, code.msg_bits))
         x = np.asarray(x_vec, dtype=np.int64)
         if x.shape != (len(rng), self.N):
             raise ArityMismatch("synthesized edge %d expects %d layer inputs "
                                 "per trial" % (self.e, self.N))
+        code = self.code_at(t)
         return x, code.synthesize(x, rng.child("synthenc", self.e, t))
 
 
 @dataclass
 class SynthLinkBehavior:
-    """code_for_time maps stacked time t to the SynthesisCode used at t;
-    audit maps id(code) to the first stacked time it served and a weak
-    reference to the code: a new code on a freed code's id is not a reuse."""
-    code_for_time: object
-    audit: dict = field(init=False, default_factory=dict)
+    """A pipe edge's N copies synthesizing channel from target_input by
+    rate-R codes: stacked time t draws its own from rng.child("code", t), so
+    codes at distinct times are independent by construction (Lemma 1)."""
+    target_input: ProbVector
+    channel: Kernel
+    R: float
+    rng: object
 
     def make_handler(self, e_idx, edge, N):
         if not isinstance(edge.channel, BitPipe):
             raise ValueError("synthesis applies to bit-pipe edges")
-        return _SynthLinkHandler(e_idx, edge, N, self._audited)
-
-    def _audited(self, t):
-        code = self.code_for_time(t)
-        entry = self.audit.get(id(code))
-        if entry is None or entry[1]() is not code:
-            self.audit[id(code)] = entry = (t, weakref.ref(code))
-        if entry[0] != t:
-            raise RuntimeError("synthesis code reused across stacked times "
-                               "%d and %d" % (entry[0], t))
-        return code
+        bits = synthesis_code_bits(self.target_input, self.channel, N, self.R)
+        if bits > edge.channel.budget(N):
+            raise RateOutOfRange("pipe rate %g cannot carry %d bits per use"
+                                 % (edge.channel.rate, bits))
+        return _SynthLinkHandler(e_idx, N, lambda t: build_synthesis_code(
+            self.target_input, self.channel, N, self.R,
+            self.rng.child("code", t)))
 
 
 @dataclass

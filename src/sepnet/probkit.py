@@ -28,7 +28,35 @@ def _as_prob_array(obj):
     return np.asarray(obj, dtype=float)
 
 
-class ProbVector:
+def _probabilities(values, ndim=1, per_row=False):
+    """values as a read-only, nonempty ndim-d float array of probabilities:
+    finite, none below -PROB_TOL and summing to 1 within PROB_TOL (each row,
+    per_row), then clipped at 0."""
+    p = np.array(values, dtype=float)
+    if p.ndim != ndim or p.size == 0:
+        raise InvalidDistribution("expected a nonempty %d-d array" % ndim)
+    if not np.all(np.isfinite(p)):
+        raise InvalidDistribution("non-finite probability entry")
+    if np.any(p < -PROB_TOL):
+        raise InvalidDistribution("negative probability entry")
+    sums = p.sum(axis=-1) if per_row else p.sum()
+    if np.any(np.abs(sums - 1.0) > PROB_TOL):
+        raise InvalidDistribution("entries sum to %s, not 1" % sums)
+    np.clip(p, 0.0, None, out=p)
+    p.setflags(write=False)
+    return p
+
+
+class _Frozen:
+    """Immutable once __init__ has set its slot with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class ProbVector(_Frozen):
     """A probability distribution over a finite alphabet.
 
     Entries must be finite, nonnegative and sum to 1 within PROB_TOL.
@@ -38,21 +66,7 @@ class ProbVector:
     __slots__ = ("probs",)
 
     def __init__(self, probs):
-        p = np.array(probs, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise InvalidDistribution("expected a nonempty 1-d weight vector")
-        if not np.all(np.isfinite(p)):
-            raise InvalidDistribution("non-finite probability entry")
-        if np.any(p < -PROB_TOL):
-            raise InvalidDistribution("negative probability entry")
-        if abs(p.sum() - 1.0) > PROB_TOL:
-            raise InvalidDistribution("entries sum to %r, not 1" % p.sum())
-        np.clip(p, 0.0, None, out=p)
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProbVector is immutable")
+        object.__setattr__(self, "probs", _probabilities(probs))
 
     def __len__(self):
         return self.probs.size
@@ -75,31 +89,18 @@ class ProbVector:
         return [float(v) for v in self.probs]
 
 
-class Kernel:
-    """A conditional law p(y|x): one ProbVector per input symbol."""
+class Kernel(_Frozen):
+    """A conditional law p(y|x): one probability row per input symbol."""
 
     __slots__ = ("matrix",)
 
     def __init__(self, rows):
-        if len(rows) == 0:
-            raise DimensionMismatch("kernel needs at least one row")
-        if isinstance(rows, np.ndarray) and rows.ndim == 2:
-            m = np.array(rows, dtype=float)
-            for r in m:
-                ProbVector(r)  # validate
-        else:
-            vecs = [r.probs if isinstance(r, ProbVector) else ProbVector(r).probs
-                    for r in rows]
-            sizes = {v.size for v in vecs}
-            if len(sizes) != 1:
-                raise DimensionMismatch("kernel rows have inconsistent widths")
-            m = np.stack(vecs)
-        np.clip(m, 0.0, None, out=m)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Kernel is immutable")
+        rows = [_as_prob_array(r) for r in rows]
+        if len({r.shape for r in rows}) != 1:
+            raise DimensionMismatch("kernel needs at least one row, all of "
+                                    "one width")
+        object.__setattr__(self, "matrix",
+                           _probabilities(rows, 2, per_row=True))
 
     @property
     def input_size(self):
@@ -130,27 +131,13 @@ class Kernel:
         return [[float(v) for v in row] for row in self.matrix]
 
 
-class JointPmf:
+class JointPmf(_Frozen):
     """A joint distribution over X x Y stored as a matrix."""
 
     __slots__ = ("table",)
 
     def __init__(self, table):
-        t = np.array(table, dtype=float)
-        if t.ndim != 2:
-            raise InvalidDistribution("joint table must be 2-d")
-        if not np.all(np.isfinite(t)):
-            raise InvalidDistribution("non-finite joint mass")
-        if np.any(t < -PROB_TOL):
-            raise InvalidDistribution("negative joint mass")
-        if abs(t.sum() - 1.0) > PROB_TOL:
-            raise InvalidDistribution("joint mass sums to %r" % t.sum())
-        np.clip(t, 0.0, None, out=t)
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JointPmf is immutable")
+        object.__setattr__(self, "table", _probabilities(table, 2))
 
     @classmethod
     def from_input_channel(cls, p_x, channel):

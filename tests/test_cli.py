@@ -404,7 +404,7 @@ def test_cli_unreadable_scenario_key_names_it(tmp_path, command, scenario,
     ("separation", "separation.json", "trials", "trials must be >= 1"),
     ("synth-sweep", "stack_check.json", "samples", "no values to average"),
     ("synth-sweep", "stack_check.json", "codebooks", "no values to average"),
-    ("lemma1", "lemma1.json", "n_times", "n_times must be >= 1"),
+    ("lemma1", "lemma1.json", "n_times", "n_times must be >= 2"),
     ("lemma1", "lemma1.json", "N", "N must be >= 1"),
     ("separation", "separation.json", "kappa",
      "kappa must be finite and positive"),
@@ -422,6 +422,20 @@ def test_cli_zero_count_fails_cleanly(tmp_path, command, scenario, key,
     assert res.returncode == 2
     assert res.stderr.startswith("sepnet: error:")
     assert message in res.stderr
+    assert res.stdout == ""
+
+
+def test_cli_lemma1_one_time_fails_cleanly(tmp_path):
+    """Lemma 1 compares successive times: one time used to draw every
+    codebook and exit 0 with two inconclusive reports."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "scenarios", "lemma1.json")) as fh:
+        obj = json.load(fh)
+    obj["n_times"] = 1
+    res = cli("lemma1", "--scenario", write_scenario(tmp_path, obj))
+    assert res.returncode == 2
+    assert res.stderr.startswith("sepnet: error: n_times must be >= 2")
+    assert "Traceback" not in res.stderr
     assert res.stdout == ""
 
 

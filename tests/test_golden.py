@@ -14,7 +14,7 @@ import pytest
 from sepnet.experiments import (link_replacement_experiment, simulate,
                                 stack_check, synth_sweep, two_step_induction,
                                 verify_lemma1)
-from sepnet.linkcodes import SynthLinkBehavior, build_synthesis_code
+from sepnet.linkcodes import SynthLinkBehavior
 from sepnet.netmodel import (BitPipe, DmcChannel, Edge, IidJoint, MarkovJoint,
                              NetworkSpec, run_block)
 from sepnet.probkit import Kernel, ProbVector, RngStream
@@ -70,12 +70,11 @@ def synth_link_run():
     """Six trials of the 8-layer lifted relay over a rate-1 pipe that
     synthesizes a BSC(0.11), with an independent code per stacked time."""
     policy = uncoded_relay(PIPE_NET, L=3)
-    codes = {t: build_synthesis_code(ProbVector([0.5, 0.5]), Kernel.bsc(0.11),
-                                     8, 0.8, RngStream(10).child("code", t))
-             for t in range(policy.params.n)}
     tr = run_stacked_block(PIPE_NET, lift_code(policy, 8),
                            RngStream(11).children("trial", range(6)),
-                           {0: SynthLinkBehavior(codes.get)})
+                           {0: SynthLinkBehavior(ProbVector([0.5, 0.5]),
+                                                 Kernel.bsc(0.11), 0.8,
+                                                 RngStream(10))})
     return {"x": [x.tolist() for x, _ in tr.edge_io[0]],
             "y": [y.tolist() for _, y in tr.edge_io[0]],
             "distortion": tr.distortion[0, 1].tolist()}

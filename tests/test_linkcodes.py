@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepnet import experiments, netmodel, probkit
+from sepnet import experiments, linkcodes, netmodel, probkit
 from sepnet.experiments import (_lemma1_draws, _lemma1_records, lemma1_report,
                                 link_replacement_experiment)
 from sepnet.linkcodes import (AggregatePipeBehavior, ChannelCode,
@@ -18,11 +18,9 @@ from sepnet.linkcodes import (AggregatePipeBehavior, ChannelCode,
                               index_to_bits, likelihood_weights,
                               synthesized_type_tv)
 from sepnet.netmodel import (ArityMismatch, BitPipe, BudgetOverflow,
-                             DmcChannel, Edge, IidJoint, NetworkSpec)
+                             DmcChannel, Edge)
 from sepnet.probkit import (JointPmf, Kernel, ProbVector, RngBatch, RngStream,
                             mean_stderr, sample_many)
-from sepnet.recipes import uncoded_relay
-from sepnet.stacking import lift_code, run_stacked_block
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +368,8 @@ def test_lemma1_samples_match_per_trial_codes(reuse, monkeypatch):
     expected = _lemma1_records_one_trial_at_a_time(*args, reuse=reuse)
 
     def records():
-        return _lemma1_records(*_lemma1_draws(*args), 3, reuse)
+        recs = _lemma1_records(*_lemma1_draws(*args), 3, reuse)
+        return {t: list(map(tuple, a.tolist())) for t, a in recs.items()}
 
     assert records() == expected
     # 7-trial chunks: 50 trials span a ragged final chunk
@@ -383,8 +382,8 @@ def test_negative_control_reuses_the_positive_draw(monkeypatch):
     output at every time, and verify_lemma1 draws once for both."""
     x0, y0 = _lemma1_draws(Kernel.bsc(0.2), 8, 0.8, 60, 7, 3)
     for recs in _lemma1_records(x0, y0, 3, reuse=True).values():
-        assert recs == [(x, y, x, y) for x, y in zip(x0.tolist(),
-                                                     y0[:, 0].tolist())]
+        assert recs.tolist() == [[x, y, x, y] for x, y in zip(
+            x0.tolist(), y0[:, 0].tolist())]
     calls = []
     draws = experiments._lemma1_draws
 
@@ -400,6 +399,17 @@ def test_negative_control_reuses_the_positive_draw(monkeypatch):
 def test_lemma1_samples_rejects_zero_trials():
     with pytest.raises(ValueError, match="trials must be >= 1"):
         _lemma1_draws(Kernel.bsc(0.2), 8, 0.8, 0, 0, 3)
+
+
+@pytest.mark.parametrize("n_times", [1, 0, -1])
+def test_lemma1_needs_two_times(n_times, monkeypatch):
+    """Lemma 1 compares successive times: one time gave two inconclusive
+    reports and a negative_failed verdict from no test at all."""
+    monkeypatch.setattr(experiments, "build_synthesis_code", None)
+    monkeypatch.setattr(experiments, "sample_many", None)
+    with pytest.raises(ValueError, match="n_times must be >= 2"):
+        experiments.verify_lemma1(Kernel.bsc(0.2), trials=10,
+                                  n_times=n_times)
 
 
 @pytest.mark.parametrize("N", [0, -1])
@@ -497,6 +507,29 @@ def test_lemma1_report_lists_the_cells_it_drops():
     assert out["num_z"] == 4 and not out["inconclusive"]
 
 
+def test_lemma1_report_reads_arrays_and_tuple_lists_alike():
+    """One report, byte for byte, from (n, 4) arrays and from the same
+    records as lists of tuples; a time with no records adds nothing. Time
+    3, a slice of time 1, holds cells too small to test."""
+    x0, y0 = _lemma1_draws(Kernel.bsc(0.2), 8, 0.8, 1500, 3, 3)
+    arrays = _lemma1_records(x0, y0, 3, reuse=False)
+    arrays[3] = arrays[1][:150]
+    tuples = {t: list(map(tuple, a.tolist())) for t, a in arrays.items()}
+    want = json.dumps(lemma1_report(arrays, 2).to_json(), sort_keys=True)
+    assert json.dumps(lemma1_report(tuples, 2).to_json(),
+                      sort_keys=True) == want
+    assert json.loads(want)["num_z"] > 0 and json.loads(want)["dropped"]
+    # cells in lexicographic order, as nested loops over the symbols visit
+    rep = lemma1_report(arrays, 2)
+    assert list(rep.cells) == sorted(rep.cells)
+    assert rep.z_scores == [z for c in rep.cells.values() for z in c["z"]]
+    for empty in ([], np.zeros((0, 4), np.int64)):
+        assert json.dumps(lemma1_report({**arrays, 4: empty}, 2).to_json(),
+                          sort_keys=True) == want
+        rep = lemma1_report({1: empty}, 2)
+        assert rep.cells == {} and rep.dropped == {} and rep.inconclusive
+
+
 def _type_tv_one_sample_at_a_time(code, rng, samples):
     target = JointPmf.from_input_channel(code.target_input,
                                          code.channel).table
@@ -564,45 +597,50 @@ def test_coded_link_noiseless_is_transparent():
         assert np.array_equal(out, payload)
 
 
-def test_synth_link_audit_catches_code_reuse():
-    code = build_synthesis_code(ProbVector([0.5, 0.5]), Kernel.bsc(0.2),
-                                8, 0.8, RngStream(15))
-    beh = SynthLinkBehavior(code_for_time=lambda t: code)
-    h = beh.make_handler(0, Edge(0, 1, BitPipe(1.0)), 8)
-    h.transmit(RngStream(16).batch(), 0, np.zeros((1, 8), dtype=np.int64))
-    with pytest.raises(RuntimeError):
-        h.transmit(RngStream(16).batch(), 1,
-                   np.zeros((1, 8), dtype=np.int64))
+def test_synth_link_draws_its_own_code_per_time():
+    """Time t synthesizes with the code build_synthesis_code draws from
+    rng.child("code", t), its encoder reading ("synthenc", e, t); times 0
+    and 1 use different codebooks."""
+    law, bsc = ProbVector([0.5, 0.5]), Kernel.bsc(0.2)
+    h = SynthLinkBehavior(law, bsc, 0.8, RngStream(15)).make_handler(
+        3, Edge(0, 1, BitPipe(1.0)), 8)
+    batch = RngStream(16).children("trial", range(5))
+    x = sample_many(law.probs, RngStream(17).uniform((5, 8)))
+    codes = [build_synthesis_code(law, bsc, 8, 0.8,
+                                  RngStream(15).child("code", t))
+             for t in range(2)]
+    assert not np.array_equal(codes[0].codebook, codes[1].codebook)
+    for t, code in enumerate(codes):
+        x_in, y = h.transmit(batch, t, x)
+        assert np.array_equal(x_in, x)
+        assert np.array_equal(y, code.synthesize(
+            x, batch.child("synthenc", 3, t)))
 
 
-def test_synth_link_audit_takes_fresh_codes_on_a_freed_id():
-    """A code built afresh at every stacked time and freed after its use
-    can land on the id of the previous one; it is a new code, not a
-    reuse."""
-    net = NetworkSpec((0, 1), (Edge(0, 1, BitPipe(1.0)),),
-                      {(0, 1): np.array([[0.0, 1.0], [1.0, 0.0]])},
-                      IidJoint((2, 1), [0.5, 0.5]))
+def test_synth_link_pipe_rate_guard(monkeypatch):
+    """make_handler refuses a rate before any codebook is drawn; a handler
+    it makes draws one code per transmit, from that time's stream."""
+    built = []
+    build = linkcodes.build_synthesis_code
 
-    def code_for_time(t):
-        return build_synthesis_code(ProbVector([0.5, 0.5]), Kernel.bsc(0.2),
-                                    4, 0.5, RngStream(10).child("code", t))
+    def counting(*args):
+        built.append(args[-1].stream_id)
+        return build(*args)
 
-    tr = run_stacked_block(net, lift_code(uncoded_relay(net, L=60), 4),
-                           RngStream(11).children("trial", range(2)),
-                           {0: SynthLinkBehavior(code_for_time)})
-    assert tr.recon[0, 1].shape == (2, 240)
-
-
-def test_synth_link_pipe_rate_guard():
-    codes = {t: build_synthesis_code(ProbVector([0.5, 0.5]), Kernel.bsc(0.2),
-                                     8, 0.8, RngStream(17).child(t))
-             for t in range(2)}
-    beh = SynthLinkBehavior(code_for_time=codes.get)
-    h = beh.make_handler(0, Edge(0, 1, BitPipe(0.5)), 8)
-    with pytest.raises(RateOutOfRange):
-        # ceil(8*0.8)=7 message bits do not fit floor(8*0.5)=4 pipe bits
-        h.transmit(RngStream(18).batch(), 0,
-                   np.zeros((1, 8), dtype=np.int64))
+    monkeypatch.setattr(linkcodes, "build_synthesis_code", counting)
+    law, bsc = ProbVector([0.5, 0.5]), Kernel.bsc(0.2)
+    # ceil(8 * 0.8) = 7 code bits do not fit floor(8 * 0.5) = 4 pipe bits;
+    # R = 0.3 is below I(X;Y) = 0.278 plus the 0.05 margin
+    for pipe_rate, R in ((0.5, 0.8), (1.0, 0.3)):
+        with pytest.raises(RateOutOfRange):
+            SynthLinkBehavior(law, bsc, R, RngStream(17)).make_handler(
+                0, Edge(0, 1, BitPipe(pipe_rate)), 8)
+    assert built == []
+    h = SynthLinkBehavior(law, bsc, 0.8, RngStream(17)).make_handler(
+        0, Edge(0, 1, BitPipe(1.0)), 8)
+    assert built == []
+    h.transmit(RngStream(18).batch(), 2, np.zeros((1, 8), dtype=np.int64))
+    assert built == [("code", 2)]
 
 
 def test_aggregate_pipe_overflow_is_a_budget_overflow():

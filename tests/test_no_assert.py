@@ -7,6 +7,7 @@ import pathlib
 import sepnet
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "sepnet"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def test_library_has_no_assert_statements():
@@ -26,11 +27,11 @@ def test_every_exported_name_resolves():
 
 
 def test_every_imported_name_is_used():
-    """No linter runs on the package, so an import a deletion leaves behind
-    is caught here: every name a module imports must be read in it, or be
-    listed in its __all__."""
+    """No linter runs on the package or its tests, so an import a deletion
+    leaves behind is caught here: every name a module or test file imports
+    must be read in it, or be listed in its __all__."""
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported, used = {}, set()
         for node in ast.walk(tree):
