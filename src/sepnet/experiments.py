@@ -344,7 +344,7 @@ def two_step_induction(channel=Kernel.bsc(0.2), N=24, R=0.6, trials=256,
     code, x2 = x1 xor y1, y2 from an independent second synthesis code.
     Compares the pooled empirical law of (x1, y1, x2, y2) against the true
     network's Monte Carlo law at the same sample budget."""
-    check_counts(replicates=replicates)
+    check_counts(replicates=replicates, trials=trials)
     p = ProbVector.uniform(channel.input_size)
     rng = RngStream(seed)
     k = channel.input_size
@@ -362,21 +362,18 @@ def two_step_induction(channel=Kernel.bsc(0.2), N=24, R=0.6, trials=256,
         r = rng.child("rep", rep)
         code1 = build_synthesis_code(p, channel, N, R, r.child("code", 0))
         code2 = build_synthesis_code(p, channel, N, R, r.child("code", 1))
-        # trial j reads streams r.child("trial", j, ...); a batch of trials
-        # is (T, N) words, scored by one likelihood_weights call per code,
-        # which holds about 4 float64 arrays of M codewords per trial
-        for rj in trial_batches(r, trials, 4 * len(code1.codebook)):
-            x1 = sample_many(p.probs, rj.child("x").uniform(N))
-            y1 = code1.synthesize(x1, rj.child("w", 0))
-            x2 = (x1 + y1) % k
-            y2 = code2.synthesize(x2, rj.child("w", 1))
-            tally(synth_counts, x1, y1, x2, y2)
-            # true network at matched sample count
-            u = rj.child("true").uniform((2, N))
-            ty1 = sample_rows(cums[x1], u[:, 0])
-            tx2 = (x1 + ty1) % k
-            ty2 = sample_rows(cums[tx2], u[:, 1])
-            tally(true_counts, x1, ty1, tx2, ty2)
+        rj = r.children("trial", range(trials))
+        x1 = sample_many(p.probs, rj.child("x").uniform(N))
+        y1 = code1.synthesize(x1, rj.child("w", 0))
+        x2 = (x1 + y1) % k
+        y2 = code2.synthesize(x2, rj.child("w", 1))
+        tally(synth_counts, x1, y1, x2, y2)
+        # true network at matched sample count
+        u = rj.child("true").uniform((2, N))
+        ty1 = sample_rows(cums[x1], u[:, 0])
+        tx2 = (x1 + ty1) % k
+        ty2 = sample_rows(cums[tx2], u[:, 1])
+        tally(true_counts, x1, ty1, tx2, ty2)
 
     synth_law = synth_counts / synth_counts.sum()
     true_law = true_counts / true_counts.sum()

@@ -11,7 +11,9 @@ a coded link and an aggregate pipe alike, and synthesized inputs (T, N)
 symbol arrays. A synthesis code drawn from an RngBatch of B streams is B
 codebooks, one per stream, held as one (B, M, N) array; its encoder pairs
 word b with codebook b. This one code path serves the engine's synthesized
-links, the induction check, lemma 1 and soft covering.
+links, the induction check, lemma 1 and soft covering. ML decoding,
+quantizing and likelihood encoding score words a TypeScorer.chunks chunk at
+a time, the one rule that bounds their memory whatever the word count.
 """
 
 from dataclasses import dataclass
@@ -162,13 +164,22 @@ class TypeScorer:
         for c, v in zip(counts[1:], self.values[1:]):
             out += c * v
 
+    def chunks(self, ys):
+        """Index i of each chunk ys[i] of words scored at once: words (T, N)
+        against one codebook in chunk_ranges of 32 M elements per word, so a
+        chunk's scores fill one block_elements() block; one word, or a
+        batched code's words (its caller bounds its codebooks), go whole."""
+        if np.ndim(ys) != 2 or len(self.shape) != 2:
+            yield ...
+            return
+        for js in chunk_ranges(len(ys), 32 * self.shape[0]):
+            yield slice(js.start, js.stop)
+
     def argmax(self, ys):
-        """Best codeword index per word of ys (B, N), in chunk_ranges of
-        words each scored against all M codewords."""
+        """Best codeword index per word of ys (B, N), a chunk at a time."""
         ys = np.asarray(ys)
-        out = np.empty(len(ys), dtype=np.int64)
-        for js in chunk_ranges(len(ys), self.shape[-2] * ys.shape[-1]):
-            i = slice(js.start, js.stop)
+        out = np.empty(ys.shape[:-1], dtype=np.int64)
+        for i in self.chunks(ys):
             out[i] = self.scores(ys[i]).argmax(axis=-1)
         return out
 
@@ -192,10 +203,6 @@ class ChannelCode:
     codebook: np.ndarray          # 2^ceil(N*rate) x N input symbols
     channel: Kernel
     input_law: ProbVector
-
-    @property
-    def msg_bits(self):
-        return codebook_bits(self.N, self.rate, np.inf)
 
     @property
     def payload_bits(self):
@@ -272,11 +279,6 @@ def synthesis_code_bits(target_input, channel, N, R, enforce_margin=True):
     return codebook_bits(N, R)
 
 
-def output_marginal(target_input, channel):
-    """q(y) of the target joint p(x) p(y|x): the codeword symbol law."""
-    return JointPmf.from_input_channel(target_input, channel).marginal_y().probs
-
-
 def log_posterior(target_input, channel):
     """log P(x | y) of the target joint, indexed [y, x]."""
     joint = JointPmf.from_input_channel(target_input, channel).table
@@ -326,9 +328,15 @@ class SynthesisCode:
         """Stochastic index selection, one uniform draw per stream: an index
         for a word x (N,) and a stream, or (T,) indices for words (T, N)
         and an RngBatch of T streams. A batched code of B codebooks takes
-        words (B, N), word b scored against codebook b."""
-        w = likelihood_weights(self.scorer, x)
-        return sample_rows(np.cumsum(w, axis=-1, out=w), rng.uniform())
+        words (B, N), word b scored against codebook b. Each chunk of
+        TypeScorer.chunks draws with its slice of the one uniform draw."""
+        x, u = np.asarray(x), np.asarray(rng.uniform())
+        out = np.empty(u.shape, dtype=np.int64)
+        for i in self.scorer.chunks(x):
+            w = likelihood_weights(self.scorer, x[i])
+            out[i] = sample_rows(np.cumsum(w, axis=-1, out=w), u[i])
+            del w   # freed before the next chunk is scored
+        return out[()]
 
     def synthesize(self, x, rng):
         """Map input words to the selected codewords' output words: (N,) or
@@ -350,8 +358,8 @@ def build_synthesis_code(target_input, channel, N, R, rng,
     (below-mutual-information) experiments.
     """
     bits = synthesis_code_bits(target_input, channel, N, R, enforce_margin)
-    codebook = rng.child("codebook").sample(
-        output_marginal(target_input, channel), (2 ** bits, N))
+    q_y = JointPmf.from_input_channel(target_input, channel).marginal_y()
+    codebook = rng.child("codebook").sample(q_y.probs, (2 ** bits, N))
     return SynthesisCode(N, R, codebook, target_input, channel)
 
 
@@ -359,22 +367,17 @@ def synthesized_type_tv(code, rng, samples=64):
     """Mean TV between the synthesized empirical type and the target joint
     over fresh i.i.d. input sequences: sample j reads its input from stream
     rng.child("sample", j, "x") and its encoder draw from ("sample", j, "w").
-    Samples are synthesized in one call and typed in one bincount per
-    chunk_ranges chunk; a sample holds about 4 float64 arrays of M codewords
-    while it is scored."""
+    All samples are synthesized in one call, which scores them
+    TypeScorer.chunks at a time, and typed in one bincount."""
     target = code.target_joint().table
-    tvs = np.empty(max(samples, 0))
-    for js in chunk_ranges(samples, 4 * len(code.codebook)):
-        r = rng.children("sample", js)
-        x = sample_many(code.target_input.probs, r.child("x").uniform(code.N))
-        y = code.synthesize(x, r.child("w"))
-        n = len(r)
-        cell = np.arange(n)[:, None] * target.size + x * target.shape[1] + y
-        counts = np.bincount(cell.reshape(-1), minlength=n * target.size)
-        tvs[js.start:js.stop] = 0.5 * np.abs(
-            counts.reshape(n, target.size) / code.N
-            - target.reshape(-1)).sum(axis=1)
-    return mean_stderr(tvs)
+    r = rng.children("sample", range(samples))
+    x = sample_many(code.target_input.probs, r.child("x").uniform(code.N))
+    y = code.synthesize(x, r.child("w"))
+    cell = (np.arange(len(r))[:, None] * target.size + x * target.shape[1]
+            + y)
+    counts = np.bincount(cell.reshape(-1), minlength=len(r) * target.size)
+    return mean_stderr(0.5 * np.abs(counts.reshape(len(r), target.size)
+                                    / code.N - target.reshape(-1)).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -386,8 +386,8 @@ def run_steps(net, code, links, n, length, rng):
     Single-layer, stacked and de-stacked blocks all run here; they differ
     only in the link objects and the block length.
     """
-    raw = net.sources.draw_block(length, rng.child("src"))
-    u_block = {a: raw[..., i].copy() for i, a in enumerate(net.nodes)}
+    u_block = dict(zip(net.nodes, np.moveaxis(
+        net.sources.draw_block(length, rng.child("src")), -1, 0).copy()))
     in_edges = {a: net.in_edges(a) for a in net.nodes}
     rx = {i: [] for i in range(len(net.edges))}   # receiver-visible outputs
     edge_io = {i: [] for i in range(len(net.edges))}

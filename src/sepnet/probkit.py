@@ -7,10 +7,10 @@ import hashlib
 import numpy as np
 
 PROB_TOL = 1e-9
-# elements per array in the batched kernels, cut by chunk_ranges: codeword
-# symbols per TypeScorer.argmax chunk, codebook symbols per lemma-1 trial
-# chunk, and the engine's trial chunks (16 MiB of float64); block_elements
-# cuts a thirty-second of it
+# elements per array in the batched kernels, cut by chunk_ranges: the 32 M
+# per word of TypeScorer.chunks (the one word-chunk rule of all scoring),
+# codebook symbols per lemma-1 trial chunk, and the engine's trial chunks
+# (16 MiB of float64); block_elements cuts a thirty-second of it
 CHUNK_ELEMENTS = 2 ** 21
 
 

@@ -14,13 +14,16 @@ from sepnet.linkcodes import (AggregatePipeBehavior, ChannelCode,
                               LinkCodeReport,
                               RateOutOfRange, SynthLinkBehavior, TypeScorer,
                               bits_to_index, build_channel_code,
-                              build_synthesis_code, estimate_error_prob,
+                              build_synthesis_code, codebook_bits,
+                              estimate_error_prob,
                               index_to_bits, likelihood_weights,
                               synthesized_type_tv)
 from sepnet.netmodel import (ArityMismatch, BitPipe, BudgetOverflow,
-                             DmcChannel, Edge)
+                             DmcChannel, Edge, IidJoint, NetworkSpec)
 from sepnet.probkit import (JointPmf, Kernel, ProbVector, RngBatch, RngStream,
                             mean_stderr, sample_many)
+from sepnet.recipes import uncoded_relay
+from sepnet.stacking import estimate_stacked_distortion, lift_code
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +42,7 @@ def test_bit_packing_round_trip():
 def test_channel_code_shape_and_bits():
     code = build_channel_code(Kernel.bsc(0.11), 24, 0.4, RngStream(1))
     assert code.codebook.shape == (2 ** 10, 24)   # ceil(24*0.4) = 10
-    assert code.msg_bits == 10
+    assert codebook_bits(code.N, code.rate) == 10
     assert code.payload_bits == 9                 # floor(24*0.4)
     assert np.array_equal(code.encode(3), code.codebook[3])
 
@@ -314,6 +317,42 @@ def test_batched_synthesis_code_is_its_streams():
             ys[b], one.synthesize(xs[b], RngStream(23).child("w", b)))
 
 
+@pytest.mark.parametrize("words", [1, 12])
+def test_scoring_chunks_are_bit_identical(words, monkeypatch):
+    """Likelihood encoding and ML decoding of a batch of words give the
+    same indices and output words, bit for bit, in one chunk as in
+    TypeScorer.chunks of 5 words with a ragged final chunk; a word alone
+    gives its row of the batch. A batched code is scored whole."""
+    law, bsc = ProbVector([0.4, 0.6]), Kernel.bsc(0.2)
+    # both codes hold 2^8 codewords of 9 symbols
+    synth = build_synthesis_code(law, bsc, 9, 0.85, RngStream(30))
+    chan = build_channel_code(Kernel.bsc(0.02), 9, 0.8, RngStream(31))
+    xs = sample_many(law.probs, RngStream(32).uniform((words, 9)))
+    streams = RngStream(33).children("w", range(words))
+
+    def run():
+        return (synth.encode(xs, streams), synth.synthesize(xs, streams),
+                chan.decode_batch(xs))
+
+    whole = run()
+    for chunk in (1, 5):
+        monkeypatch.setattr(probkit, "CHUNK_ELEMENTS",
+                            chunk * 32 * len(synth.codebook))
+        assert len(list(synth.scorer.chunks(xs))) == -(-words // chunk)
+        for got, want in zip(run(), whole):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+    for j in range(words):
+        w = RngStream(33).child("w", j)
+        assert synth.encode(xs[j], w) == whole[0][j]
+        w = RngStream(33).child("w", j)
+        assert np.array_equal(synth.synthesize(xs[j], w), whole[1][j])
+        assert chan.decode(xs[j]) == whole[2][j]
+    batched = build_synthesis_code(law, bsc, 9, 0.85,
+                                   RngStream(30).children("c", range(words)))
+    assert list(batched.scorer.chunks(xs)) == [...]
+
+
 def test_synthesis_rate_guards():
     with pytest.raises(RateOutOfRange):
         build_synthesis_code(ProbVector([0.5, 0.5]), Kernel.bsc(0.2),
@@ -420,13 +459,16 @@ def test_lemma1_rejects_empty_blocks(N):
         experiments.verify_lemma1(Kernel.bsc(0.2), N=N, trials=10)
 
 
-@pytest.mark.parametrize("replicates", [0, -1])
-def test_two_step_induction_rejects_no_replicates(replicates, monkeypatch):
-    """No replicates used to give a NaN TV from 0 samples; it is a
-    ValueError before any code is drawn."""
+@pytest.mark.parametrize("counts", [
+    {"replicates": 0}, {"replicates": -1}, {"trials": 0}, {"trials": -1}],
+    ids=["0", "-1", "trials=0", "trials=-1"])
+def test_two_step_induction_rejects_no_replicates(counts, monkeypatch):
+    """No replicates or no trials would give a NaN TV from 0 samples; it is
+    a ValueError naming the count before any code is drawn."""
     monkeypatch.setattr(experiments, "build_synthesis_code", None)
-    with pytest.raises(ValueError, match="replicates must be >= 1"):
-        experiments.two_step_induction(replicates=replicates)
+    (name, value), = counts.items()
+    with pytest.raises(ValueError, match="%s must be >= 1" % name):
+        experiments.two_step_induction(**counts)
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan"), float("inf")])
@@ -553,8 +595,10 @@ def test_synthesized_type_tv_is_the_per_sample_loop(p, channel, N, R,
     code = build_synthesis_code(ProbVector(p), channel, N, R, RngStream(16))
     want = _type_tv_one_sample_at_a_time(code, RngStream(17), 12)
     assert synthesized_type_tv(code, RngStream(17), samples=12) == want
-    # 5-sample chunks: 12 samples span a ragged final chunk
-    monkeypatch.setattr(probkit, "CHUNK_ELEMENTS", 5 * 4 * len(code.codebook))
+    # 5-word scoring chunks: 12 samples span a ragged final chunk
+    monkeypatch.setattr(probkit, "CHUNK_ELEMENTS",
+                        5 * 32 * len(code.codebook))
+    assert len(list(code.scorer.chunks(np.zeros((12, N), np.uint8)))) == 3
     assert synthesized_type_tv(code, RngStream(17), samples=12) == want
 
 
@@ -685,3 +729,34 @@ def test_link_replacement_flushes_at_low_rate():
     assert r["distortion_pipe"] == 0.0
     pe = r["link_report"]["p_e"]["0"]
     assert 0.0 <= pe <= 1.0
+
+
+def test_synth_link_scoring_memory_does_not_grow_with_trials(monkeypatch):
+    """A synthesized link on the engine scores its trials' words
+    TypeScorer.chunks at a time: the traced peak of a run stays within the
+    codebook and a few CHUNK_ELEMENTS-sized float64 arrays at 300 and at
+    1200 trials. Weighing a whole engine chunk of 113 trials at once, about
+    7 such arrays, would not."""
+    monkeypatch.setattr(probkit, "CHUNK_ELEMENTS", 2 ** 14)
+    net = NetworkSpec((0, 1), (Edge(0, 1, BitPipe(10 / 16)),),
+                      {(0, 1): np.array([[0.0, 1.0], [1.0, 0.0]])},
+                      IidJoint((2, 1), [0.5, 0.5]))
+    code = lift_code(uncoded_relay(net, L=3), 16)
+    law, bsc = ProbVector([0.5, 0.5]), Kernel.bsc(0.11)
+    codebook = build_synthesis_code(law, bsc, 16, 10 / 16, RngStream(0))
+    assert codebook.codebook.shape == (2 ** 10, 16)
+
+    def peak(trials):
+        behaviors = {0: SynthLinkBehavior(law, bsc, 10 / 16, RngStream(1))}
+        tracemalloc.start()
+        try:
+            estimate_stacked_distortion(net, code, trials, RngStream(2),
+                                        behaviors)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)   # a first call makes one-off allocations (imports, caches)
+    for trials in (300, 1200):
+        assert peak(trials) <= codebook.codebook.nbytes \
+            + 4 * 8 * probkit.CHUNK_ELEMENTS
