@@ -21,7 +21,7 @@ from .netmodel import (BitPipe, CodeParameters, DmcChannel, Edge, IidJoint,
                        MarkovJoint, NetworkSpec, estimate_distortion,
                        estimate_trials, run_block, trial_batches,
                        trial_elements)
-from .probkit import (Kernel, ProbVector, RngBatch, RngStream, check_counts,
+from .probkit import (Kernel, ProbVector, RngStream, check_counts,
                       chunk_ranges, mean_stderr, sample_many, sample_rows)
 from .recipes import (CodewordDecoder, QuantizeIndex, SendBits, XorDecoder,
                       XorRelay, build_recipe)
@@ -251,8 +251,9 @@ def _lemma1_draws(channel, N, R, trials, seed, n_times):
     synthesis code of key k that build_synthesis_code draws from ("trial",
     j, "code", k), whose synthesize call reads its encoder uniform from
     ("trial", j, "w", k). Each chunk_ranges trial chunk is one batched
-    synthesis code, a codebook per (trial, key); its streams equal the
-    per-trial streams bit for bit."""
+    synthesis code, a codebook per (trial, key) drawn from the chunk's
+    children("code", keys), trial-major; its streams equal the per-trial
+    streams bit for bit."""
     if n_times < 2:
         raise ValueError("n_times must be >= 2, got %r: lemma 1 compares "
                          "successive times" % (n_times,))
@@ -264,12 +265,12 @@ def _lemma1_draws(channel, N, R, trials, seed, n_times):
     y0 = np.empty((trials, n_times), dtype=np.int64)
     rng = RngStream(seed)
     for js in chunk_ranges(trials, n_times * m * N):
-        x = sample_many(p.probs, rng.children("trial", js).child("x")
-                        .uniform(N))
-        code = build_synthesis_code(p, channel, N, R, RngBatch(
-            seed, [("trial", j, "code", key) for j in js for key in keys]))
-        y = code.synthesize(np.repeat(x, n_times, axis=0), RngBatch(
-            seed, [("trial", j, "w", key) for j in js for key in keys]))
+        trial = rng.children("trial", js)
+        x = sample_many(p.probs, trial.child("x").uniform(N))
+        code = build_synthesis_code(p, channel, N, R,
+                                    trial.children("code", keys))
+        y = code.synthesize(np.repeat(x, n_times, axis=0),
+                            trial.children("w", keys))
         x0[js.start:js.stop] = x[:, 0]
         y0[js.start:js.stop] = y[:, 0].reshape(len(js), n_times)
         del code   # freed before the next chunk draws its own

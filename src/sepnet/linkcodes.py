@@ -94,12 +94,18 @@ class TypeScorer:
     distinct values v_j, summed left to right in float64. Codewords of
     equal type, or on a BSC of equal Hamming distance, score bitwise equal,
     so argmax takes the lowest index on a tie.
+
+    A binary table of two values, one on equal and one on unequal
+    positions (a BSC's log kernel or log posterior, the Hamming table -d),
+    scores a pair at Hamming distance d, the popcount of the XOR of the
+    packed pair, as per_d[d]: the same sum c_0 v_0 + c_1 v_1, made once
+    per d, so the scores are bitwise those of the counts.
     """
 
     def __init__(self, table, codebook):
         self.values, group = np.unique(table, return_inverse=True)
-        cells = np.equal.outer(group.reshape(np.shape(table)),
-                               np.arange(len(self.values))).astype(int)
+        group = group.reshape(np.shape(table))
+        cells = np.equal.outer(group, np.arange(len(self.values))).astype(int)
         # c_j = N cells[0, 0, j] + sum_a |P_a| da[a][j] + sum_b |Q_b| db[b][j]
         #       + sum_ab n(a, b) dab[a][b][j], for P_a and Q_b the positions
         # of symbol a in a codeword and b in a word
@@ -110,6 +116,12 @@ class TypeScorer:
                      + cells[0, 0]).tolist()
         codebook = np.asarray(codebook)
         self.shape = codebook.shape
+        # binary: c_j = (N - d) cells[0, 0, j] + d cells[0, 1, j]
+        self._per_d = None
+        if cells.shape == (2, 2, 2) and (group == group[::-1, ::-1]).all():
+            d = np.arange(self.shape[-1] + 1)[:, None]
+            c = (self.shape[-1] - d) * cells[0, 0] + d * cells[0, 1]
+            self._per_d = c[:, 0] * self.values[0] + c[:, 1] * self.values[1]
         # the smallest unsigned dtype of N bits; uint64 words beyond 64
         self._word = np.min_scalar_type((1 << min(self.shape[-1], 64)) - 1)
         self._packed = [_pack(codebook == a, self._word)
@@ -138,6 +150,13 @@ class TypeScorer:
     def _score_block(self, out, m, words, word_sizes):
         """Scores of codewords m against the packed words into out."""
         n = self.shape[-1]
+        if self._per_d is not None:
+            dist = np.zeros(out.shape, np.min_scalar_type(n))
+            for w in range(words[0].shape[-1]):
+                dist += np.bitwise_count(self._packed[0][..., m, w]
+                                         ^ words[0][..., w])
+            np.take(self._per_d, dist, out=out, mode="clip")
+            return
         # c_j for every group but the last, in place; the last holds the rest
         counts = [np.full(out.shape, n * c, np.int32) for c in self._c00[:-1]]
 

@@ -3,6 +3,8 @@ measures in bits, and hierarchically keyed RNG streams, one at a time or a
 batch of trials at once."""
 
 import hashlib
+from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -173,11 +175,19 @@ def mutual_information(input_law, channel):
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def _stream_key(seed, stream_id):
-    """The 32-byte key a stream is seeded from: blake2b of the repr of its
-    (masked seed, stream id tuple)."""
-    return hashlib.blake2b(repr((seed, stream_id)).encode(),
-                           digest_size=32).digest()
+def _stream_keys(seed, stream_ids):
+    """The 32-byte keys streams are seeded from, joined: blake2b of the repr
+    of each (masked seed, stream id tuple). A batch with a key template
+    fills it with each stream's indices instead (bytes % (j, k, ...)), which
+    makes the same text, so no id tuple is made or repr'd."""
+    text = stream_ids._template() if isinstance(stream_ids, RngBatch) else None
+    if text is None:
+        texts = (repr((seed, tuple(i))).encode() for i in stream_ids)
+    else:
+        text = b"(%d, (" % seed + text + b"))"
+        texts = (text % row for row in product(*stream_ids._levels))
+    return b"".join(hashlib.blake2b(t, digest_size=32).digest()
+                    for t in texts)
 
 
 def _entropy(key):
@@ -209,8 +219,7 @@ class RngStream:
 
     def children(self, label, indices):
         """The batch of child(label, j) for j in indices."""
-        return RngBatch(self.seed, tuple(self.stream_id + (label, j)
-                                         for j in indices))
+        return self.batch().children(label, indices)
 
     def batch(self):
         """This stream as a batch of one."""
@@ -219,7 +228,7 @@ class RngStream:
     def generator(self):
         if self._gen is None:
             ss = np.random.SeedSequence(
-                _entropy(_stream_key(self.seed, self.stream_id)))
+                _entropy(_stream_keys(self.seed, [self.stream_id])))
             self._gen = np.random.Generator(np.random.PCG64(ss))
         return self._gen
 
@@ -230,13 +239,13 @@ class RngStream:
         """sample_many(p, self.uniform(size)), bit for bit, in the smallest
         unsigned dtype that holds len(p) - 1. The uniforms are drawn
         block_elements() at a time by successive random() calls, which
-        continue one sequence."""
+        continue one sequence, and sampled straight into the result."""
         out = np.empty(() if size is None else tuple(np.atleast_1d(size)),
                        _symbol_dtype(len(p)))
-        flat, step = out.reshape(-1), block_elements()
+        flat, step, sample = out.reshape(-1), block_elements(), _sampler(p)
         for lo in range(0, flat.size, step):
-            flat[lo:lo + step] = sample_many(
-                p, self.generator().random(min(step, flat.size - lo)))
+            sample(flat[lo:lo + step],
+                   self.generator().random(min(step, flat.size - lo)))
         return out[()]
 
     def __repr__(self):
@@ -263,32 +272,29 @@ def _seed_words(ent):
     """SeedSequence(_entropy(key)).generate_state(4, np.uint64) for each
     row of ent, a (B, 8) array of 32-byte keys as little-endian uint32
     words; returns a (B, 4) array. This is numpy's pool mixing of 8 entropy
-    words into a pool of 4, run once over all keys. A key whose top word is
-    0 has fewer entropy words and is seeded one at a time."""
-    hashes = iter(zip(_HASH_A[:-1], _HASH_A[1:]))
+    words into a pool of 4, run over all keys at once and held as a (4, B)
+    array: the 4 first hashes are one operation, so are each source word's
+    hashes mixed into the pool words it feeds, and the 8 output words; the
+    hash constants go in numpy's order. A key whose top word is 0 has fewer
+    entropy words and is seeded one at a time."""
+    a, a_next = _HASH_A[:-1, None], _HASH_A[1:, None]
 
-    def hashmix(v):
-        c, c_next = next(hashes)
-        v = (v ^ c) * c_next
+    def hashmix(v, k, count):    # hash k + i of v, or of its row i
+        v = (v ^ a[k:k + count]) * a_next[k:k + count]
         return v ^ (v >> 16)
 
     def mix(x, y):
         r = _MIX_L * x - _MIX_R * y
         return r ^ (r >> 16)
 
-    pool = [hashmix(ent[:, i]) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, 8):
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(ent[:, src]))
-    state = np.empty((len(ent), 8), dtype=np.uint32)
-    for i in range(8):
-        v = (pool[i % 4] ^ _HASH_B[i]) * _HASH_B[i + 1]
-        state[:, i] = v ^ (v >> 16)
-    words = state.view("<u8")
+    pool, k = hashmix(ent.T[:4], 0, 4), 4
+    for src in range(8):
+        dst = [d for d in range(4) if d != src]   # every pool word from 4 on
+        source = pool[src] if src < 4 else ent[:, src]
+        pool[dst] = mix(pool[dst], hashmix(source, k, len(dst)))
+        k += len(dst)
+    v = (pool[[0, 1, 2, 3] * 2] ^ _HASH_B[:-1, None]) * _HASH_B[1:, None]
+    words = np.ascontiguousarray((v ^ (v >> 16)).T).view("<u8")
     for i in np.flatnonzero(ent[:, 7] == 0):
         words[i] = np.random.SeedSequence(
             _entropy(ent[i].tobytes())).generate_state(4, np.uint64)
@@ -352,61 +358,55 @@ def _pcg64_seed(words):
     return hi, lo, inc_hi, inc_lo
 
 
-def _pcg64_uniforms(words, out, sample=None):
-    """Fill row i of out, a (B, n) array, with the first n draws of
-    Generator(PCG64) seeded with words[i], or with sample(draws): each
-    block of draws goes to the sampler, or is copied, as soon as it is
-    made, so no more than one block of them exists at a time.
+def _pcg64_uniforms(words, out, sample=np.copyto):
+    """sample(out, draws) for the first n draws of Generator(PCG64) seeded
+    with words[i] into row i of out, a (B, n) array; by default the draws
+    themselves. Each block of draws is sampled as soon as it is made, so no
+    more than one block of them exists at a time.
 
     From B >= 32 n on, every stream steps at once in uint64 arithmetic and
     each draw is (XSL-RR output >> 11) * 2**-53, as Generator.random makes
     it; a block is one column. Fewer, longer streams set their state, one
-    stream after another, on one PCG64 made for the call, and fill blocks
-    of at most block_elements() draws: whole rows, or pieces of one row when a
+    stream after another, on one PCG64 made for the call and fill blocks of
+    at most block_elements() draws: whole rows, or pieces of one row when a
     row is longer, successive random() calls continuing its sequence."""
-    def put(where, u):
-        out[where] = u if sample is None else sample(u)
-
     hi, lo, inc_hi, inc_lo = _pcg64_seed(words)
     B, n = out.shape
     if B >= _STEP_ALL_STREAMS_PER_DRAW * n:
         for j in range(n):
             hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
             x, rot = hi ^ lo, hi >> 58
-            put((slice(None), j),
-                (((x >> rot) | (x << ((64 - rot) & 63))) >> 11) * 2.0 ** -53)
+            sample(out[:, j], (((x >> rot) | (x << ((64 - rot) & 63))) >> 11)
+                   * 2.0 ** -53)
         return
     gen = np.random.Generator(np.random.PCG64(0))
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
              "uinteger": 0}
+    states = [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
+    incs = [h << 64 | l for h, l in zip(inc_hi.tolist(), inc_lo.tolist())]
     width = min(n, block_elements())
     rows = max(1, block_elements() // n)   # whole rows per block; one if wider
     buf = np.empty((min(rows, B), width))
     for r0 in range(0, B, rows):
-        block = buf[:min(rows, B - r0)]
-        seeds = zip(*(a[r0:r0 + rows].tolist()
-                      for a in (hi, lo, inc_hi, inc_lo)))
         for c0 in range(0, n, width):    # one piece unless a row is wider
-            piece = block[:, :min(width, n - c0)]
-            for row in piece:
+            piece = buf[:min(rows, B - r0), :min(width, n - c0)]
+            for row, s, i in zip(piece, states[r0:r0 + rows],
+                                 incs[r0:r0 + rows]):
                 if not c0:
-                    s_hi, s_lo, i_hi, i_lo = next(seeds)
-                    pcg["state"] = s_hi << 64 | s_lo
-                    pcg["inc"] = i_hi << 64 | i_lo
+                    pcg["state"], pcg["inc"] = s, i
                     gen.bit_generator.state = state
                 gen.random(out=row)
-            put((slice(r0, r0 + len(block)), slice(c0, c0 + width)), piece)
+            sample(out[r0:r0 + rows, c0:c0 + width], piece)
 
 
-def _draw_streams(seed, stream_ids, size, dtype, sample=None):
+def _draw_streams(seed, stream_ids, size, dtype, sample=np.copyto):
     """One draw per stream id of shape size into a (number of ids,) + size
-    array of dtype, through _pcg64_uniforms. The streams' keys and seed
-    words are computed once, their seed words mixed in one vectorized pass
-    and turned into PCG64 states in another."""
+    array of dtype, through _pcg64_uniforms. The streams' keys are made
+    once (_stream_keys), their seed words mixed in one vectorized pass and
+    turned into PCG64 states in another."""
     seed = int(seed) & _SEED_MASK
-    ent = np.frombuffer(b"".join(_stream_key(seed, tuple(i))
-                                 for i in stream_ids), "<u4").reshape(-1, 8)
+    ent = np.frombuffer(_stream_keys(seed, stream_ids), "<u4").reshape(-1, 8)
     shape = () if size is None else tuple(np.atleast_1d(size))
     out = np.empty((len(ent),) + shape, dtype)
     if out.size:
@@ -421,45 +421,72 @@ def uniform_streams(seed, stream_ids, size=None):
     return _draw_streams(seed, stream_ids, size, float)
 
 
-class RngBatch:
-    """A batch of RngStreams with one seed, one per trial: stream j is
-    RngStream(seed, prefixes[j] + labels).
+_SLOT = object()   # where a batch's labels hold the index of a level
 
-    child(*labels) appends the labels to every stream; uniform(size) and
-    sample(p, size) are every stream's uniform(size) and sample(p, size) as
-    one (len(batch),) + size array, bit for bit. Children only extend the
-    labels, so they are cheap to mint.
+
+class RngBatch:
+    """A batch of RngStreams with one seed: RngStream(seed, prefix + labels)
+    for each prefix and each combination (j, k, ...) of the index levels,
+    the slots of labels holding j, k, ... . Streams run over the prefixes,
+    then each level in turn, and iterating a batch lists their ids.
+
+    child(*labels) and children(label, indices) only extend the labels and
+    levels, so they are cheap to mint. uniform(size) and sample(p, size) are
+    every stream's uniform(size) and sample(p, size) as one (len(batch),) +
+    size array, bit for bit. The keys of one prefix and exact-int indices
+    fill one template (_template); others are repr'd id by id.
     """
 
-    __slots__ = ("seed", "prefixes", "labels")
+    __slots__ = ("seed", "prefixes", "labels", "_levels")
 
     def __init__(self, seed, prefixes, labels=()):
         self.seed = int(seed) & _SEED_MASK
         self.prefixes = tuple(prefixes)
         self.labels = tuple(labels)
+        self._levels = ()
 
     def __len__(self):
-        return len(self.prefixes)
+        return len(self.prefixes) * prod(map(len, self._levels))
+
+    def __iter__(self):
+        for prefix, *index in product(self.prefixes, *self._levels):
+            index = iter(index)
+            yield prefix + tuple(next(index) if label is _SLOT else label
+                                 for label in self.labels)
 
     def child(self, *labels):
-        return RngBatch(self.seed, self.prefixes, self.labels + labels)
+        batch = RngBatch(self.seed, self.prefixes, self.labels + labels)
+        batch._levels = self._levels
+        return batch
+
+    def children(self, label, indices):
+        """child(label, j) of every stream, for each j in indices in turn."""
+        batch = self.child(label, _SLOT)
+        batch._levels += (tuple(indices),)
+        return batch
 
     def batch(self):
         return self
 
-    def _ids(self):
-        return (p + self.labels for p in self.prefixes)
+    def _template(self):
+        """repr((seed, id)) less '(seed, (' and '))' as utf-8, with %d at
+        each index and '%' doubled; None unless one prefix, int levels."""
+        if len(self.prefixes) != 1 or not self._levels or any(
+                type(j) is not int for level in self._levels for j in level):
+            return None
+        return ", ".join("%d" if label is _SLOT else
+                         repr(label).replace("%", "%%")
+                         for label in self.prefixes[0] + self.labels).encode()
 
     def uniform(self, size=None):
-        return uniform_streams(self.seed, self._ids(), size)
+        return uniform_streams(self.seed, self, size)
 
     def sample(self, p, size=None):
         """sample_many(p, self.uniform(size)), bit for bit, in the smallest
         unsigned dtype that holds len(p) - 1; each block of uniforms is
-        sampled as soon as it is drawn."""
-        return _draw_streams(self.seed, self._ids(), size,
-                             _symbol_dtype(len(p)),
-                             lambda u: sample_many(p, u))
+        sampled into it as soon as it is drawn."""
+        return _draw_streams(self.seed, self, size, _symbol_dtype(len(p)),
+                             _sampler(p))
 
 
 def sample_many(p, uniforms):
@@ -468,19 +495,31 @@ def sample_many(p, uniforms):
     Each draw is the count of the K - 1 inner cumulative weights <= u * total,
     as in sample_rows: the same integer as searchsorted(side="right") clipped
     to K - 1, since cumulative sums of nonnegative weights never decrease.
-    The result has the shape of uniforms (a scalar for a scalar). A total of
-    exactly 1.0 compares u itself, as u * 1.0 == u in IEEE arithmetic, so
-    the only array made besides the result is one bool mask at a time."""
+    The result has the shape of uniforms (a scalar for a scalar)."""
+    out = np.empty(np.shape(uniforms), np.intp)
+    _sampler(p)(out, np.asarray(uniforms))
+    return out[()]
+
+
+def _sampler(p):
+    """sample(out, u): sample_many(p, u) into out, in out's integer dtype.
+    A total of exactly 1.0 compares u itself, as u * 1.0 == u in IEEE
+    arithmetic, so the only array made is one bool mask at a time, and none
+    for a one-byte out, which takes the first comparison as a bool view:
+    two symbols are one np.less_equal."""
     cum = np.cumsum(_as_prob_array(p))
-    v = np.asarray(uniforms)
-    if cum[-1] != 1.0:
-        v = v * cum[-1]
-    if cum.size == 1:
-        return np.zeros(v.shape, dtype=np.intp)[()]
-    idx = (cum[0] <= v).astype(np.intp)
-    for c in cum[1:-1]:
-        idx += c <= v
-    return idx[()]
+
+    def sample(out, u):
+        if cum.size == 1:
+            out[...] = 0
+            return
+        if cum[-1] != 1.0:
+            u = u * cum[-1]
+        np.less_equal(cum[0], u,
+                      out=out.view(bool) if out.itemsize == 1 else out)
+        for c in cum[1:-1]:
+            out += c <= u
+    return sample
 
 
 def sample_rows(cums, u):

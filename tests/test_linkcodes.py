@@ -193,6 +193,77 @@ def test_type_scorer_breaks_bsc_distance_ties_to_the_lowest_index():
     assert TypeScorer(table, codebook).argmax(y[None]).tolist() == [4]
 
 
+BINARY_TABLES = {
+    "bsc-log-kernel": lambda: linkcodes._log_kernel(Kernel.bsc(0.11).matrix),
+    "bsc-log-posterior": lambda: linkcodes.log_posterior(
+        ProbVector.uniform(2), Kernel.bsc(0.2)),
+    "hamming": lambda: -np.array([[0.0, 1.0], [1.0, 0.0]]).T,
+}
+
+
+@pytest.mark.parametrize("table", list(BINARY_TABLES))
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 24, 63, 64, 65, 130])
+def test_binary_scores_are_the_two_value_sum_of_hamming_distances(table, n):
+    """A binary table of one value on equal positions and one on unequal
+    scores each pair c_0 v_0 + c_1 v_1 from its Hamming distance d, bitwise,
+    for one codebook and a batched one; argmax takes the lowest index of
+    the pairs at the best distance."""
+    t = BINARY_TABLES[table]()
+    v = np.unique(t)
+    g = np.random.default_rng(n)
+    codebook = g.integers(0, 2, (3, 40, n), dtype=np.uint8)
+    codebook[:, 7] = codebook[:, 5]          # a tie on every codebook
+    words = g.integers(0, 2, (3, n))
+    scorers = [TypeScorer(t, codebook[0]), TypeScorer(t, codebook)]
+    for scorer, pairs in zip(scorers, [codebook[0], codebook]):
+        assert scorer._per_d is not None
+        d = (pairs != words[:, None, :]).sum(axis=-1)
+        c = (n - d, d) if t[0, 0] == v[0] else (d, n - d)
+        want = c[0] * v[0] + c[1] * v[1]
+        assert np.array_equal(scorer.scores(words), want)
+        best = np.argmax(want == want.max(axis=-1, keepdims=True), axis=-1)
+        assert np.array_equal(scorer.argmax(words), best)
+    assert np.array_equal(scorers[0].scores(words[1]),
+                          scorers[0].scores(words)[1])
+
+
+@pytest.mark.parametrize("table", [
+    [[0.0, -np.inf], [np.log(0.3), np.log(0.7)]],    # Z channel
+    np.log(Kernel.bsc(0.2).matrix[[0, 1, 1]]),       # 3 codeword symbols
+    np.log([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]),
+    np.zeros((2, 2))], ids=["z", "3x2", "3x3", "one-value"])
+def test_other_tables_take_the_count_path(table):
+    table = linkcodes._log_kernel(np.exp(table))
+    codebook = RngStream(6).sample(np.full(len(table), 1 / len(table)),
+                                   (16, 20))
+    words = RngStream(7).sample(np.full(table.shape[1], 1 / table.shape[1]),
+                                (4, 20))
+    scorer = TypeScorer(table, codebook)
+    assert scorer._per_d is None
+    gathered = table[codebook, words[:, None, :]].sum(axis=-1)
+    assert np.allclose(scorer.scores(words), gathered)
+
+
+def test_binary_scoring_holds_blocks_not_the_whole_distances(monkeypatch):
+    """Scoring a batched (B, M, N) code on a binary table holds the scores
+    and a few block_elements() blocks: the Hamming distances, and np.take's
+    intp copy of them, are made a block at a time."""
+    monkeypatch.setattr(probkit, "CHUNK_ELEMENTS", 32 * 1024)
+    g = np.random.default_rng(4)
+    codebook = g.integers(0, 2, (128, 512, 8), dtype=np.uint8)
+    words = g.integers(0, 2, (128, 8))
+    scorer = TypeScorer(BINARY_TABLES["bsc-log-posterior"](), codebook)
+    scorer.scores(words[:1, None])
+    tracemalloc.start()
+    try:
+        scores = scorer.scores(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.nbytes == codebook.nbytes
+    assert peak <= codebook.nbytes + 32 * probkit.block_elements()
+
+
 def test_type_scorer_holds_no_float_array_of_the_codebook_size():
     """The scorer keeps packed bits and integer set sizes, not a float
     one-hot of the codebook."""
@@ -379,6 +450,27 @@ def test_identity_channel_synthesis_is_near_lossless():
         agree += int((x == y).sum())
         total += 16
     assert agree / total >= 0.99
+
+
+def test_lemma1_batches_name_the_listed_trial_key_streams():
+    """The (trial, key) batches of a lemma-1 chunk list exactly the ids
+    ("trial", j, "code", k, "codebook") and ("trial", j, "w", k), trial
+    by trial and key by key within a trial, and draw the codebooks and
+    encoder uniforms those ids draw when listed one by one."""
+    js, keys = range(5, 9), range(3)
+    trial = RngStream(9).children("trial", js)
+    code_ids = [("trial", j, "code", k) for j in js for k in keys]
+    w_ids = [("trial", j, "w", k) for j in js for k in keys]
+    assert list(trial.children("code", keys).child("codebook")) == [
+        i + ("codebook",) for i in code_ids]
+    assert list(trial.children("w", keys)) == w_ids
+    p, channel = ProbVector.uniform(2), Kernel.bsc(0.2)
+    code = build_synthesis_code(p, channel, 8, 0.8,
+                                trial.children("code", keys))
+    listed = build_synthesis_code(p, channel, 8, 0.8, RngBatch(9, code_ids))
+    assert np.array_equal(code.codebook, listed.codebook)
+    assert np.array_equal(trial.children("w", keys).uniform(),
+                          RngBatch(9, w_ids).uniform())
 
 
 def _lemma1_records_one_trial_at_a_time(channel, N, R, trials, seed,

@@ -217,6 +217,58 @@ def test_rng_batch_is_its_streams(seed, prefix, trials, labels_, size):
     assert isinstance(batch.batch(), RngBatch) and batch.batch() is batch
 
 
+# labels whose repr holds '%', quotes, backslashes or non-ASCII text, and
+# indices whose '%d' is not their repr (True, np.int64(3)), negative or
+# beyond 64 bits
+awkward_labels = st.one_of(st.text(alphabet="%d'\"\\é漢 \n", max_size=4),
+                           st.integers(-2 ** 70, 2 ** 70))
+awkward_indices = st.lists(st.one_of(
+    st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)), max_size=3)
+
+
+@given(st.integers(0, 2 ** 64 - 1),
+       st.lists(awkward_labels, max_size=2).map(tuple), awkward_labels,
+       awkward_indices, st.lists(awkward_labels, max_size=2).map(tuple),
+       awkward_labels, awkward_indices,
+       st.lists(st.lists(awkward_labels, max_size=2).map(tuple), min_size=1,
+                max_size=2),
+       st.sampled_from([None, 3, (2, 2)]))
+@example(7, ("a%d", "%%"), "trial", list(range(40)), ("x'\\",), "k", [-1],
+         [("p",)], None)
+@example(7, (), "é", [2 ** 64 + 1, -5], ("%s",), 3, [0, 1], [()], 2)
+@example(7, ("r",), "t", [True, np.int64(3)], (), "k", [1], [(1,)], 2)
+@settings(max_examples=40, deadline=None)
+def test_every_batch_form_keys_the_streams_it_names(seed, prefix, a, js,
+                                                    more, b, ks, listed,
+                                                    size):
+    """RngStream.children, RngBatch.child, RngBatch.children (every stream
+    with every index, stream-major) and a batch of listed prefixes list
+    their stream ids in order and draw, row for row, what RngStream(seed,
+    id) draws alone, uniforms and samples of two and three symbols. Only a
+    stream's children of exact-int indices fill a key template."""
+    kids = RngStream(seed, prefix).children(a, js)
+    assert (kids._template() is None) == any(type(j) is not int for j in js)
+    forms = {
+        "children": (kids, [prefix + (a, j) for j in js]),
+        "child": (kids.child(*more), [prefix + (a, j) + more for j in js]),
+        "cross": (kids.child(*more).children(b, ks),
+                  [prefix + (a, j) + more + (b, k) for j in js for k in ks]),
+        "listed": (RngBatch(seed, listed, more).children(b, ks),
+                   [p + more + (b, k) for p in listed for k in ks]),
+    }
+    for name, (batch, ids) in forms.items():
+        assert list(batch) == ids and len(batch) == len(ids), name
+        draws = [batch.uniform(size), batch.sample([0.5, 0.5], size),
+                 batch.sample([0.2, 0.5, 0.3], size)]
+        for i, u, s2, s3 in zip(ids, *draws):
+            assert np.array_equal(u, RngStream(seed, i).uniform(size)), name
+            assert np.array_equal(s2, RngStream(seed, i).sample([0.5, 0.5],
+                                                                size))
+            assert np.array_equal(s3, RngStream(seed, i).sample(
+                [0.2, 0.5, 0.3], size))
+
+
 # sizes with n = 0, 1, 2, 3, 5 and 8 draws per stream, so that batches of 1
 # to 400 streams fall on both sides of B = 32 n, where every stream starts
 # to step at once
