@@ -78,12 +78,12 @@ def blahut_capacity(channel, tol=1e-9, max_iters=100000):
                           upper - lower <= tol)
 
 
-def _rd_point(p, d, s, max_iters):
-    """Rate-distortion point at slope s >= 0: (rate in bits, distortion,
-    test channel, iterations, gap), gap being the rate certificate."""
+def _rd_point(p, d, s, q, max_iters):
+    """Rate-distortion point at slope s >= 0 from the starting output law
+    q: (rate in bits, distortion, test channel, iterations, gap, output
+    law), gap being the rate certificate."""
     # row factors cancel in c and cond; dropping them stops underflow
     a = np.exp2(-s * (d - d.min(axis=1, keepdims=True)))
-    q = np.full(d.shape[1], 1.0 / d.shape[1])
     for iters in range(1, max_iters + 1):
         denom = a @ q
         c = (p / denom) @ a  # c_j = sum_x p_x a[x,j] / denom_x
@@ -95,50 +95,71 @@ def _rd_point(p, d, s, max_iters):
     cond = a * q[None, :] / denom[:, None]  # test channel p(xhat|x)
     dist = float((p[:, None] * cond * d).sum())
     rate = float(p @ _relative_entropies(cond, q))
-    return max(rate, 0.0), dist, cond, iters, gap
+    return max(rate, 0.0), dist, cond, iters, gap, q
 
 
-def _bisect_slope(above, lo):
-    """Last slope tested in the search over s > lo for where the monotone
-    test above(s) turns true: s - lo doubles from 1 until it holds, then the
-    bracket halves until above(s) is None (met) or at float resolution."""
-    hi, step, s = math.inf, 1.0, lo
+def _find_slope(f, lo, f_lo):
+    """Last slope tested in the search over s > lo for the root of f, which
+    rises in s from f(lo) = f_lo and is None once its target is met: s - lo
+    doubles from 1 until f(s) > 0, then Illinois regula falsi steps shrink
+    the bracket, halving it whenever a step would leave it, until f(s) is
+    None or the bracket is at float resolution."""
+    hi, f_hi, step, s, moved = math.inf, math.nan, 1.0, lo, 0
     while True:
         t = lo + step if hi == math.inf else 0.5 * (lo + hi)
         if not lo < t < hi:
             return s
+        if f_hi > f_lo:
+            secant = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            t = secant if lo < secant < hi else t
         if t > 1e9:
             raise InfeasibleTarget("slope search diverged")
-        s, side = t, above(t)
-        if side is None:
+        s, value = t, f(t)
+        if value is None:
             return s
-        if side:
-            hi = s
+        # Illinois: an end kept for a second step in a row has its value
+        # halved, so that the secant moves it too
+        if value > 0:
+            f_lo = f_lo / 2 if moved > 0 else f_lo
+            hi, f_hi, moved = s, value, 1
         else:
-            lo, step = s, 2.0 * step
+            f_hi = f_hi / 2 if moved < 0 else f_hi
+            lo, f_lo, step, moved = s, value, 2.0 * step, -1
 
 
 def _slope_search(p, d, key, target, tol, max_iters=100000):
-    """Bisect the slope s of _rd_point until its rate (key 0, rising in s)
-    or distortion (key 1, falling in s) is within tol / 100 of target.
-    Returns the last point, its slope and the _rd_point iterations spent.
-    The bracket starts at the zero-rate slope s0, where Blahut's iteration
-    stalls: the largest s at which the point mass on argmin_j E d(X, j)
-    passes _rd_point's stopping test (a convex condition, true at s = 0)."""
-    excess = d - d[:, [int((p @ d).argmin())]]
+    """Search the slope s of _rd_point until its rate (key 0, rising in s)
+    or distortion (key 1, falling in s) is within tol / 100 of target, each
+    evaluation starting from the previous one's output law. Returns the
+    last point, its slope and the _rd_point iterations spent. The bracket
+    starts at the zero-rate slope s0, where Blahut's iteration stalls: the
+    largest s at which the point mass on zero = argmin_j E d(X, j) passes
+    _rd_point's stopping test (a convex condition, true at s = 0), that is
+    at which log2 E 2^(-s (d(X, j) - d(X, zero))) <= _RD_TOL for all j. It
+    is 0 at j = zero for every s, so that column is left out: the value
+    then rises through 0 smoothly, and regula falsi steps do not crawl
+    along a flat -_RD_TOL."""
+    zero = int((p @ d).argmin())
+    excess = np.delete(d - d[:, [zero]], zero, axis=1)
     with np.errstate(over="ignore"):
-        s0 = _bisect_slope(lambda s: np.log2(
-            (p @ np.exp2(-s * excess)).max()) > _RD_TOL, 0.0)
+        s0 = _find_slope(lambda s: float(np.log2(
+            (p @ np.exp2(-s * excess)).max())) - _RD_TOL, 0.0, -_RD_TOL)
+    uniform = np.full(d.shape[1], 1.0 / d.shape[1])
     points = []
 
-    def above(s):
-        points.append(_rd_point(p, d, s, max_iters))
+    def rising(s):
+        q = points[-1][5] if points else uniform
+        # a multiplicative update never revives a zero
+        points.append(_rd_point(p, d, s, q if q.all() else uniform,
+                                max_iters))
         miss = points[-1][key] - target
         if abs(miss) <= tol * 1e-2:
             return None
-        return (miss > 0) == (key == 0)
+        return miss if key == 0 else -miss
 
-    s = _bisect_slope(above, s0)
+    # at s0 the curve is at its zero-rate point (0, E d(X, zero))
+    s = _find_slope(rising, s0, -target if key == 0 else
+                    target - float(p @ d[:, zero]))
     return points[-1], s, sum(point[3] for point in points)
 
 
@@ -172,7 +193,7 @@ def blahut_rate_distortion(source, distortion_fn, target_d, tol=1e-9,
     if target_d <= d_min + tol:
         cond = np.eye(d.shape[1])[d.argmin(axis=1)]  # ties broken low
         return RdResult(entropy(p @ cond), d_min, Kernel(cond), 0, 0.0)
-    (rate, dist, cond, _, gap), s, iters = _slope_search(
+    (rate, dist, cond, _, gap, _), s, iters = _slope_search(
         p, d, 1, target_d, tol, max_iters)
     # first-order correction along the supporting line of slope -s
     rate = max(rate + s * (dist - target_d), 0.0)
@@ -188,6 +209,6 @@ def invert_rate_distortion(source, distortion_fn, target_rate, tol=1e-9):
     push = p @ np.eye(d.shape[1])[d.argmin(axis=1)]
     if d_floor - d_min <= tol or target_rate >= entropy(push):
         return d_min
-    (rate, dist, _, _, _), s, _ = _slope_search(p, d, 0, target_rate, tol)
+    (rate, dist, *_), s, _ = _slope_search(p, d, 0, target_rate, tol)
     # first-order correction along the supporting line of slope -s
     return min(max(dist + (rate - target_rate) / s, d_min), d_floor)

@@ -99,7 +99,11 @@ class TypeScorer:
     positions (a BSC's log kernel or log posterior, the Hamming table -d),
     scores a pair at Hamming distance d, the popcount of the XOR of the
     packed pair, as per_d[d]: the same sum c_0 v_0 + c_1 v_1, made once
-    per d, so the scores are bitwise those of the counts.
+    per d, so the scores are bitwise those of the counts. Where per_d is
+    strictly monotone (a BSC with p != 1/2, -d), argmax needs no scores:
+    the best codeword is the one nearest (per_d falling) or farthest
+    (rising) in Hamming distance, the lowest index on a tie, as for the
+    scores.
     """
 
     def __init__(self, table, codebook):
@@ -117,11 +121,14 @@ class TypeScorer:
         codebook = np.asarray(codebook)
         self.shape = codebook.shape
         # binary: c_j = (N - d) cells[0, 0, j] + d cells[0, 1, j]
-        self._per_d = None
+        self._per_d = self._nearest = None
         if cells.shape == (2, 2, 2) and (group == group[::-1, ::-1]).all():
             d = np.arange(self.shape[-1] + 1)[:, None]
             c = (self.shape[-1] - d) * cells[0, 0] + d * cells[0, 1]
             self._per_d = c[:, 0] * self.values[0] + c[:, 1] * self.values[1]
+            steps = np.diff(self._per_d)
+            if steps.size and ((steps < 0).all() or (steps > 0).all()):
+                self._nearest = bool(steps[0] < 0)
         # the smallest unsigned dtype of N bits; uint64 words beyond 64
         self._word = np.min_scalar_type((1 << min(self.shape[-1], 64)) - 1)
         self._packed = [_pack(codebook == a, self._word)
@@ -129,34 +136,47 @@ class TypeScorer:
         self._sizes = [np.bitwise_count(p).sum(axis=-1, dtype=np.int32)
                        for p in self._packed]
 
-    def scores(self, y):
+    def _words(self, y):
+        """The packed positions (..., 1, W) of each symbol b >= 1 in words y
+        (..., N), and the shape (..., M) of their scores."""
         y = np.asarray(y)
         if y.size and (y.min() < 0 or y.max() > len(self._db)):
             raise ArityMismatch("words hold symbols outside [0, %d)"
                                 % (len(self._db) + 1))
-        masks = [y == b for b in range(1, len(self._db) + 1)]
-        words = [_pack(mask, self._word)[..., None, :] for mask in masks]
-        sizes = [mask.sum(axis=-1, dtype=np.int32)[..., None]
-                 for mask in masks]
-        out = np.empty(np.broadcast_shapes(y.shape[:-1] + (1,),
-                                           self.shape[:-1]))
+        words = [_pack(y == b, self._word)[..., None, :]
+                 for b in range(1, len(self._db) + 1)]
+        return words, np.broadcast_shapes(y.shape[:-1] + (1,),
+                                           self.shape[:-1])
+
+    def _distances(self, shape, m, word):
+        """Hamming distances (shape) of codewords m from the packed binary
+        words: the popcount of their XOR, summed over words."""
+        dist = np.zeros(shape, np.min_scalar_type(self.shape[-1]))
+        for w in range(word.shape[-1]):
+            dist += np.bitwise_count(self._packed[0][..., m, w] ^ word[..., w])
+        return dist
+
+    def scores(self, y):
+        words, shape = self._words(y)
+        out = np.empty(shape)
         # codewords a block at a time, so that the counts stay in cache
         step = max(1, block_elements() * out.shape[-1] // max(1, out.size))
         for m0 in range(0, out.shape[-1], step):
-            self._score_block(out[..., m0:m0 + step],
-                              slice(m0, m0 + step), words, sizes)
+            m = slice(m0, m0 + step)
+            if self._per_d is None:
+                self._score_block(out[..., m], m, words)
+            else:
+                np.take(self._per_d, self._distances(out[..., m].shape, m,
+                                                     words[0]),
+                        out=out[..., m], mode="clip")
         return out
 
-    def _score_block(self, out, m, words, word_sizes):
-        """Scores of codewords m against the packed words into out."""
+    def _score_block(self, out, m, words):
+        """Scores of codewords m against the packed words into out, from
+        their joint-type counts."""
         n = self.shape[-1]
-        if self._per_d is not None:
-            dist = np.zeros(out.shape, np.min_scalar_type(n))
-            for w in range(words[0].shape[-1]):
-                dist += np.bitwise_count(self._packed[0][..., m, w]
-                                         ^ words[0][..., w])
-            np.take(self._per_d, dist, out=out, mode="clip")
-            return
+        word_sizes = [np.bitwise_count(q).sum(axis=-1, dtype=np.int32)
+                      for q in words]
         # c_j for every group but the last, in place; the last holds the rest
         counts = [np.full(out.shape, n * c, np.int32) for c in self._c00[:-1]]
 
@@ -199,7 +219,13 @@ class TypeScorer:
         ys = np.asarray(ys)
         out = np.empty(ys.shape[:-1], dtype=np.int64)
         for i in self.chunks(ys):
-            out[i] = self.scores(ys[i]).argmax(axis=-1)
+            if self._nearest is None:
+                out[i] = self.scores(ys[i]).argmax(axis=-1)
+            else:
+                words, shape = self._words(ys[i])
+                dist = self._distances(shape, slice(None), words[0])
+                out[i] = (dist.argmin(axis=-1) if self._nearest
+                          else dist.argmax(axis=-1))
         return out
 
 

@@ -177,14 +177,17 @@ def test_rd_solvers_share_input_checks(solver, target):
         solver(UNIFORM2, np.array([[0.0, np.nan], [1.0, 0.0]]), target)
 
 
-def count_rd_point_iterations(monkeypatch):
-    """Wrap the slope evaluation so a test can count every iteration."""
+def count_rd_point_iterations(monkeypatch, gaps=None):
+    """Wrap the slope evaluation so a test can count every iteration and,
+    given a list gaps, read every point's rate certificate."""
     spent = []
     inner = infosolvers._rd_point
 
     def counted(*args, **kwargs):
         point = inner(*args, **kwargs)
         spent.append(point[3])
+        if gaps is not None:
+            gaps.append(point[4])
         return point
 
     monkeypatch.setattr(infosolvers, "_rd_point", counted)
@@ -238,8 +241,10 @@ def test_rd_zero_rate_slope_is_not_evaluated(monkeypatch):
 @settings(max_examples=25, deadline=None)
 @given(pi=st.floats(0.05, 0.5), share=st.floats(0.05, 0.95))
 def test_invert_rd_round_trip_on_bernoulli_sources(pi, share):
-    # Shares of h2(pi) near 0 sit next to the zero-rate slope, where each
-    # Blahut evaluation needs about 30 / (s - s0) iterations.
+    # Shares of h2(pi) near 0 sit next to the zero-rate slope s0, where
+    # Blahut's iteration is slow: a cold evaluation needs about
+    # 30 / (s - s0) iterations, and warm-started ones near the root still
+    # hundreds to thousands each.
     src = ProbVector([pi, 1 - pi])
     rate = share * h2(pi)
     dd = invert_rate_distortion(src, HAMMING, rate)
@@ -247,6 +252,55 @@ def test_invert_rd_round_trip_on_bernoulli_sources(pi, share):
     res = blahut_rate_distortion(src, HAMMING, dd)
     assert res.converged
     assert res.rate == pytest.approx(rate, abs=1e-6)
+
+
+@pytest.mark.parametrize("solve, rate, before", [
+    (lambda: blahut_rate_distortion(BERNOULLI_02, HAMMING, 0.19).rate,
+     h2(0.2) - h2(0.19), 17104),
+    (lambda: blahut_rate_distortion(BERNOULLI_02, HAMMING, 0.199).rate,
+     h2(0.2) - h2(0.199), 111390),
+    (lambda: h2(0.2) - h2(invert_rate_distortion(BERNOULLI_02, HAMMING,
+                                                 0.001)), 0.001, 212219),
+], ids=["D=0.19", "D=0.199", "invert-R=0.001"])
+def test_slopes_near_the_zero_rate_slope_are_affordable(monkeypatch, solve,
+                                                        rate, before):
+    # `before` is what bisecting the slope from cold starts spends on each
+    # of these targets next to s0 = 2; the slope search must need at most
+    # half of it, and still certify its last point.
+    gaps = []
+    spent = count_rd_point_iterations(monkeypatch, gaps)
+    assert solve() == pytest.approx(rate, abs=1e-6)
+    assert gaps[-1] <= 1e-12
+    assert sum(spent) <= before // 2
+
+
+# p = (0.649, 0.008, 0.343) under D3: the optimal output law loses a
+# reproduction letter along the curve. R(D) at ten targets evenly inside
+# (d_min, d_floor) and D(R) at R = 0.05, 0.2 and 0.5, as computed by
+# bisecting the slope from cold starts.
+SOURCE3 = ProbVector([0.649, 0.008, 0.343])
+D3 = np.array([[0.82, 1.97, 1.6], [0.11, 0.38, 0.9], [1.41, 0.66, 0.72]])
+RD3 = [0.7394730937717471, 0.611728006688607, 0.5060564406298439,
+       0.41477253100330486, 0.3343088370345509, 0.26260394759635797,
+       0.1983202147725222, 0.13935226216679128, 0.08542454807885096,
+       0.03915689091597333]
+INVERTED3 = {0.05: 0.9874772231811294, 0.2: 0.9225005209495207,
+             0.5: 0.8310555257154606}
+
+
+def test_warm_starts_follow_a_letter_out_of_the_support(monkeypatch):
+    p = SOURCE3.probs
+    d_min, d_floor = (p * D3.min(axis=1)).sum(), (p @ D3).min()
+    for target, rate in zip(np.linspace(d_min, d_floor, 12)[1:-1], RD3):
+        res = blahut_rate_distortion(SOURCE3, D3, float(target))
+        assert res.converged and res.gap <= 1e-12
+        assert res.rate == pytest.approx(rate, abs=1e-9)
+    gaps = []
+    count_rd_point_iterations(monkeypatch, gaps)
+    for rate, dist in INVERTED3.items():
+        assert invert_rate_distortion(SOURCE3, D3, rate) == \
+            pytest.approx(dist, abs=1e-9)
+        assert gaps[-1] <= 1e-12
 
 
 def test_rd_is_unchanged_by_a_distortion_offset():

@@ -227,6 +227,66 @@ def test_binary_scores_are_the_two_value_sum_of_hamming_distances(table, n):
                           scorers[0].scores(words)[1])
 
 
+@pytest.mark.parametrize("table, nearest", [
+    (linkcodes._log_kernel(Kernel.bsc(0.11).matrix), True),
+    (linkcodes._log_kernel(Kernel.bsc(0.89).matrix), False),
+    (-np.array([[0.0, 1.0], [1.0, 0.0]]).T, True)],
+    ids=["bsc-0.11", "bsc-0.89", "hamming"])
+@pytest.mark.parametrize("n", [7, 24, 65])
+def test_argmax_is_the_nearest_or_farthest_codeword(table, nearest, n,
+                                                     monkeypatch):
+    """A binary table whose per_d is strictly monotone gives argmax from the
+    Hamming distances alone, with no scores: bitwise scores(ys).argmax(-1),
+    ties included, over several chunks and on a batched code."""
+    g = np.random.default_rng(n)
+    codebook = g.integers(0, 2, (40, n), dtype=np.uint8)
+    codebook[[7, 30]] = codebook[5]          # three codewords tie
+    sent = g.integers(0, 40, 60)
+    words = codebook[sent] ^ (g.random((60, n)) < 0.2)
+    words[:4] = codebook[5]
+    words[4:8] = 1 - codebook[5]
+    batched = TypeScorer(table, codebook[None].repeat(3, axis=0))
+    scorer = TypeScorer(table, codebook)
+    want = scorer.scores(words).argmax(axis=-1)
+    want_batched = batched.scores(words[:3]).argmax(axis=-1)
+    assert want[0 if nearest else 4] == 5
+    monkeypatch.setattr(probkit, "CHUNK_ELEMENTS", 32 * 40 * 7)
+    assert len(list(scorer.chunks(words))) == 9
+
+    def no_scores(self, y):
+        raise AssertionError("argmax made scores")
+
+    monkeypatch.setattr(TypeScorer, "scores", no_scores)
+    assert scorer._nearest is nearest
+    got = scorer.argmax(words)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(batched.argmax(words[:3]), want_batched)
+
+
+@pytest.mark.parametrize("table", [
+    linkcodes._log_kernel(Kernel.bsc(0.5).matrix),
+    linkcodes._log_kernel(np.array([[1.0, 0.0], [0.3, 0.7]]))],
+    ids=["bsc-0.5", "z"])
+def test_argmax_scores_tables_of_no_monotone_distance(table, monkeypatch):
+    """BSC(0.5) scores every codeword alike and a Z channel is no function
+    of the Hamming distance: argmax takes the scores."""
+    codebook = RngStream(8).sample([0.5, 0.5], (16, 20))
+    words = RngStream(9).sample([0.5, 0.5], (5, 20))
+    scorer = TypeScorer(table, codebook)
+    made = []
+    inner = TypeScorer.scores
+
+    def scores(self, y):
+        made.append(len(y))
+        return inner(self, y)
+
+    monkeypatch.setattr(TypeScorer, "scores", scores)
+    assert scorer._nearest is None
+    assert np.array_equal(scorer.argmax(words),
+                          inner(scorer, words).argmax(axis=-1))
+    assert made == [5]
+
+
 @pytest.mark.parametrize("table", [
     [[0.0, -np.inf], [np.log(0.3), np.log(0.7)]],    # Z channel
     np.log(Kernel.bsc(0.2).matrix[[0, 1, 1]]),       # 3 codeword symbols
@@ -313,6 +373,8 @@ def test_type_scorer_refuses_word_symbols_outside_the_table(symbol):
                         np.zeros((4, 6), dtype=np.uint8))
     with pytest.raises(ArityMismatch, match=r"outside \[0, 2\)"):
         scorer.scores(np.array([0, 1, symbol, 0, 1, 0]))
+    with pytest.raises(ArityMismatch, match=r"outside \[0, 2\)"):
+        scorer.argmax(np.array([[0, 1, symbol, 0, 1, 0]]))
 
 
 def test_type_scorer_takes_an_empty_batch():
