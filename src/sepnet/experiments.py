@@ -13,16 +13,16 @@ import numpy as np
 from .infosolvers import (blahut_capacity, blahut_rate_distortion,
                           invert_rate_distortion)
 from .linkcodes import (AggregatePipeBehavior, CodedLinkBehavior,
-                        LinkCodeReport, build_channel_code,
+                        LinkCodeReport, SynthLinkBehavior, build_channel_code,
                         build_synthesis_code, codebook_bits,
                         estimate_error_prob, synthesis_code_bits,
                         synthesized_type_tv)
-from .netmodel import (BitPipe, CodeParameters, DmcChannel, Edge, IidJoint,
-                       MarkovJoint, NetworkSpec, estimate_distortion,
-                       estimate_trials, run_block, trial_batches,
+from .netmodel import (BitPipe, CodeParameters, DmcChannel, DmcLink, Edge,
+                       IidJoint, MarkovJoint, NetworkSpec,
+                       estimate_distortion, estimate_trials, run_block,
                        trial_elements)
 from .probkit import (Kernel, ProbVector, RngStream, check_counts,
-                      chunk_ranges, mean_stderr, sample_many, sample_rows)
+                      chunk_ranges, mean_stderr, sample_many)
 from .recipes import (CodewordDecoder, QuantizeIndex, SendBits, XorDecoder,
                       XorRelay, build_recipe)
 from .stacking import (StackedCode, destack_code, estimate_stacked_distortion,
@@ -68,24 +68,23 @@ def stack_check(net, code_name, code_params, N, trials, seed):
     check_counts(N=N)
     stacked = lift_code(build_recipe(code_name, net, **code_params), N)
     destacked = destack_code(stacked)
-    exact = True
-    s_vals, d_vals = [], []
     key, p = next(iter(net.demands)), destacked.params
-    for r in trial_batches(RngStream(seed), trials,
-                           trial_elements(net, p.n, p.L)):
-        tr_s = run_stacked_block(net, stacked, r)
-        tr_d = run_block(net, destacked, r)
-        exact = exact and bool(traces_match(tr_s, tr_d).all())
-        s_vals.append(tr_s.distortion[key])
-        d_vals.append(tr_d.distortion[key])
-    s_arr, d_arr = np.concatenate(s_vals), np.concatenate(d_vals)
-    se = float(np.sqrt(s_arr.var(ddof=1) + d_arr.var(ddof=1)) /
-               np.sqrt(trials)) if trials > 1 else 0.0
+
+    def run(batch):
+        tr_s = run_stacked_block(net, stacked, batch)
+        tr_d = run_block(net, destacked, batch)
+        return {"stacked": tr_s.distortion[key],
+                "destacked": tr_d.distortion[key],
+                "match": traces_match(tr_s, tr_d)}
+
+    est = estimate_trials(run, trials, RngStream(seed),
+                          trial_elements(net, p.n, p.L))
+    (d_s, se_s), (d_d, se_d) = est["stacked"], est["destacked"]
     return {"experiment": "stack-check", "N": N, "trials": trials,
-            "seed": seed,
-            "stacked_distortion": float(s_arr.mean()),
-            "destacked_distortion": float(d_arr.mean()),
-            "exact_match": bool(exact), "stderr": se}
+            "seed": seed, "stacked_distortion": d_s,
+            "destacked_distortion": d_d,
+            "exact_match": est["match"][0] == 1.0,
+            "stderr": float(np.hypot(se_s, se_d))}
 
 
 # ---------------------------------------------------------------------------
@@ -337,51 +336,41 @@ def verify_lemma1(channel, N=8, R=0.8, trials=8000, seed=0, n_times=3):
 
 
 # ---------------------------------------------------------------------------
-# two-step induction check (synthesis codes at successive times)
+# two-step induction check (a synthesized link at successive times)
 
 def two_step_induction(channel=Kernel.bsc(0.2), N=24, R=0.6, trials=256,
                        replicates=8, seed=0):
-    """n = 2 point-to-point scenario: x1 i.i.d. uniform, y1 from a synthesis
-    code, x2 = x1 xor y1, y2 from an independent second synthesis code.
-    Compares the pooled empirical law of (x1, y1, x2, y2) against the true
-    network's Monte Carlo law at the same sample budget."""
+    """n = 2 point-to-point scenario over two links per replicate, a
+    bit-pipe synthesizing the channel (SynthLinkBehavior, a code per time)
+    and the true channel (DmcLink): x1 i.i.d. uniform goes out at stacked
+    time 0 and x2 = x1 xor y1 at time 1. Returns the TV between the two
+    links' pooled empirical laws of (x1, y1, x2, y2), at the same sample
+    budget. Replicate r runs on stream ("rep", r), its codes on ("rep", r,
+    "code", t) and its trial j on ("rep", r, "trial", j)."""
     check_counts(replicates=replicates, trials=trials)
     p = ProbVector.uniform(channel.input_size)
+    k, o = channel.input_size, channel.output_size
+    pipe = Edge(0, 1, BitPipe(codebook_bits(N, R) / N))
+    shape = (2, k, o, k, o)   # (synthesized | true, x1, y1, x2, y2)
+    counts = np.zeros(int(np.prod(shape)), dtype=np.int64)
     rng = RngStream(seed)
-    k = channel.input_size
-
-    synth_counts = np.zeros(k ** 2 * channel.output_size ** 2)
-    true_counts = np.zeros_like(synth_counts)
-    shape = (k, channel.output_size, k, channel.output_size)
-    cums = np.cumsum(channel.matrix, axis=1)
-
-    def tally(counts, x1, y1, x2, y2):
-        flat = np.ravel_multi_index((x1, y1, x2, y2), shape)
-        counts += np.bincount(flat.reshape(-1), minlength=counts.size)
-
     for rep in range(replicates):
         r = rng.child("rep", rep)
-        code1 = build_synthesis_code(p, channel, N, R, r.child("code", 0))
-        code2 = build_synthesis_code(p, channel, N, R, r.child("code", 1))
+        links = (SynthLinkBehavior(p, channel, R, r).make_handler(0, pipe, N),
+                 DmcLink(0, channel, N, True))
         rj = r.children("trial", range(trials))
         x1 = sample_many(p.probs, rj.child("x").uniform(N))
-        y1 = code1.synthesize(x1, rj.child("w", 0))
-        x2 = (x1 + y1) % k
-        y2 = code2.synthesize(x2, rj.child("w", 1))
-        tally(synth_counts, x1, y1, x2, y2)
-        # true network at matched sample count
-        u = rj.child("true").uniform((2, N))
-        ty1 = sample_rows(cums[x1], u[:, 0])
-        tx2 = (x1 + ty1) % k
-        ty2 = sample_rows(cums[tx2], u[:, 1])
-        tally(true_counts, x1, ty1, tx2, ty2)
-
-    synth_law = synth_counts / synth_counts.sum()
-    true_law = true_counts / true_counts.sum()
-    tv = 0.5 * float(np.abs(synth_law - true_law).sum())
+        for side, link in enumerate(links):
+            _, y1 = link.transmit(rj, 0, x1)
+            x2 = (x1 + y1) % k
+            _, y2 = link.transmit(rj, 1, x2)
+            counts += np.bincount(np.ravel_multi_index(
+                (side, x1, y1, x2, y2), shape).ravel(), minlength=counts.size)
+    synth, true = counts.reshape(2, -1)
+    tv = 0.5 * float(np.abs(synth / synth.sum() - true / true.sum()).sum())
     return {"experiment": "two-step-induction", "seed": seed, "N": N,
             "R": R, "trials": trials, "replicates": replicates,
-            "tv": tv, "samples": int(synth_counts.sum())}
+            "tv": tv, "samples": int(synth.sum())}
 
 
 # ---------------------------------------------------------------------------

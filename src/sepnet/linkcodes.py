@@ -11,7 +11,7 @@ a coded link and an aggregate pipe alike, and synthesized inputs (T, N)
 symbol arrays. A synthesis code drawn from an RngBatch of B streams is B
 codebooks, one per stream, held as one (B, M, N) array; its encoder pairs
 word b with codebook b. This one code path serves the engine's synthesized
-links, the induction check, lemma 1 and soft covering. ML decoding,
+links (the induction check runs one), lemma 1 and soft covering. ML decoding,
 quantizing and likelihood encoding score words a TypeScorer.chunks chunk at
 a time, the one rule that bounds their memory whatever the word count.
 """
@@ -25,8 +25,8 @@ from .infosolvers import blahut_capacity
 from .netmodel import (ArityMismatch, BitPipe, BudgetOverflow, DmcChannel,
                        DmcLink, as_payload)
 from .probkit import (JointPmf, Kernel, ProbVector, block_elements,
-                      chunk_ranges, mean_stderr, mutual_information,
-                      sample_many, sample_rows)
+                      check_counts, chunk_ranges, mean_stderr,
+                      mutual_information, sample_many, sample_rows)
 
 CODEBOOK_CAP_BITS = 22
 DEFAULT_MARGIN = 0.05
@@ -45,14 +45,23 @@ def _log_kernel(matrix):
         return np.log(np.maximum(matrix, 1e-300))
 
 
-def codebook_bits(N, R, cap_bits=CODEBOOK_CAP_BITS):
+def codebook_bits(N, R):
     """Index bits ceil(N*R) of a blocklength-N, rate-R codebook, checked
-    against the cap before any codebook is drawn."""
+    before any codebook is drawn: N >= 1, at most CODEBOOK_CAP_BITS bits,
+    and at most 2^(CODEBOOK_CAP_BITS + 6) symbols, as many as 2^22
+    codewords of the widest packed word (N = 64) hold."""
+    check_counts(N=N)
     if not (np.isfinite(R) and R >= 0):
         raise RateOutOfRange("R must be finite and >= 0, got %r" % (R,))
-    bits = int(np.ceil(N * R - 1e-12))
-    if bits > cap_bits:
-        raise CodebookCapExceeded("ceil(N*R)=%d exceeds cap %d" % (bits, cap_bits))
+    bits = N * R   # an infinite N*R is refused before it is rounded
+    if np.isfinite(bits):
+        bits = int(np.ceil(bits - 1e-12))
+    if not bits <= CODEBOOK_CAP_BITS:
+        raise CodebookCapExceeded("ceil(N*R)=%s exceeds cap %d"
+                                  % (bits, CODEBOOK_CAP_BITS))
+    if 2 ** bits * N > 2 ** (CODEBOOK_CAP_BITS + 6):
+        raise CodebookCapExceeded("2^%d codewords of %r symbols exceed cap "
+                                  "2^%d" % (bits, N, CODEBOOK_CAP_BITS + 6))
     return bits
 
 

@@ -267,6 +267,7 @@ def test_cli_stack_check_zero_trials_fails_cleanly():
     ("link_rate", 0, "link_rate must be finite and positive"),
     ("link_rate", float("nan"), "link_rate must be finite and positive"),
     ("quantizer_bits", [6, 23], "ceil(N*R)=23 exceeds cap 22"),
+    ("link_rate", 1e-9, "symbols exceed cap 2^28"),
     ("kappa", float("nan"), "kappa must be finite and positive"),
     ("kappa", float("inf"), "kappa must be finite and positive"),
     ("kappa", -1.0, "kappa must be finite and positive"),
@@ -422,6 +423,22 @@ def test_cli_zero_count_fails_cleanly(tmp_path, command, scenario, key,
     assert res.returncode == 2
     assert res.stderr.startswith("sepnet: error:")
     assert message in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("synth-sweep", "stack_check.json"), ("lemma1", "lemma1.json")])
+def test_cli_infinite_codebook_fails_cleanly(tmp_path, command, scenario):
+    """R = 1e308 overflows N*R to inf: a cap diagnostic (exit 2), not an
+    OverflowError traceback (exit 1)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "scenarios", scenario)) as fh:
+        obj = json.load(fh)
+    obj["R"] = 1e308
+    res = cli(command, "--scenario", write_scenario(tmp_path, obj))
+    assert res.returncode == 2
+    assert res.stderr.startswith("sepnet: error: ceil(N*R)=inf exceeds")
+    assert "Traceback" not in res.stderr
     assert res.stdout == ""
 
 

@@ -83,11 +83,11 @@ def synth_link_run():
 CASES = {
     "stack_check_relay": (
         lambda: stack_check(RELAY_NET, "uncoded_relay", {"L": 3}, 4, 40, 42),
-        "30a13e5946f0420a20335531c5be16b711a2d69ced4105da658e8f8a5c472d30"),
+        "05e1224e266463834ec7dc434f16a51a86bc64c3778a2f78b115407fbd570c6c"),
     "stack_check_adaptive": (
         lambda: stack_check(FEEDBACK_NET, "adaptive_feedback", {"L": 3}, 4,
                             30, 43),
-        "fe04c51e76047b671ecb90ee3d8f5d8bd06a197085db59a026c46d98c316bb1f"),
+        "cf5149afc1cf644c3e97d2fa1d9f9a8d5f9ab1ae177e8a7bd1a8d47babc99950"),
     "simulate_relay": (
         lambda: simulate(RELAY_NET, "uncoded_relay", {"L": 4}, 200, 5),
         "1268184ce7f9baf132da930c65ae6365a78c18a2f0477fb0276e6b10d495e879"),
@@ -101,7 +101,7 @@ CASES = {
     "two_step_induction": (
         lambda: two_step_induction(channel=Kernel.bsc(0.2), N=12, R=0.6,
                                    trials=12, replicates=2, seed=4),
-        "974a772de6c2204dff33539fa93b07536e6168f5acff4a2c5a0774f44754ef6d"),
+        "82472332f118d782febddcb240da6005f69321e3504ab76a00868a7cac52a46f"),
     "verify_lemma1": (
         lambda: verify_lemma1(Kernel.bsc(0.2), N=8, R=0.8, trials=600,
                               seed=1),

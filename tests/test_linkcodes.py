@@ -54,6 +54,21 @@ def test_channel_code_rate_and_cap_guards():
         build_channel_code(Kernel.bsc(0.01), 32, 0.85, RngStream(0))
 
 
+@pytest.mark.parametrize("N, R, error, message", [
+    (0, 0.5, ValueError, "N must be >= 1"),
+    (8, 1e308, CodebookCapExceeded, r"ceil\(N\*R\)=inf exceeds cap 22"),
+    (6 * 10 ** 9, 1e-9, CodebookCapExceeded,
+     r"2\^6 codewords of 6000000000 symbols exceed cap 2\^28"),
+    (65, 22 / 65, CodebookCapExceeded, r"symbols exceed cap 2\^28")],
+    ids=["no-layers", "infinite-bits", "wide-codebook", "one-past-the-cap"])
+def test_codebook_bits_refuses_what_cannot_be_drawn(N, R, error, message):
+    """2^22 codewords of 64 symbols is the largest codebook allowed; an
+    infinite N*R is a cap error, not an OverflowError."""
+    assert codebook_bits(64, 22 / 64) == 22
+    with pytest.raises(error, match=message):
+        codebook_bits(N, R)
+
+
 def test_noiseless_code_decodes_perfectly():
     code = build_channel_code(Kernel.identity(2), 16, 0.5, RngStream(2))
     for msg in (0, 17, 255):
@@ -614,15 +629,51 @@ def test_lemma1_rejects_empty_blocks(N):
 
 
 @pytest.mark.parametrize("counts", [
-    {"replicates": 0}, {"replicates": -1}, {"trials": 0}, {"trials": -1}],
-    ids=["0", "-1", "trials=0", "trials=-1"])
+    {"replicates": 0}, {"replicates": -1}, {"trials": 0}, {"trials": -1},
+    {"N": 0}, {"N": -1}],
+    ids=["0", "-1", "trials=0", "trials=-1", "N=0", "N=-1"])
 def test_two_step_induction_rejects_no_replicates(counts, monkeypatch):
-    """No replicates or no trials would give a NaN TV from 0 samples; it is
-    a ValueError naming the count before any code is drawn."""
-    monkeypatch.setattr(experiments, "build_synthesis_code", None)
+    """No replicates, trials or layers would give a NaN TV from 0 samples;
+    it is a ValueError naming the count before any code is drawn."""
+    monkeypatch.setattr(linkcodes, "build_synthesis_code", None)
     (name, value), = counts.items()
     with pytest.raises(ValueError, match="%s must be >= 1" % name):
         experiments.two_step_induction(**counts)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: experiments.synth_sweep(Kernel.bsc(0.2), ProbVector([0.5, 0.5]),
+                                    (0,), 0.6, batches=1, codebooks=1),
+    lambda: experiments.chancode_sweep(Kernel.bsc(0.11), (0,), 0.25,
+                                       trials=10)],
+    ids=["synth-sweep", "chancode-sweep"])
+def test_sweeps_reject_empty_blocks(sweep):
+    """A blocklength of 0 used to give a NaN TV after a divide warning, or
+    a meaningless row with pe_mean 0.0; codebook_bits refuses it."""
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        sweep()
+
+
+def test_two_step_induction_sends_through_the_links(monkeypatch):
+    """Each replicate sends x1 and then x1 xor y1 over one synthesized link
+    and one DmcLink, every trial's N layers in one transmit per time."""
+    calls = []
+
+    def spy(cls):
+        orig = cls.transmit
+
+        def counted(self, rng, t, x):
+            calls.append((cls.__name__, t, np.shape(x)))
+            return orig(self, rng, t, x)
+        monkeypatch.setattr(cls, "transmit", counted)
+
+    spy(linkcodes._SynthLinkHandler)
+    spy(netmodel.DmcLink)
+    res = experiments.two_step_induction(N=12, trials=5, replicates=3)
+    assert res["samples"] == 5 * 3 * 12
+    assert calls == 3 * [("_SynthLinkHandler", 0, (5, 12)),
+                         ("_SynthLinkHandler", 1, (5, 12)),
+                         ("DmcLink", 0, (5, 12)), ("DmcLink", 1, (5, 12))]
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan"), float("inf")])
